@@ -26,12 +26,15 @@ from .apparency import (
 from .elliptic import compute_invariants
 from .errors import (
     CriticalParametersError,
+    EvaluationError,
     EvenNonexistenceError,
     InconclusiveError,
+    NearPoleError,
+    PathClearanceError,
     StructuralError,
 )
 from .jsonio import dumps_canonical, rows_to_csv
-from .monodromy import verify_root
+from .monodromy import verify_roots
 from .solver import SolverConfig, scan_tau, solve_even, solve_m0, solve_m0_degenerate
 
 __all__ = ["main", "build_parser"]
@@ -167,14 +170,12 @@ def cmd_monodromy(args):
     ctx = compute_invariants(problem.lattice)
     rtol = args.tol if args.tol is not None else 1e-11
     if params is not None:
-        reports = [verify_root(problem, ctx, params, rtol=rtol)]
         census = None
+        roots = [params]
     else:
         census = solve_m0(problem, ctx, config=_solver_config(args))
-        reports = []
-        for cl in census.clusters:
-            pv = ParamVec.m0(cl.B, cl.D0, cl.D)
-            reports.append(verify_root(problem, ctx, pv, rtol=rtol))
+        roots = [ParamVec.m0(cl.B, cl.D0, cl.D) for cl in census.clusters]
+    reports = verify_roots(problem, ctx, roots, rtol=rtol)
     out = {
         "census": None if census is None else census.to_json_dict(),
         "roots": [r.to_json_dict() for r in reports],
@@ -285,7 +286,7 @@ def main(argv=None):
     except EvenNonexistenceError as e:
         print("even sector: %s" % e, file=sys.stderr)
         return 3
-    except InconclusiveError as e:
+    except (InconclusiveError, EvaluationError, PathClearanceError, NearPoleError) as e:
         print("inconclusive: %s" % e, file=sys.stderr)
         return 4
     except StructuralError as e:

@@ -20,6 +20,7 @@ oriented 24-gons.
 """
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +45,7 @@ __all__ = [
     "unitarize",
     "reconstruct_and_check",
     "verify_root",
+    "verify_roots",
 ]
 
 
@@ -52,61 +54,98 @@ __all__ = [
 
 
 class _OdeCoeffs:
-    """W2, W3 and their z-derivatives for fixed problem / parameters."""
+    """W2, W3 and their z-derivatives for a batch of S parameter vectors.
+
+    The root parameters are held as (S, 1) columns, so one ``ctx.wp_bundle``
+    call per puncture gives the coefficients of every root at a point, and
+    the values broadcast against the rows of stacked (S, 3, 3) frames.
+    """
 
     def __init__(self, problem, ctx, params):
-        if not isinstance(params, ParamVec):
-            params = ParamVec.from_vector(params)
+        pvs = [p if isinstance(p, ParamVec) else ParamVec.from_vector(p) for p in params]
         mp1 = len(problem.punctures)
-        if not (len(params.A) == len(params.Bk) == len(params.Dk) == mp1):
-            raise StructuralError("parameter arity does not match puncture count")
+        for pv in pvs:
+            if not (len(pv.A) == len(pv.Bk) == len(pv.Dk) == mp1):
+                raise StructuralError("parameter arity does not match puncture count")
+
+        def column(values):
+            return np.array(values, complex).reshape(-1, 1)
+
         self.ctx = ctx
-        self.B = complex(params.B)
-        self.D = complex(params.D)
-        self.data = []
-        for k, pk in enumerate(problem.punctures):
-            self.data.append(
-                (
-                    complex(pk.p),
-                    float(pk.alpha),
-                    float(pk.beta),
-                    complex(params.Bk[k]),
-                    complex(params.Dk[k]),
-                    complex(params.A[k]),
-                )
+        self.B = column([pv.B for pv in pvs])
+        self.D = column([pv.D for pv in pvs])
+        self.data = [
+            (
+                complex(pk.p),
+                float(pk.alpha),
+                float(pk.beta),
+                column([pv.Bk[k] for pv in pvs]),
+                column([pv.Dk[k] for pv in pvs]),
+                column([pv.A[k] for pv in pvs]),
             )
+            for k, pk in enumerate(problem.punctures)
+        ]
+
+    @property
+    def size(self):
+        return len(self.B)
+
+    def take(self, idx):
+        """The coefficients of the roots idx (positions in this batch)."""
+        sub = copy.copy(self)
+        sub.B, sub.D = self.B[idx], self.D[idx]
+        sub.data = [(p, al, be, Bk[idx], Dk[idx], Ak[idx])
+                    for p, al, be, Bk, Dk, Ak in self.data]
+        return sub
 
     def values(self, z):
+        """(W2(z), W3(z)) as (S, 1) columns."""
         W2 = -self.B
         W3 = self.D
         for p, al, be, Bk, Dk, Ak in self.data:
             P, P1, Z = self.ctx.wp_bundle(z - p)
-            W2 -= al * P + Bk * Z
-            W3 += be * P1 + Dk * P + Ak * Z
+            W2 = W2 - (al * P + Bk * Z)
+            W3 = W3 + (be * P1 + Dk * P + Ak * Z)
         return W2, W3
 
     def derivs(self, z, n):
-        """Lists (W2^(j))_{j=0..n}, (W3^(j))_{j=0..n}."""
-        W2d = np.zeros(n + 1, complex)
-        W3d = np.zeros(n + 1, complex)
-        W2d[0] = -self.B
-        W3d[0] = self.D
+        """Arrays (W2^(j)), (W3^(j)) of shape (S, n+1), j = 0..n."""
+        W2d = np.zeros((self.size, n + 1), complex)
+        W3d = np.zeros((self.size, n + 1), complex)
+        W2d[:, :1] = -self.B
+        W3d[:, :1] = self.D
         for p, al, be, Bk, Dk, Ak in self.data:
             u = z - p
             wp = self.ctx.wp_derivs(u, n + 1)
             zv = self.ctx.zeta(u)
-            W2d[0] -= al * wp[0] + Bk * zv
-            W3d[0] += be * wp[1] + Dk * wp[0] + Ak * zv
-            for j in range(1, n + 1):
-                # zeta^(j) = -wp^(j-1)
-                W2d[j] -= al * wp[j] - Bk * wp[j - 1]
-                W3d[j] += be * wp[j + 1] + Dk * wp[j] - Ak * wp[j - 1]
+            W2d[:, :1] -= al * wp[0] + Bk * zv
+            W3d[:, :1] += be * wp[1] + Dk * wp[0] + Ak * zv
+            # zeta^(j) = -wp^(j-1)
+            W2d[:, 1:] -= al * wp[1:n + 1] - Bk * wp[:n]
+            W3d[:, 1:] += be * wp[2:n + 2] + Dk * wp[1:n + 1] - Ak * wp[:n]
         return W2d, W3d
 
 
+def _coeffs(problem, ctx, params):
+    """(batch coefficients, whether params named a single root).
+
+    params is a ParamVec or flat parameter vector (one root), a list or
+    tuple of ParamVec (a batch), or an _OdeCoeffs already built."""
+    if isinstance(params, _OdeCoeffs):
+        return params, False
+    if isinstance(params, (list, tuple)) and params and all(
+        isinstance(p, ParamVec) for p in params
+    ):
+        return _OdeCoeffs(problem, ctx, params), False
+    return _OdeCoeffs(problem, ctx, [params]), True
+
+
 def ode_coefficients(problem, ctx, params, z):
-    """(W2(z), W3(z)) of the equation attached to the given parameters."""
-    return _OdeCoeffs(problem, ctx, params).values(z)
+    """(W2(z), W3(z)) of the equation attached to the given parameters;
+    length-S arrays for a batch of parameter vectors."""
+    coeffs, single = _coeffs(problem, ctx, params)
+    W2, W3 = coeffs.values(z)
+    return (W2[0, 0], W3[0, 0]) if single else (W2[:, 0], W3[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +253,13 @@ _E = (
 
 
 def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, max_steps=200000):
-    """Continue dY/dz = A(z) Y along the straight segment za -> zb."""
+    """Continue dY/dz = A(z) Y along the straight segment za -> zb.
+
+    Y is one (3, 3) frame or a stack (S, 3, 3), one per root of the batch
+    coeffs.values describes.  All roots share one step sequence: each root's
+    error is scaled by its own atol + rtol * max|Y|, and a step is accepted
+    only when the worst root passes.
+    """
     dz = zb - za
     L = abs(dz)
     if L == 0:
@@ -223,10 +268,13 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, max_steps=200000):
     def g(t, U):
         W2, W3 = coeffs.values(za + t * dz)
         out = np.empty_like(U)
-        out[0] = U[1]
-        out[1] = U[2]
-        out[2] = -W3 * U[0] - W2 * U[1]
+        out[..., 0, :] = U[..., 1, :]
+        out[..., 1, :] = U[..., 2, :]
+        out[..., 2, :] = -W3 * U[..., 0, :] - W2 * U[..., 1, :]
         return dz * out
+
+    def root_max(M):
+        return np.abs(M).reshape(-1, 9).max(axis=1)
 
     t = 0.0
     have_sing = len(sing) > 0
@@ -258,10 +306,8 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, max_steps=200000):
             _E[0] * ks[0] + _E[2] * ks[2] + _E[3] * ks[3]
             + _E[4] * ks[4] + _E[5] * ks[5] + _E[6] * ks[6]
         )
-        scale = atol + rtol * max(
-            float(np.max(np.abs(Y))), float(np.max(np.abs(Ynew)))
-        )
-        err = float(np.max(np.abs(errv))) / scale
+        scale = atol + rtol * np.maximum(root_max(Y), root_max(Ynew))
+        err = float(np.max(root_max(errv) / scale))
         if err <= 1.0:
             t += h
             Y = Ynew
@@ -275,15 +321,22 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, max_steps=200000):
 
 
 def transport(problem, ctx, params, vertices, rtol=1e-11, sing=None, Y0=None):
-    """Fundamental transport along a polyline; columns carry initial data."""
-    coeffs = params if isinstance(params, _OdeCoeffs) else _OdeCoeffs(problem, ctx, params)
+    """Fundamental transport along a polyline; columns carry initial data.
+
+    A single parameter vector gives one (3, 3) frame; a batch (see
+    _coeffs) gives the stack (S, 3, 3), transported in lockstep.
+    """
+    coeffs, single = _coeffs(problem, ctx, params)
     if sing is None:
         sing = _singular_translates(problem, ctx)
-    Y = np.eye(3, dtype=complex) if Y0 is None else np.array(Y0, complex)
+    if Y0 is None:
+        Y = np.tile(np.eye(3, dtype=complex), (coeffs.size, 1, 1))
+    else:
+        Y = np.array(Y0, complex).reshape(coeffs.size, 3, 3)
     atol = rtol * 1e-2
     for va, vb in zip(vertices, vertices[1:]):
         Y = _segment_transport(coeffs, complex(va), complex(vb), Y, sing, rtol, atol)
-    return Y
+    return Y[0] if single else Y
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +447,12 @@ def _geometry(problem, ctx):
 
 
 def monodromy_pair(problem, ctx, params, rtol=1e-11):
-    """Period monodromies, local loop matrices, and their residuals."""
-    coeffs = _OdeCoeffs(problem, ctx, params)
+    """Period monodromies, local loop matrices, and their residuals.
+
+    A single parameter vector gives one report; a batch gives one report
+    per root, all roots transported in lockstep along the same paths.
+    """
+    coeffs, single = _coeffs(problem, ctx, params)
     tau = ctx.tau
     q0, clearance, r_loc, sing = _geometry(problem, ctx)
 
@@ -403,40 +460,42 @@ def monodromy_pair(problem, ctx, params, rtol=1e-11):
                    rtol=rtol, sing=sing)
     T2 = transport(problem, ctx, coeffs, plan_path(q0, q0 + tau, sing, clearance),
                    rtol=rtol, sing=sing)
-    # monodromy acts on the solution basis: transpose of the data transport
-    N1 = T1.T.copy()
-    N2 = T2.T.copy()
+    loops = [transport(problem, ctx, coeffs, _polygon(pk.p, r_loc), rtol=rtol, sing=sing)
+             for pk in problem.punctures]
+    local_scalars = tuple(cmath.exp(-2j * math.pi * float(pk.gamma1))
+                          for pk in problem.punctures)
     eps = problem.epsilon
-    comm = N1 @ N2 @ np.linalg.inv(N1) @ np.linalg.inv(N2)
-    eps_residual = float(np.max(np.abs(comm - eps * np.eye(3))))
 
-    local = []
-    local_scalars = []
-    local_res = []
-    det_drift = max(abs(np.linalg.det(T1) - 1.0), abs(np.linalg.det(T2) - 1.0))
-    for pk in problem.punctures:
-        poly = _polygon(pk.p, r_loc)
-        M = transport(problem, ctx, coeffs, poly, rtol=rtol, sing=sing).T
-        s = cmath.exp(-2j * math.pi * float(pk.gamma1))
-        local.append(M)
-        local_scalars.append(s)
-        local_res.append(float(np.max(np.abs(M - s * np.eye(3)))))
-        det_drift = max(det_drift, abs(np.linalg.det(M) - 1.0))
-
-    return MonodromyReport(
-        tau=tau,
-        epsilon=eps,
-        N1=N1,
-        N2=N2,
-        local=tuple(local),
-        local_scalars=tuple(local_scalars),
-        local_scalar_residuals=tuple(local_res),
-        eps_residual=eps_residual,
-        det_drift=float(det_drift),
-        base_point=q0,
-        loop_radius=r_loc,
-        rtol=rtol,
-    )
+    reports = []
+    for r in range(coeffs.size):
+        # monodromy acts on the solution basis: transpose of the data transport
+        N1 = T1[r].T.copy()
+        N2 = T2[r].T.copy()
+        comm = N1 @ N2 @ np.linalg.inv(N1) @ np.linalg.inv(N2)
+        eps_residual = float(np.max(np.abs(comm - eps * np.eye(3))))
+        det_drift = max(abs(np.linalg.det(T1[r]) - 1.0), abs(np.linalg.det(T2[r]) - 1.0))
+        local = []
+        local_res = []
+        for T, s in zip(loops, local_scalars):
+            M = T[r].T
+            local.append(M)
+            local_res.append(float(np.max(np.abs(M - s * np.eye(3)))))
+            det_drift = max(det_drift, abs(np.linalg.det(M) - 1.0))
+        reports.append(MonodromyReport(
+            tau=tau,
+            epsilon=eps,
+            N1=N1,
+            N2=N2,
+            local=tuple(local),
+            local_scalars=local_scalars,
+            local_scalar_residuals=tuple(local_res),
+            eps_residual=eps_residual,
+            det_drift=float(det_drift),
+            base_point=q0,
+            loop_radius=r_loc,
+            rtol=rtol,
+        ))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +631,18 @@ def _stack_operator(basis, report):
 
 
 def _taylor_frame(coeffs, z, Y, order=12):
-    """Derivative stack Y[k] (3,) for k = 0..order at z from frame data."""
-    out = np.zeros((order + 1, 3), complex)
-    out[0] = Y[0]
-    out[1] = Y[1]
-    out[2] = Y[2]
+    """Derivative stacks out[r, k] (3,) for k = 0..order at z, one per root
+    of the batch coeffs, from the stacked frames Y (S, 3, 3)."""
+    out = np.zeros((len(Y), order + 1, 3), complex)
+    out[:, :3] = Y
     W2d, W3d = coeffs.derivs(z, max(order - 2, 1))
+    W2d, W3d = W2d[:, :, None], W3d[:, :, None]
     for k in range(order - 2):
-        acc = np.zeros(3, complex)
+        acc = np.zeros((len(Y), 3), complex)
         for j in range(k + 1):
             ckj = math.comb(k, j)
-            acc += ckj * (W2d[j] * out[k - j + 1] + W3d[j] * out[k - j])
-        out[k + 3] = -acc
+            acc += ckj * (W2d[:, j] * out[:, k - j + 1] + W3d[:, j] * out[:, k - j])
+        out[:, k + 3] = -acc
     return out
 
 
@@ -617,6 +676,26 @@ def _uv_from_frame(P, detP, Yval, Yder):
     return -math.log(eU), -math.log(eV)
 
 
+_OFFSETS = (0.0, 1.0, -1.0, 2.0, -2.0, 1j, -1j, 2j, -2j)
+
+
+def _point_residual(P, detP, stack, h):
+    """(U, PDE residual) at a grid point from one root's Taylor stack.
+
+    The Laplacians are fourth-order central differences with step h."""
+    vals = {d: _uv_from_frame(P, detP, *_eval_taylor(stack, d * h)) for d in _OFFSETS}
+    u0, v0 = vals[0.0]
+    lapU = (
+        -vals[2][0] + 16 * vals[1][0] - 30 * u0 + 16 * vals[-1][0] - vals[-2][0]
+        - vals[2j][0] + 16 * vals[1j][0] - 30 * u0 + 16 * vals[-1j][0] - vals[-2j][0]
+    ) / (12 * h * h)
+    lapV = (
+        -vals[2][1] + 16 * vals[1][1] - 30 * v0 + 16 * vals[-1][1] - vals[-2][1]
+        - vals[2j][1] + 16 * vals[1j][1] - 30 * v0 + 16 * vals[-1j][1] - vals[-2j][1]
+    ) / (12 * h * h)
+    return u0, max(abs(lapU + math.exp(2 * u0 - v0)), abs(lapV + math.exp(2 * v0 - u0)))
+
+
 def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11,
                           h=1e-3, exclusion=0.1, grid_n=8, taylor_order=12):
     """Reconstruct both field profiles on a grid and measure PDE residuals.
@@ -624,17 +703,31 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11,
     Uses the invariant form of a successful unitarization (run here when the
     report lacks one).  Returns (pde_residual, even_residual); even_residual
     is None when the kept grid is not symmetric under z -> -z.
+
+    A batch of parameter vectors (with report None or one report per root)
+    shares one hop chain, with the invariant form per root, and returns one
+    entry per root: the residual pair, or the error that failed that root
+    alone (not unitarizable, or a degenerate frame).  A single root raises
+    that error instead.
     """
-    coeffs = _OdeCoeffs(problem, ctx, params)
+    coeffs, single = _coeffs(problem, ctx, params)
     if report is None:
-        report = monodromy_pair(problem, ctx, params, rtol=rtol)
-    if report.H is None:
-        res = unitarize(report)
-        if not res.ok:
-            raise StructuralError("root is not unitarizable: " + res.reason)
-    Lc = np.linalg.cholesky(report.H)
-    P = Lc.conj().T
-    detP = complex(np.prod(np.diag(Lc)))
+        reports = monodromy_pair(problem, ctx, coeffs, rtol=rtol)
+    else:
+        reports = [report] if single else report
+    results = [None] * coeffs.size  # residual pair or error, once settled
+    frames = {}  # root -> (P, det P) of its invariant form
+    for r, rep in enumerate(reports):
+        try:
+            if rep.H is None:
+                res = unitarize(rep)
+                if not res.ok:
+                    raise StructuralError("root is not unitarizable: " + res.reason)
+        except StructuralError as e:
+            results[r] = e
+            continue
+        Lc = np.linalg.cholesky(rep.H)
+        frames[r] = (Lc.conj().T, complex(np.prod(np.diag(Lc))))
 
     tau = ctx.tau
     sing = _singular_translates(problem, ctx, pad=3)
@@ -656,70 +749,110 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11,
     if not pts:
         raise StructuralError("reconstruction grid is empty")
 
-    q0 = report.base_point
-    clearance = min(0.05, 0.8 * report.loop_radius)
-    hop_rtol = rtol
+    # the base point and loop radius depend on the lattice only
+    q0 = reports[0].base_point
+    clearance = min(0.05, 0.8 * reports[0].loop_radius)
 
-    U = {}
-    V = {}
-    Y = np.eye(3, dtype=complex)
+    live = list(frames)
+    hops = coeffs.take(live)
+    U = {r: {} for r in live}
+    pde_res = dict.fromkeys(live, 0.0)
+    Y = np.tile(np.eye(3, dtype=complex), (len(live), 1, 1))
     prev = q0
-    pde_res = 0.0
-    offsets = [0.0, h, -h, 2 * h, -2 * h, 1j * h, -1j * h, 2j * h, -2j * h]
     for key in order_idx:
+        if not live:
+            break
         z = pts[key]
         path = plan_path(prev, z, sing, clearance)
-        Y = transport(problem, ctx, coeffs, path, rtol=hop_rtol, sing=sing, Y0=Y)
+        Y = transport(problem, ctx, hops, path, rtol=rtol, sing=sing, Y0=Y)
         prev = z
-        stack = _taylor_frame(coeffs, z, Y, order=taylor_order)
-        vals = {}
-        for d in offsets:
-            yv, yd = _eval_taylor(stack, d)
-            vals[d] = _uv_from_frame(P, detP, yv, yd)
-        u0, v0 = vals[0.0]
-        U[key] = u0
-        V[key] = v0
-        lapU = (
-            -vals[2 * h][0] + 16 * vals[h][0] - 30 * u0 + 16 * vals[-h][0] - vals[-2 * h][0]
-            - vals[2j * h][0] + 16 * vals[1j * h][0] - 30 * u0 + 16 * vals[-1j * h][0] - vals[-2j * h][0]
-        ) / (12 * h * h)
-        lapV = (
-            -vals[2 * h][1] + 16 * vals[h][1] - 30 * v0 + 16 * vals[-h][1] - vals[-2 * h][1]
-            - vals[2j * h][1] + 16 * vals[1j * h][1] - 30 * v0 + 16 * vals[-1j * h][1] - vals[-2j * h][1]
-        ) / (12 * h * h)
-        pde_res = max(
-            pde_res,
-            abs(lapU + math.exp(2 * u0 - v0)),
-            abs(lapV + math.exp(2 * v0 - u0)),
-        )
+        stacks = _taylor_frame(hops, z, Y, order=taylor_order)
+        keep = []
+        for pos, r in enumerate(live):
+            try:
+                u0, res = _point_residual(*frames[r], stacks[pos], h)
+            except EvaluationError as e:
+                results[r] = e
+                continue
+            keep.append(pos)
+            U[r][key] = u0
+            pde_res[r] = max(pde_res[r], res)
+        if len(keep) < len(live):
+            live = [live[pos] for pos in keep]
+            hops = hops.take(keep)
+            Y = Y[keep]
 
-    even_res = None
     sym = all((-1 - i, -1 - j) in pts for (i, j) in pts)
-    if sym:
-        even_res = 0.0
-        for (i, j), u in U.items():
-            even_res = max(even_res, abs(u - U[(-1 - i, -1 - j)]))
-    if report is not None:
-        report.pde_residual = float(pde_res)
-        report.even_residual = None if even_res is None else float(even_res)
-    return float(pde_res), (None if even_res is None else float(even_res))
+    for r in live:
+        even_res = None
+        if sym:
+            even_res = 0.0
+            for (i, j), u in U[r].items():
+                even_res = max(even_res, abs(u - U[r][(-1 - i, -1 - j)]))
+            even_res = float(even_res)
+        reports[r].pde_residual = float(pde_res[r])
+        reports[r].even_residual = even_res
+        results[r] = (float(pde_res[r]), even_res)
+    if not single:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def _verify_batch(problem, ctx, coeffs, rtol, reconstruct):
+    """verify_roots on one batch; a give-up of a transport shared by more
+    than one root propagates."""
+    reports = monodromy_pair(problem, ctx, coeffs, rtol=rtol)
+    notes = [list(rep.notes) for rep in reports]
+    for rep, nt in zip(reports, notes):
+        try:
+            unitarize(rep)
+        except StructuralError as e:
+            rep.unitarizable = False
+            nt.append(str(e))
+    ok = [r for r, rep in enumerate(reports) if rep.unitarizable]
+    if reconstruct and ok:
+        try:
+            results = reconstruct_and_check(problem, ctx, coeffs.take(ok),
+                                            report=[reports[r] for r in ok], rtol=rtol)
+        except StructuralError as e:
+            results = [e] * len(ok)
+        except (EvaluationError, PathClearanceError) as e:
+            if len(ok) > 1:
+                raise
+            results = [e]
+        for r, res in zip(ok, results):
+            if isinstance(res, Exception):
+                notes[r].append("reconstruction failed: " + str(res))
+    for rep, nt in zip(reports, notes):
+        rep.notes = tuple(nt)
+    return reports
+
+
+def verify_roots(problem, ctx, params, rtol=1e-11, reconstruct=True):
+    """Full monodromy validation of the roots of one census; returns one
+    filled report per parameter vector, in order.
+
+    The roots are transported in lockstep.  If a shared transport gives up
+    (EvaluationError, PathClearanceError), every root is verified again
+    alone, so that each note and any raised error belongs to one root.
+    """
+    if ctx is None:
+        ctx = compute_invariants(problem.lattice)
+    params = list(params)
+    if not params:
+        return []
+    coeffs = _OdeCoeffs(problem, ctx, params)
+    try:
+        return _verify_batch(problem, ctx, coeffs, rtol, reconstruct)
+    except (EvaluationError, PathClearanceError):
+        if coeffs.size == 1:
+            raise
+    return [_verify_batch(problem, ctx, coeffs.take([r]), rtol, reconstruct)[0]
+            for r in range(coeffs.size)]
 
 
 def verify_root(problem, ctx, params, rtol=1e-11, reconstruct=True):
     """Full monodromy validation of one root; returns the filled report."""
-    if ctx is None:
-        ctx = compute_invariants(problem.lattice)
-    report = monodromy_pair(problem, ctx, params, rtol=rtol)
-    notes = list(report.notes)
-    try:
-        unitarize(report)
-    except StructuralError as e:
-        report.unitarizable = False
-        notes.append(str(e))
-    if reconstruct and report.unitarizable:
-        try:
-            reconstruct_and_check(problem, ctx, params, report=report, rtol=rtol)
-        except (EvaluationError, StructuralError, PathClearanceError) as e:
-            notes.append("reconstruction failed: " + str(e))
-    report.notes = tuple(notes)
-    return report
+    return verify_roots(problem, ctx, [params], rtol=rtol, reconstruct=reconstruct)[0]

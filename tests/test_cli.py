@@ -128,6 +128,16 @@ def test_solve_critical_is_exit_2(capsys):
     assert "(mod 3)" in err
 
 
+@pytest.mark.parametrize("command", ["invariants", "solve"])
+def test_numerical_give_up_is_exit_4(capsys, command):
+    # Eisenstein series at Im tau = 5e-4 need far more terms than allowed
+    code, out, err = run_cli(capsys, command, "--n1", "0", "--n2", "1",
+                             "--tau", "0.1,0.0005")
+    assert code == 4
+    assert err == "inconclusive: tau too close to the real axis\n"
+    assert out == ""
+
+
 def test_csv_refused_outside_scan(capsys):
     code, _, err = run_cli(capsys, "solve", "--n1", "0", "--n2", "1",
                            "--tau", "0.2,1.3", "--format", "csv")

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from todacensus.apparency import ParamVec, problem_m0
-from todacensus.elliptic import compute_invariants, eval_weierstrass
-from todacensus.errors import PathClearanceError, StructuralError
+from todacensus import monodromy
+from todacensus.elliptic import EllipticContext, compute_invariants, eval_weierstrass
+from todacensus.errors import EvaluationError, PathClearanceError, StructuralError
 from todacensus.monodromy import (
     monodromy_pair,
     ode_coefficients,
@@ -17,7 +18,9 @@ from todacensus.monodromy import (
     transport,
     unitarize,
     verify_root,
+    verify_roots,
 )
+from todacensus.solver import solve_m0
 from todacensus.monodromy import _segment_transport  # tested directly below
 
 TAU = 0.21 + 1.13j
@@ -207,3 +210,102 @@ def test_verify_root_01_full_report():
     d = rep.to_json_dict()
     assert d["unitarizable"] is True
     assert isinstance(d["N1"], list) and len(d["N1"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# a census verified in lockstep
+
+
+def _census_params(n1, n2, tau=TAU):
+    prob, ctx = _setup(n1, n2, tau)
+    return prob, ctx, [ParamVec.m0(c.B, c.D0, c.D) for c in solve_m0(prob, ctx).clusters]
+
+
+def _count_wp_bundle(monkeypatch):
+    calls = [0]
+    orig = EllipticContext.wp_bundle
+
+    def counted(self, z):
+        calls[0] += 1
+        return orig(self, z)
+
+    monkeypatch.setattr(EllipticContext, "wp_bundle", counted)
+    return calls
+
+
+def test_batch_monodromy_matches_per_root(monkeypatch):
+    prob, ctx, pvs = _census_params(0, 2)
+    assert len(pvs) == 2
+    calls = _count_wp_bundle(monkeypatch)
+    alone = [monodromy_pair(prob, ctx, pvs[0])]
+    calls_first = calls[0]
+    alone.append(monodromy_pair(prob, ctx, pvs[1]))
+    calls[0] = 0
+    batch = monodromy_pair(prob, ctx, pvs)
+    # one step sequence and one coefficient evaluation per stage serve both
+    assert calls[0] < 1.5 * calls_first
+    assert len(batch) == 2
+    for a, b in zip(alone, batch):
+        assert np.max(np.abs(a.N1 - b.N1)) <= 1e-9
+        assert np.max(np.abs(a.N2 - b.N2)) <= 1e-9
+        for Ma, Mb in zip(a.local, b.local):
+            assert np.max(np.abs(Ma - Mb)) <= 1e-9
+    # a single vector is the one-root batch, bit for bit
+    (one,) = monodromy_pair(prob, ctx, pvs[:1])
+    assert one.to_json_dict() == alone[0].to_json_dict()
+
+
+def test_verify_roots_attributes_failures_per_root():
+    prob, ctx = _setup(0, 2)
+    true = ParamVec.m0(cmath.sqrt(ctx.g2 / 3.0), 0, 0)
+    nudged = ParamVec.m0(true.B + 0.1, 0, 0)
+    good, bad = verify_roots(prob, ctx, [true, nudged])
+    assert good.unitarizable is True and good.notes == ()
+    assert good.pde_residual is not None and good.pde_residual <= 1e-4
+    assert max(bad.local_scalar_residuals) >= 1e-2
+    assert bad.unitarizable is False and bad.pde_residual is None
+    assert bad.notes
+
+
+def test_degenerate_frame_fails_only_its_root(monkeypatch):
+    prob, ctx = _setup(0, 1)
+    pv = ParamVec.m0(0, 0, 0)
+    rep = monodromy_pair(prob, ctx, pv)
+    assert unitarize(rep).ok
+    alone = reconstruct_and_check(prob, ctx, pv, report=rep)
+    # a positive multiple of the invariant form is invariant too; only the
+    # larger det P tells the second copy apart
+    twin = monodromy_pair(prob, ctx, pv)
+    twin.H = 4.0 * rep.H
+    big = abs(np.linalg.det(np.linalg.cholesky(rep.H)))
+    orig = monodromy._uv_from_frame
+
+    def fragile(P, detP, Yval, Yder):
+        if abs(detP) > 2.0 * big:
+            raise EvaluationError("degenerate frame during reconstruction")
+        return orig(P, detP, Yval, Yder)
+
+    monkeypatch.setattr(monodromy, "_uv_from_frame", fragile)
+    first, second = reconstruct_and_check(prob, ctx, [pv, pv], report=[rep, twin])
+    assert first == alone
+    assert isinstance(second, EvaluationError)
+    assert twin.pde_residual is None
+
+
+def test_shared_transport_give_up_reruns_each_root_alone(monkeypatch):
+    prob, ctx = _setup(0, 2)
+    true = ParamVec.m0(cmath.sqrt(ctx.g2 / 3.0), 0, 0)
+    nudged = ParamVec.m0(true.B + 0.1, 0, 0)
+    want = [verify_root(prob, ctx, pv).to_json_dict() for pv in (true, nudged)]
+    orig = monodromy.transport
+
+    def solo_only(problem, ctx, params, *args, **kwargs):
+        if getattr(params, "size", 1) > 1:
+            raise EvaluationError("transport step size underflow")
+        return orig(problem, ctx, params, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "transport", solo_only)
+    got = verify_roots(prob, ctx, [true, nudged])
+    assert [r.to_json_dict() for r in got] == want
+    with pytest.raises(EvaluationError):
+        monodromy_pair(prob, ctx, [true, nudged])
