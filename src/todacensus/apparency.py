@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .elliptic import EllipticContext, LatticeTau, compute_invariants
+from .elliptic import LatticeTau
 from .errors import (
     CriticalParametersError,
     EvenNonexistenceError,
@@ -305,6 +305,58 @@ def _phi(j, n1, n2):
     return j * (j - n1 - 1) * (j - n1 - n2 - 2)
 
 
+def _frobenius(n1, n2, rhs, zero, one):
+    """The two-pass Frobenius recursion at the exponent -g1, over any
+    coefficient type that rhs works in and that divides by an integer.
+
+    rhs(j, c) is the right-hand side of phi(j) c_j = rhs(j, c) given the
+    coefficients c_0..c_{j-1}.  The first pass starts from c_0 = one and
+    yields the obstruction P1 at the resonance j = n1+1, where the free
+    coefficient is set to zero, and P3 at j = n1+n2+2.  The second pass
+    injects the free coefficient (c_{n1+1} = one, lower ones zero) and yields
+    P2 at j = n1+n2+2.  Returns (P1, P2, P3).
+    """
+    jtop = n1 + n2 + 2
+    c = [one]
+    for j in range(1, jtop):
+        r = rhs(j, c)
+        if j == n1 + 1:
+            P1 = r
+            c.append(zero)
+        else:
+            c.append(r / _phi(j, n1, n2))
+    P3 = rhs(jtop, c)
+    c = [zero] * (n1 + 1) + [one]
+    for j in range(n1 + 2, jtop):
+        c.append(rhs(j, c) / _phi(j, n1, n2))
+    return P1, rhs(jtop, c), P3
+
+
+def _m0_terms(j, c, rho, alpha, beta, b, mulB, mulD0, mulD):
+    """Right-hand side of the single-puncture recurrence at step j.
+
+    The coefficients c and the Laurent table b may be exact polynomials or
+    batched jets; rho, alpha, beta are the matching scalars, and mulB, mulD0,
+    mulD multiply a coefficient by B, D0, D.  The operation order fixes the
+    rounding of the batched solver kernels; keep it.
+    """
+    r = -mulD0(c[j - 1])
+    if j >= 2:
+        r = r + (j + rho - 2) * mulB(c[j - 2])
+    if j >= 3:
+        r = r - mulD(c[j - 3])
+    acc = None
+    for i in range(4, j + 1, 2):
+        bi = b[i]
+        if bi != 0:
+            r = r + ((j + rho - i) * alpha - (i - 2) * beta) * bi * c[j - i]
+            if i < j:
+                acc = bi * c[j - 1 - i] if acc is None else acc + bi * c[j - 1 - i]
+    if acc is not None:
+        r = r - mulD0(acc)
+    return r
+
+
 def build_m0_system(n1, n2=None):
     """Generate the m = 0 apparency polynomials exactly.
 
@@ -323,58 +375,19 @@ def build_m0_system(n1, n2=None):
     n1, n2 = _check_m0_pair(n1, n2)
 
     V, W = M0_VARS, M0_WEIGHTS
-    zero = WeightedPoly.zero(V, W)
-    one = WeightedPoly.const(V, W, 1)
     Bv = WeightedPoly.var(V, W, "B")
     D0v = WeightedPoly.var(V, W, "D0")
     Dv = WeightedPoly.var(V, W, "D")
     _, _, alpha, beta, rho = _local_data(n1, n2)
-    r1 = rho[0]
-    jtop = n1 + n2 + 2
-    b = weierstrass_laurent_symbolic(jtop, vars=V, weights=W)
+    b = weierstrass_laurent_symbolic(n1 + n2 + 2, vars=V, weights=W)
 
     def rhs(j, c):
-        out = -(D0v * c[j - 1])
-        if j >= 2:
-            out = out + Bv.scale(j + r1 - 2) * c[j - 2]
-        if j >= 3:
-            out = out - Dv * c[j - 3]
-        for i in range(4, j + 1):
-            if not b[i].is_zero():
-                coef = (j + r1 - i) * alpha - (i - 2) * beta
-                out = out + (b[i] * c[j - i]).scale(coef)
-        acc = zero
-        for i in range(4, j):
-            if not b[i].is_zero():
-                acc = acc + b[i] * c[j - 1 - i]
-        if not acc.is_zero():
-            out = out - D0v * acc
-        return out
+        return _m0_terms(j, c, rho[0], alpha, beta, b,
+                         lambda x: Bv * x, lambda x: D0v * x, lambda x: Dv * x)
 
-    # first pass: c0 = 1, free coefficient set to zero
-    c = {0: one}
-    P1 = P3 = None
-    for j in range(1, jtop + 1):
-        r = rhs(j, c)
-        if j == n1 + 1:
-            P1 = r
-            c[j] = zero
-        elif j == jtop:
-            P3 = r
-        else:
-            c[j] = r.scale(Fraction(1, _phi(j, n1, n2)))
-
-    # second pass: c0 = 0, free coefficient = 1
-    c = {j: zero for j in range(0, n1 + 1)}
-    c[n1 + 1] = one
-    P2 = None
-    for j in range(n1 + 2, jtop + 1):
-        r = rhs(j, c)
-        if j == jtop:
-            P2 = r
-        else:
-            c[j] = r.scale(Fraction(1, _phi(j, n1, n2)))
-
+    P1, P2, P3 = _frobenius(
+        n1, n2, rhs, WeightedPoly.zero(V, W), WeightedPoly.const(V, W, 1)
+    )
     return M0System(n1=n1, n2=n2, P1=P1, P2=P2, P3=P3, bound=bezout_bound([(n1, n2)]))
 
 
@@ -386,14 +399,12 @@ def build_m0_system(n1, n2=None):
 class EvenPoly:
     """Monic weight-homogeneous polynomial of the even sector.
 
-    Degree Ne in B; homogeneous of weight Ne under B:1, g2:2, g3:3.
-    intermediates[j] is the j-th series coefficient before the obstruction."""
+    Degree Ne in B; homogeneous of weight Ne under B:1, g2:2, g3:3."""
 
     n1: int
     n2: int
     Ne: int
     poly: WeightedPoly
-    intermediates: tuple
 
     def coeffs_in_B(self):
         """[c_0, ..., c_Ne] with c_k the WeightedPoly coefficient of B^k."""
@@ -485,10 +496,7 @@ def build_even_poly(n1, n2):
     if len(lead_terms) != 1:
         raise StructuralError("even obstruction is not monic-able in B")
     P = P.scale(1 / lead_terms[0])
-    return EvenPoly(
-        n1=n1, n2=n2, Ne=Ne, poly=P,
-        intermediates=tuple(c[j] for j in range(0, Ne)),
-    )
+    return EvenPoly(n1=n1, n2=n2, Ne=Ne, poly=P)
 
 
 # ---------------------------------------------------------------------------
@@ -531,50 +539,51 @@ def _m0_scalars(n1, n2):
     return float(rho[0]), float(alpha), float(beta)
 
 
-def m0_value_batch(n1, n2, bnum, B, D0, D):
-    """Residual values (S, 3) of the m = 0 system at batched parameters."""
-    rho, alpha, beta = _m0_scalars(n1, n2)
-    jtop = n1 + n2 + 2
-    S = B.shape[0]
-
-    def run(first_pass):
-        c = [None] * (jtop + 1)
-        if first_pass:
-            c[0] = np.ones(S, complex)
-            lo = 1
-        else:
-            for j in range(n1 + 1):
-                c[j] = np.zeros(S, complex)
-            c[n1 + 1] = np.ones(S, complex)
-            lo = n1 + 2
-        out = []
-        for j in range(lo, jtop + 1):
-            r = -D0 * c[j - 1]
-            if j >= 2 and c[j - 2] is not None:
-                r = r + (j + rho - 2) * B * c[j - 2]
-            if j >= 3 and c[j - 3] is not None:
-                r = r - D * c[j - 3]
-            acc = None
-            for i in range(4, j + 1, 2):
-                bi = bnum[i]
-                if bi != 0 and c[j - i] is not None:
-                    r = r + ((j + rho - i) * alpha - (i - 2) * beta) * bi * c[j - i]
-                if i < j and bi != 0 and c[j - 1 - i] is not None:
-                    acc = bi * c[j - 1 - i] if acc is None else acc + bi * c[j - 1 - i]
-            if acc is not None:
-                r = r - D0 * acc
-            if first_pass and j == n1 + 1:
-                out.append(r)
-                c[j] = np.zeros(S, complex)
-            elif j == jtop:
-                out.append(r)
-            else:
-                c[j] = r / _phi(j, n1, n2)
+def _times_var(x, row):
+    """Multiply a jet by the variable x whose partial derivative is jet row
+    `row`.  A jet is an array (rows, S) holding the value, then the partials;
+    a plain (S,) array is a value without partials."""
+    def mul(c):
+        out = c * x
+        if out.ndim > 1:
+            out[row] += c[0]
         return out
+    return mul
 
-    Pa = run(True)    # [P1, P3]
-    Pb = run(False)   # [P2]
-    return np.stack([Pa[0], Pb[0], Pa[1]], axis=-1)
+
+def _jet_mul(a, b):
+    """Product of two jets (rows, S), by the Leibniz rule on the partials."""
+    out = a[0] * b
+    out[1:] += b[0] * a[1:]
+    return out
+
+
+def _unit_jet(rows, S):
+    a = np.zeros((rows, S), complex)
+    a[0] = 1.0
+    return a
+
+
+def _m0_jets(n1, n2, bnum, B, D0, D, one):
+    """(P1, P2, P3) of the m = 0 recursion over jets shaped like `one`: a
+    plain (S,) value, or a (4, S) jet with the partials in B, D0, D."""
+    rho, alpha, beta = _m0_scalars(n1, n2)
+    mulB, mulD0, mulD = _times_var(B, 1), _times_var(D0, 2), _times_var(D, 3)
+
+    def rhs(j, c):
+        return _m0_terms(j, c, rho, alpha, beta, bnum, mulB, mulD0, mulD)
+
+    return _frobenius(n1, n2, rhs, np.zeros_like(one), one)
+
+
+def m0_value_batch(n1, n2, bnum, B, D0, D):
+    """Residual values (S, 3) of the m = 0 system at batched parameters.
+
+    The value row of `m0_residual_batch`, computed the same way bit for bit."""
+    # plain (S,) values, not one-row jets: NumPy multiplies (1, 1) arrays on
+    # another path than (4, 1) ones, which rounds differently at S = 1
+    P = _m0_jets(n1, n2, bnum, B, D0, D, np.ones(B.shape[0], complex))
+    return np.stack(P, axis=-1)
 
 
 def m0_residual_batch(n1, n2, bnum, B, D0, D):
@@ -585,70 +594,9 @@ def m0_residual_batch(n1, n2, bnum, B, D0, D):
     each Frobenius coefficient is carried as a (4, S) array holding the
     value and the three partials.
     """
-    rho, alpha, beta = _m0_scalars(n1, n2)
-    jtop = n1 + n2 + 2
-    S = B.shape[0]
-
-    def unit():
-        a = np.zeros((4, S), complex)
-        a[0] = 1.0
-        return a
-
-    def mulB(c):
-        out = c * B
-        out[1] += c[0]
-        return out
-
-    def mulD0(c):
-        out = c * D0
-        out[2] += c[0]
-        return out
-
-    def mulD(c):
-        out = c * D
-        out[3] += c[0]
-        return out
-
-    def run(first_pass):
-        c = [None] * (jtop + 1)
-        if first_pass:
-            c[0] = unit()
-            lo = 1
-        else:
-            for j in range(n1 + 1):
-                c[j] = np.zeros((4, S), complex)
-            c[n1 + 1] = unit()
-            lo = n1 + 2
-        out = []
-        for j in range(lo, jtop + 1):
-            r = -mulD0(c[j - 1])
-            if j >= 2 and c[j - 2] is not None:
-                r = r + (j + rho - 2) * mulB(c[j - 2])
-            if j >= 3 and c[j - 3] is not None:
-                r = r - mulD(c[j - 3])
-            acc = None
-            for i in range(4, j + 1, 2):
-                bi = bnum[i]
-                if bi != 0 and c[j - i] is not None:
-                    r = r + ((j + rho - i) * alpha - (i - 2) * beta) * bi * c[j - i]
-                if i < j and bi != 0 and c[j - 1 - i] is not None:
-                    acc = bi * c[j - 1 - i] if acc is None else acc + bi * c[j - 1 - i]
-            if acc is not None:
-                r = r - mulD0(acc)
-            if first_pass and j == n1 + 1:
-                out.append(r)
-                c[j] = np.zeros((4, S), complex)
-            elif j == jtop:
-                out.append(r)
-            else:
-                c[j] = r / _phi(j, n1, n2)
-        return out
-
-    Pa = run(True)
-    Pb = run(False)
-    P1, P3, P2 = Pa[0], Pa[1], Pb[0]
-    F = np.stack([P1[0], P2[0], P3[0]], axis=-1)
-    J = np.stack([P1[1:].T, P2[1:].T, P3[1:].T], axis=1)
+    P = _m0_jets(n1, n2, bnum, B, D0, D, _unit_jet(4, B.shape[0]))
+    F = np.stack([p[0] for p in P], axis=-1)
+    J = np.stack([p[1:].T for p in P], axis=1)
     return F, J
 
 
@@ -681,157 +629,68 @@ def residual_general(problem, ctx, params, with_jacobian=False):
     if len(bnum) < bmax + 3:
         raise StructuralError("elliptic context Laurent table is too short")
 
-    def jc(v):
-        return (complex(v), np.zeros(n, complex))
+    # jets with S = 1: row 0 the value, row 1 + i the partial in x_i
+    X = np.zeros((n, n + 1, 1), complex)
+    X[:, 0, 0] = params.to_vector()
+    X[np.arange(n), np.arange(1, n + 1), 0] = 1.0
+    A, Bk, Dk = X[:mp1], X[mp1 : 2 * mp1], X[2 * mp1 + 1 : 3 * mp1 + 1]
+    one = _unit_jet(n + 1, 1)
+    zero = np.zeros_like(one)
+    mulB = _times_var(params.B, 2 * mp1 + 1)
+    mulD = _times_var(params.D, 3 * mp1 + 2)
 
-    def jvar(v, idx):
-        g = np.zeros(n, complex)
-        g[idx] = 1.0
-        return (complex(v), g)
-
-    def jadd(a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    def jsub(a, b):
-        return (a[0] - b[0], a[1] - b[1])
-
-    def jscale(s, a):
-        return (s * a[0], s * a[1])
-
-    def jmul(a, b):
-        return (a[0] * b[0], a[0] * b[1] + b[0] * a[1])
-
-    A = [jvar(params.A[k], k) for k in range(mp1)]
-    Bk = [jvar(params.Bk[k], mp1 + k) for k in range(mp1)]
-    Bj = jvar(params.B, 2 * mp1)
-    Dk = [jvar(params.Dk[k], 2 * mp1 + 1 + k) for k in range(mp1)]
-    Dj = jvar(params.D, 3 * mp1 + 1)
-
-    F = []
-    sB = jc(0)
-    sA = jc(0)
-    for k in range(mp1):
-        sB = jadd(sB, Bk[k])
-        sA = jadd(sA, A[k])
-    F.append(sB)
-    F.append(sA)
-
+    F = [Bk.sum(axis=0), A.sum(axis=0)]
     for k, pk in enumerate(problem.punctures):
-        n1, n2 = pk.n1, pk.n2
-        rho = float(pk.rho[0])
-        alpha = float(pk.alpha)
-        beta = float(pk.beta)
-        jtop = n1 + n2 + 2
+        rho, alpha, beta = float(pk.rho[0]), float(pk.alpha), float(pk.beta)
+        jtop = pk.n1 + pk.n2 + 2
+        mulA = _times_var(params.A[k], 1 + k)
+        mulBk = _times_var(params.Bk[k], 1 + mp1 + k)
+        mulDk = _times_var(params.Dk[k], 2 + 2 * mp1 + k)
 
-        others = [l for l in range(mp1) if l != k]
-        zkl = {}
-        wkl = {}
-        for l in others:
-            d = pk.p - problem.punctures[l].p
-            zkl[l] = ctx.zeta(d)
-            wkl[l] = ctx.wp_derivs(d, jtop)
-
-        # parameter-jet combinations entering the low-order terms
-        S1 = jc(0)   # sum_l alpha_l P0 + B_l zeta
-        S2a = jc(0)  # sum_l alpha_l P1 - B_l P0
-        S2b = jc(0)  # sum_l beta_l P1 + D_l P0 + A_l zeta
-        for l in others:
-            al = float(problem.punctures[l].alpha)
-            bl = float(problem.punctures[l].beta)
-            S1 = jadd(S1, jadd(jc(al * wkl[l][0]), jscale(zkl[l], Bk[l])))
-            S2a = jadd(S2a, jsub(jc(al * wkl[l][1]), jscale(wkl[l][0], Bk[l])))
-            S2b = jadd(
-                S2b,
-                jadd(
-                    jc(bl * wkl[l][1]),
-                    jadd(jscale(wkl[l][0], Dk[l]), jscale(zkl[l], A[l])),
-                ),
-            )
-
-        def tail3(i):
-            # sum_l beta_l P^{(i+1)} + D_l P^{(i)} - A_l P^{(i-1)}
-            t = jc(0)
-            for l in others:
-                bl = float(problem.punctures[l].beta)
-                t = jadd(t, jc(bl * wkl[l][i + 1]))
-                t = jadd(t, jscale(wkl[l][i], Dk[l]))
-                t = jsub(t, jscale(wkl[l][i - 1], A[l]))
-            return t
-
-        def tail4(i):
-            # sum_l alpha_l P^{(i)} - B_l P^{(i-1)}
-            t = jc(0)
-            for l in others:
-                al = float(problem.punctures[l].alpha)
-                t = jadd(t, jc(al * wkl[l][i]))
-                t = jsub(t, jscale(wkl[l][i - 1], Bk[l]))
-            return t
+        # neighbour terms, with P^(i) the i-th derivative of P at p_k - p_l:
+        #   S1 = sum_l alpha_l P + B_l zeta,  S2a = sum_l alpha_l P' - B_l P,
+        #   S2b = sum_l beta_l P' + D_l P + A_l zeta,
+        #   tail3[i] = sum_l beta_l P^(i+1) + D_l P^(i) - A_l P^(i-1),
+        #   tail4[i] = sum_l alpha_l P^(i) - B_l P^(i-1)
+        S1 = S2a = S2b = zero
+        tail3 = [zero] * jtop
+        tail4 = [zero] * jtop
+        for l in range(mp1):
+            if l == k:
+                continue
+            pl = problem.punctures[l]
+            al, bl = float(pl.alpha), float(pl.beta)
+            z = ctx.zeta(pk.p - pl.p)
+            w = ctx.wp_derivs(pk.p - pl.p, jtop)
+            S1 = S1 + al * w[0] * one + z * Bk[l]
+            S2a = S2a + al * w[1] * one - w[0] * Bk[l]
+            S2b = S2b + bl * w[1] * one + w[0] * Dk[l] + z * A[l]
+            for i in range(1, jtop - 1):
+                tail3[i] = tail3[i] + bl * w[i + 1] * one + w[i] * Dk[l] - w[i - 1] * A[l]
+                tail4[i] = tail4[i] + al * w[i] * one - w[i - 1] * Bk[l]
 
         def rhs(j, c):
-            # c_{j-1}: -(D_k - (j+rho-1) B_k)
-            out = jmul(jsub(jscale(j + rho - 1, Bk[k]), Dk[k]), c[j - 1])
-            if j >= 2 and c[j - 2] is not None:
-                coef = jsub(jscale(j + rho - 2, jadd(Bj, S1)), A[k])
-                out = jadd(out, jmul(coef, c[j - 2]))
-            if j >= 3 and c[j - 3] is not None:
-                coef = jadd(jsub(Dj, jscale(j + rho - 3, S2a)), S2b)
-                out = jsub(out, jmul(coef, c[j - 3]))
-            for i in range(4, j + 1, 2):
-                bi = bnum[i]
-                if bi == 0:
-                    continue
-                if c[j - i] is not None:
-                    s = ((j + rho - i) * alpha - (i - 2) * beta) * bi
-                    out = jadd(out, jscale(s, c[j - i]))
-                if i < j and c[j - 1 - i] is not None:
-                    coef = jadd(Dk[k], jscale((j + rho - i - 1) / (i - 1), Bk[k]))
-                    out = jsub(out, jscale(bi, jmul(coef, c[j - 1 - i])))
-                if i < j - 1 and c[j - 2 - i] is not None:
-                    out = jadd(out, jscale(bi / (i - 1), jmul(A[k], c[j - 2 - i])))
-            if others:
-                fact = 1.0
-                for i in range(1, j - 2):
-                    fact *= i
-                    if c[j - 3 - i] is not None:
-                        out = jsub(out, jscale(1.0 / fact, jmul(tail3(i), c[j - 3 - i])))
-                fact = 1.0
-                for i in range(2, j - 1):
-                    fact *= i
-                    if c[j - 2 - i] is not None:
-                        out = jadd(
-                            out,
-                            jscale((j + rho - i - 2) / fact, jmul(tail4(i), c[j - 2 - i])),
-                        )
-            return out
+            # the single-puncture terms with D0 = D_k, then the A_k, B_k and
+            # neighbour terms on top
+            r = _m0_terms(j, c, rho, alpha, beta, bnum, mulB, mulDk, mulD)
+            r = r + (j + rho - 1) * mulBk(c[j - 1])
+            if j >= 2:
+                r = r + (j + rho - 2) * _jet_mul(S1, c[j - 2]) - mulA(c[j - 2])
+            if j >= 3:
+                r = r + (j + rho - 3) * _jet_mul(S2a, c[j - 3]) - _jet_mul(S2b, c[j - 3])
+            for i in range(4, j, 2):
+                r = r - bnum[i] * (j + rho - i - 1) / (i - 1) * mulBk(c[j - 1 - i])
+                if i < j - 1:
+                    r = r + bnum[i] / (i - 1) * mulA(c[j - 2 - i])
+            for i in range(1, j - 2):
+                r = r - _jet_mul(tail3[i], c[j - 3 - i]) / math.factorial(i)
+            for i in range(2, j - 1):
+                r = r + (j + rho - i - 2) / math.factorial(i) * _jet_mul(tail4[i], c[j - 2 - i])
+            return r
 
-        def run(first_pass):
-            c = [None] * (jtop + 1)
-            if first_pass:
-                c[0] = jc(1)
-                lo = 1
-            else:
-                for j in range(n1 + 1):
-                    c[j] = jc(0)
-                c[n1 + 1] = jc(1)
-                lo = n1 + 2
-            got = []
-            for j in range(lo, jtop + 1):
-                r = rhs(j, c)
-                if first_pass and j == n1 + 1:
-                    got.append(r)
-                    c[j] = jc(0)
-                elif j == jtop:
-                    got.append(r)
-                else:
-                    c[j] = jscale(1.0 / _phi(j, n1, n2), r)
-            return got
+        F.extend(_frobenius(pk.n1, pk.n2, rhs, zero, one))
 
-        Pa = run(True)
-        Pb = run(False)
-        F.extend([Pa[0], Pb[0], Pa[1]])
-
-    vals = np.array([f[0] for f in F], dtype=complex)
+    vals = np.array([f[0, 0] for f in F])
     if not with_jacobian:
         return vals
-    jac = np.array([f[1] for f in F], dtype=complex)
-    return vals, jac
+    return vals, np.array([f[1:, 0] for f in F])

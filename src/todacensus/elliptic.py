@@ -20,7 +20,6 @@ form by ~1e-7; callers that need |form| <= 1e-10 get an mpmath complex back.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import cmath
 import math
 
@@ -28,7 +27,7 @@ import mpmath
 import numpy as np
 
 from .errors import EvaluationError, NearPoleError, StructuralError
-from .polyring import WeightedPoly, weierstrass_laurent_symbolic
+from .polyring import weierstrass_laurent, weierstrass_laurent_symbolic
 
 __all__ = [
     "LatticeTau",
@@ -295,24 +294,6 @@ def _eisenstein(tau):
     return 1.0 - 24.0 * S1, 1.0 + 240.0 * S3, 1.0 - 504.0 * S5
 
 
-def _laurent_b_numeric(g2, g3, order):
-    c = np.zeros(order // 2 + 1, dtype=complex)
-    if order >= 4:
-        c[2] = g2 / 20.0
-    if order >= 6:
-        c[3] = g3 / 28.0
-    for k in range(4, order // 2 + 1):
-        acc = 0.0 + 0.0j
-        for mm in range(2, k - 1):
-            acc += c[mm] * c[k - mm]
-        c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
-    b = np.zeros(order + 1, dtype=complex)
-    b[0] = 1.0
-    for j in range(4, order + 1, 2):
-        b[j] = c[j // 2]
-    return b
-
-
 def compute_invariants(lattice, tol=1e-12, b_order=28):
     """Build the elliptic context for a lattice.
 
@@ -343,19 +324,22 @@ def compute_invariants(lattice, tol=1e-12, b_order=28):
         if (m, n) != (0, 0)
     )
 
+    bn_ext = np.array(
+        weierstrass_laurent(g2, g3, max(b_order, 46), 0j, 1.0), dtype=complex
+    )
     ctx = EllipticContext(
         tau=tau,
         g2=complex(g2),
         g3=complex(g3),
         e=(0j, 0j, 0j),
         b_sym=weierstrass_laurent_symbolic(b_order),
-        b_num=tuple(_laurent_b_numeric(g2, g3, b_order)),
+        b_num=tuple(bn_ext[: b_order + 1]),
         eta1=complex(eta1),
         eta2=complex(eta2),
         tol=float(tol),
         order=int(b_order),
         lam_min=float(lam_min),
-        _bn_ext=_laurent_b_numeric(g2, g3, max(b_order, 46)),
+        _bn_ext=bn_ext,
     )
     ctx.e = (
         ctx.wp(0.5),

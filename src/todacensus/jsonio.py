@@ -20,11 +20,9 @@ __all__ = [
     "SCHEMA",
     "to_jsonable",
     "dumps_canonical",
-    "write_report",
     "rows_to_csv",
     "complex_pair",
     "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -39,12 +37,6 @@ def matrix_to_json(M):
     if M.ndim != 2:
         raise StructuralError("matrix expected")
     return [[complex_pair(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
-
-
-def matrix_from_json(rows):
-    return np.array(
-        [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
-    )
 
 
 def to_jsonable(obj):
@@ -83,13 +75,6 @@ def dumps_canonical(payload):
         body = dict(body)
         body["schema"] = SCHEMA
     return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_report(path, payload):
-    text = dumps_canonical(payload)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
 
 
 def rows_to_csv(rows, columns=None):

@@ -4,7 +4,8 @@ The apparency generators emit polynomials in a handful of named variables,
 each of which carries an integer weight (a quasi-homogeneous grading).  This
 module holds them exactly: coefficients are `fractions.Fraction`, exponent
 vectors are tuples keyed in a dict, and nothing here ever touches floating
-point except `poly_eval`.
+point except `WeightedPoly.eval` fed floats and `weierstrass_laurent` fed
+numeric invariants.
 
 Two polynomials interoperate only when they share the same (vars, weights)
 table; mixing tables raises StructuralError rather than guessing an
@@ -17,9 +18,7 @@ from .errors import StructuralError
 
 __all__ = [
     "WeightedPoly",
-    "poly_arith",
-    "poly_eval",
-    "check_homogeneous",
+    "weierstrass_laurent",
     "weierstrass_laurent_symbolic",
 ]
 
@@ -183,6 +182,9 @@ class WeightedPoly:
             self.vars, self.weights, {e: c * k for e, k in self.terms.items()}
         )
 
+    def __truediv__(self, c):
+        return self.scale(1 / _as_fraction(c))
+
     def __pow__(self, n):
         n = int(n)
         if n < 0:
@@ -300,65 +302,45 @@ class WeightedPoly:
         return cls(d["vars"], d["weights"], terms)
 
 
-# ---- module-level operation wrappers ------------------------------------
+def weierstrass_laurent(g2, g3, order, zero, one):
+    """Laurent-tail coefficients of the standard elliptic ℘ function.
 
-
-def poly_arith(a, b, op):
-    """Exact arithmetic dispatch: op in {"add", "sub", "mul", "scale"}.
-
-    For "scale", b is a rational scalar.
+    Returns the list (b_0, ..., b_order) with ℘(z) = z^{-2} + Σ_{j>=4} b_j
+    z^{j-2}; b_0 = one, b_2 = zero, odd entries zero, b_4 = g2/20, b_6 =
+    g3/28, and higher entries from the quadratic recurrence implied by the
+    differential equation ℘'' = 6℘² − g2/2.  The invariants may be exact
+    polynomials or numbers: the recurrence uses only +, *, and division by
+    an integer.
     """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise StructuralError("unknown op %r" % (op,))
-
-
-def poly_eval(p, assignment):
-    return p.eval(assignment)
-
-
-def check_homogeneous(p, weight=None):
-    return p.is_homogeneous(weight)
+    # c[k] is the coefficient of z^{2k-2}, k >= 2
+    c = {2: g2 / 20, 3: g3 / 28}
+    for k in range(4, order // 2 + 1):
+        acc = zero
+        for mm in range(2, k - 1):
+            acc = acc + c[mm] * c[k - mm]
+        # (3 acc) / d in this order: the numeric table's rounding depends on it
+        c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
+    b = [zero] * (order + 1)
+    b[0] = one
+    for j in range(4, order + 1, 2):
+        b[j] = c[j // 2]
+    return b
 
 
 def weierstrass_laurent_symbolic(order, vars=("g2", "g3"), weights=(4, 6)):
-    """Laurent-tail coefficients of the standard elliptic ℘ function as exact
+    """The ℘ Laurent table (see `weierstrass_laurent`) as a tuple of exact
     polynomials in the lattice invariants.
 
-    Returns the tuple (b_0, ..., b_order) with ℘(z) = z^{-2} + Σ_{j>=4} b_j
-    z^{j-2}; b_0 = 1, b_2 = 0, odd entries 0, b_4 = g2/20, b_6 = g3/28, and
-    higher entries from the quadratic recurrence implied by the differential
-    equation ℘'' = 6℘² − g2/2.  The variable table must contain "g2" and
-    "g3"; any extra variables simply ride along with exponent zero (useful
-    for embedding into a larger ring).
+    The variable table must contain "g2" and "g3"; any extra variables simply
+    ride along with exponent zero (useful for embedding into a larger ring).
     """
     vars = tuple(vars)
     if "g2" not in vars or "g3" not in vars:
         raise StructuralError("variable table must contain g2 and g3")
-    zero = WeightedPoly.zero(vars, weights)
-    one = WeightedPoly.const(vars, weights, 1)
-    g2 = WeightedPoly.var(vars, weights, "g2")
-    g3 = WeightedPoly.var(vars, weights, "g3")
-    # c[k] is the coefficient of z^{2k-2}, k >= 2
-    kmax = order // 2
-    c = {2: g2.scale(Fraction(1, 20)), 3: g3.scale(Fraction(1, 28))}
-    for k in range(4, kmax + 1):
-        acc = zero
-        for mm in range(2, k - 1):
-            acc = acc + c[mm] * c[k - mm]
-        c[k] = acc.scale(Fraction(3, (2 * k + 1) * (k - 3)))
-    out = []
-    for j in range(order + 1):
-        if j == 0:
-            out.append(one)
-        elif j % 2 == 1 or j == 2:
-            out.append(zero)
-        else:
-            out.append(c[j // 2])
-    return tuple(out)
+    return tuple(weierstrass_laurent(
+        WeightedPoly.var(vars, weights, "g2"),
+        WeightedPoly.var(vars, weights, "g3"),
+        order,
+        WeightedPoly.zero(vars, weights),
+        WeightedPoly.const(vars, weights, 1),
+    ))

@@ -163,6 +163,21 @@ def test_value_routes_agree():
         assert np.max(np.abs(fd - J[0, :, i])) <= 1e-5 * (1 + np.max(np.abs(J)))
 
 
+@pytest.mark.parametrize("n1,n2", [(0, 2), (1, 8), (2, 7), (3, 5)])
+@pytest.mark.parametrize("S", [1, 7, 513])
+def test_value_kernel_is_residual_kernel_value_row(n1, n2, S):
+    # the census steps with m0_residual_batch and judges the steps with
+    # m0_value_batch, so the two must agree exactly, not to a tolerance
+    ctx = compute_invariants(0.05 + 0.88j)
+    rng = np.random.default_rng(100 * n1 + n2 + S)
+    scale = np.array([[300.0], [5.0], [600.0]])
+    B, D0, D = scale * (rng.normal(size=(3, S)) + 1j * rng.normal(size=(3, S)))
+    F, _ = m0_residual_batch(n1, n2, ctx._bn_ext, B, D0, D)
+    vals = m0_value_batch(n1, n2, ctx._bn_ext, B, D0, D)
+    assert vals.shape == (S, 3)
+    assert np.array_equal(vals, F)
+
+
 def test_critical_and_order_refusals():
     with pytest.raises(CriticalParametersError):
         build_m0_system(1, 1)

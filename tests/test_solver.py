@@ -93,6 +93,14 @@ def test_census_reaches_bound_generic(n1, n2, bound):
         assert max(c.residual for c in rep.clusters) <= 1e-8
 
 
+def test_census_18_reaches_bound():
+    # once missed 2 of 33 roots: the value and residual kernels rounded
+    # differently, so Newton steps were judged against a drifted residual
+    rep = solve_m0(problem_m0(0.05 + 0.88j, 1, 8))
+    assert rep.total == rep.bound == 33
+    assert all(c.residual <= 1e-10 for c in rep.clusters)
+
+
 def test_census_02_root_identity():
     for tau in random_taus(3, seed=42):
         prob = problem_m0(tau, 0, 2)
