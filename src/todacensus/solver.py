@@ -100,7 +100,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RootCluster:
-    """One merged solution of the apparency system."""
+    """One merged solution of the apparency system.
+
+    residual is the relative residual of the representative point (see
+    _relative_residual); the census accepts points with residual <=
+    SolverConfig.accept_tol."""
 
     B: complex
     D0: complex
@@ -416,6 +420,23 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     return np.stack([Bb, D0b, Db], axis=1), rb, tail_prev, tail_last
 
 
+def _relative_residual(n1, n2, bnum, X):
+    """Residual of the census points X (S, 3) against the size of the
+    equations there: max_i |F_i| / max(1, sum_k |dF_i/dx_k| |x_k|).
+
+    The denominator is how far F_i moves when every parameter moves by its
+    own size, so the ratio is about the relative change of (B, D0, D) that
+    the residual amounts to.  It is the plain |F_i| wherever that sum is
+    below 1.  An absolute tolerance would sit under the rounding floor at
+    the largest roots: at |D| ~ 600 the double nearest a root already has
+    |F| ~ 3e-10, while its relative residual stays near 1e-16.
+    """
+    with np.errstate(all="ignore"):
+        F, J = m0_residual_batch(n1, n2, bnum, X[:, 0], X[:, 1], X[:, 2])
+        size = np.sum(np.abs(J) * np.abs(X)[:, None, :], axis=-1)
+        return np.max(np.abs(F) / np.maximum(size, 1.0), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # clustering
 
@@ -483,7 +504,10 @@ def _run_census(n1, n2, bnum, g2, g3, cfg):
         Xb, rb, tp, tl = _newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg)
         with np.errstate(all="ignore"):
             mag = _scaled_mag(Xb[:, 0], Xb[:, 1], Xb[:, 2], sample_scales)
-        keep = np.isfinite(rb) & (rb <= cfg.accept_tol) & (mag < 5.0)
+        inside = np.isfinite(rb) & (mag < 5.0)
+        rb = np.full(len(Xb), np.inf)
+        rb[inside] = _relative_residual(n1, n2, bnum, Xb[inside])
+        keep = rb <= cfg.accept_tol
         for i in np.nonzero(keep)[0]:
             accepted.append(Xb[i])
             accepted_res.append(rb[i])

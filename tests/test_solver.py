@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from todacensus.apparency import problem_m0
+from todacensus.apparency import m0_value_batch, problem_m0
 from todacensus.elliptic import compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
@@ -16,6 +16,7 @@ from todacensus.errors import (
 )
 from todacensus.solver import (
     SolverConfig,
+    _relative_residual,
     roots_univariate,
     scan_tau,
     solve_even,
@@ -98,6 +99,32 @@ def test_census_18_reaches_bound():
     # differently, so Newton steps were judged against a drifted residual
     rep = solve_m0(problem_m0(0.05 + 0.88j, 1, 8))
     assert rep.total == rep.bound == 33
+    assert all(c.residual <= 1e-10 for c in rep.clusters)
+
+
+# two (2,7) roots at |B| ~ 185, |D| ~ 625 on this lattice
+FLOOR_TAU = -0.37164574075052187 + 0.9927685925945093j
+
+
+def test_large_roots_residual_floor():
+    # doubles a few ulps from the largest root have |F| above 1e-10, yet
+    # their residual relative to the size of the equations is near 1e-16
+    ctx = compute_invariants(FLOOR_TAU)
+    rep = solve_m0(problem_m0(FLOOR_TAU, 2, 7), ctx=ctx)
+    c = max(rep.clusters, key=lambda c: abs(c.D))
+    ulps = np.arange(-8, 9) * 2.0 ** -52
+    X = np.array([c.B, c.D0, c.D]) * (1.0 + ulps[:, None])
+    F = m0_value_batch(2, 7, ctx._bn_ext, X[:, 0], X[:, 1], X[:, 2])
+    assert np.max(np.abs(F)) > 1e-10
+    assert np.max(_relative_residual(2, 7, ctx._bn_ext, X)) <= 1e-13
+
+
+def test_census_large_roots_without_doubling():
+    # an absolute acceptance saw the two roots above only when rounding
+    # happened to read below 1e-10: here after 9,317 starts and a doubling
+    rep = solve_m0(problem_m0(FLOOR_TAU, 2, 7))
+    assert rep.total == rep.bound == 44
+    assert rep.doublings == 0
     assert all(c.residual <= 1e-10 for c in rep.clusters)
 
 
