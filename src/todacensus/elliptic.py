@@ -5,9 +5,13 @@ Invariants come from Eisenstein q-expansions,
 
     g2 = (4 pi^4 / 3) E4(q),   g3 = (8 pi^6 / 27) E6(q),   q = e^{2 pi i tau},
 
-and point evaluation of P (= ℘), its derivatives and zeta uses two regimes:
-a q-series in u = e^{2 pi i z} away from lattice points, and the Laurent
-expansion at the origin once the reduced argument is within 35% of the
+with tau-derivatives from the Ramanujan identities (one map, doubles or
+mpmath).  Point evaluation is one evaluator, EllipticContext._jet, with
+wp, zeta, wp_bundle, wp_derivs and eval_weierstrass as views: one lattice
+reduction and near-pole guard, then one pass of one regime gives P, P', ...,
+P^(n) and zeta together.  The regimes are a q-series in u = e^{2 pi i z}
+away from lattice points, and the Laurent expansion at the origin (a Horner
+sum in z^2 per order) once the reduced argument is within 35% of the
 shortest lattice vector.  The switch matters: near a pole the q-series
 computes the double pole through the cancellation 1-u -> 0 and loses
 relative accuracy like eps/|2 pi z|, while the Laurent tail is perfectly
@@ -45,13 +49,13 @@ _TWO_PI_I = 2j * math.pi
 # numerators N_n(u) of the rational part N_n/(1-u)^{n+2} of the n-th
 # derivative of P in the variable u; ascending coefficients, N_0 = u.
 # Lattice independent, so cached at module level.
-_NPOLY = [np.array([0.0, 1.0])]
+_NPOLY = [[0.0, 1.0]]
 
 
 def _npoly(n):
     while len(_NPOLY) <= n:
         k = len(_NPOLY) - 1
-        N = _NPOLY[-1]
+        N = np.array(_NPOLY[-1])
         dN = N[1:] * np.arange(1, len(N))
         # (1-u) * N'
         a = np.zeros(len(N) + 1)
@@ -60,13 +64,14 @@ def _npoly(n):
         a[: len(N)] += (k + 2) * N
         out = np.zeros(len(N) + 2)
         out[1 : 1 + len(a)] = a  # multiply by u
-        _NPOLY.append(out)
+        _NPOLY.append(out.tolist())
     return _NPOLY[n]
 
 
 def _horner(coeffs, u):
+    """sum_i coeffs[i] u^i, coefficients ascending."""
     val = 0.0 + 0.0j
-    for c in coeffs[::-1]:
+    for c in reversed(coeffs):
         val = val * u + c
     return val
 
@@ -87,13 +92,12 @@ class LatticeTau:
 @dataclass
 class EllipticContext:
     """Precomputed data for one lattice: invariants, half-period values,
-    the Laurent table (symbolic and numeric), and q-series workspace."""
+    the numeric Laurent table, and Laurent and q-series workspace."""
 
     tau: complex
     g2: complex
     g3: complex
     e: tuple
-    b_sym: tuple
     b_num: tuple
     eta1: complex
     eta2: complex
@@ -101,9 +105,10 @@ class EllipticContext:
     order: int
     lam_min: float = field(repr=False, default=1.0)
     _bn_ext: np.ndarray = field(repr=False, default=None)
-    _alpha: np.ndarray = field(repr=False, default=None)
     _marr: np.ndarray = field(repr=False, default=None)
+    _qw: np.ndarray = field(repr=False, default=None)
     _mterms: dict = field(repr=False, default_factory=dict)
+    _laurent_rows: list = field(repr=False, default_factory=list)
 
     @property
     def near_pole_radius(self):
@@ -143,14 +148,19 @@ class EllipticContext:
             # float exponents: m^{n+1} for n ~ 12 overflows int64
             marr = np.arange(1, M + 1, dtype=float)
             qm = q ** marr
-            self._alpha = qm / (1.0 - qm)
+            self._qw = (qm / (1.0 - qm))[None, :]  # row 0: alpha_m
             self._marr = marr
         self._mterms[n] = M
         return M
 
     # -- evaluation ----------------------------------------------------------
 
-    def _guard(self, zr, order):
+    def _jet(self, z, n, order):
+        """([P, P', ..., P^(n)], zeta) at z.
+
+        One lattice reduction, one near-pole guard (reporting the local pole
+        order `order`), one regime pass and one eta shift of zeta."""
+        zr, m, k = self.reduce_point(z)
         r = abs(zr)
         if r <= self.near_pole_radius:
             raise NearPoleError(
@@ -158,111 +168,84 @@ class EllipticContext:
                 distance=r,
                 order=order,
             )
-        return r
+        if r <= 0.35 * self.lam_min:
+            ps, zt = self._laurent(zr, n)
+        else:
+            ps, zt = self._qseries(zr, n)
+        return ps, zt + m * self.eta1 + k * self.eta2
 
     def wp(self, z, n=0):
         """n-th derivative of P at z (n = 0 is P itself)."""
-        zr, _, _ = self.reduce_point(z)
-        r = self._guard(zr, n + 2)
-        if r <= 0.35 * self.lam_min:
-            return self._wp_laurent(zr, n)
-        return self._wp_qseries(zr, n)
+        return self._jet(z, n, n + 2)[0][n]
 
     def zeta(self, z):
         """Weierstrass zeta at z (quasi-periodic: corrected by eta shifts)."""
-        zr, m, n = self.reduce_point(z)
-        r = self._guard(zr, 1)
-        if r <= 0.35 * self.lam_min:
-            val = self._zeta_laurent(zr)
-        else:
-            val = self._zeta_qseries(zr)
-        return val + m * self.eta1 + n * self.eta2
+        return self._jet(z, 0, 1)[1]
 
     def wp_bundle(self, z):
-        """(P, P', zeta) at z with one shared reduction/workspace pass.
+        """(P, P', zeta) at z from one evaluation.
 
         This is the transport hot path."""
-        zr, m, n = self.reduce_point(z)
-        r = self._guard(zr, 2)
-        if r <= 0.35 * self.lam_min:
-            p = self._wp_laurent(zr, 0)
-            p1 = self._wp_laurent(zr, 1)
-            zt = self._zeta_laurent(zr)
-        else:
-            M = self._terms_for(2)
-            u = cmath.exp(_TWO_PI_I * zr)
-            marr = self._marr[:M]
-            am = self._alpha[:M]
-            up = u ** marr
-            un = (1.0 / u) ** marr
-            one = 1.0 - u
-            p = _TWO_PI_I ** 2 * (
-                1.0 / 12.0 + u / one ** 2 + np.sum(marr * am * (up + un - 2.0))
-            )
-            p1 = _TWO_PI_I ** 3 * (
-                u * (1.0 + u) / one ** 3 + np.sum(marr ** 2 * am * (up - un))
-            )
-            zt = (
-                self.eta1 * zr
-                + 1j * math.pi * (1.0 + u) / (u - 1.0)
-                - _TWO_PI_I * np.sum(am * (up - un))
-            )
-        return p, p1, zt + m * self.eta1 + n * self.eta2
+        (p, p1), zt = self._jet(z, 1, 2)
+        return p, p1, zt
 
     def wp_derivs(self, z, nmax):
         """Array [P(z), P'(z), ..., P^{(nmax)}(z)]."""
-        return np.array([self.wp(z, n) for n in range(nmax + 1)])
+        return np.array(self._jet(z, nmax, 2)[0])
 
     # -- regime implementations ----------------------------------------------
 
-    def _wp_laurent(self, zr, n):
-        b = self._bn_ext
-        # d^n/dz^n z^{-2}
-        ff = 1.0
-        for i in range(n):
-            ff *= -2 - i
-        val = ff * zr ** (-2 - n)
-        for j in range(4, len(b), 2):
-            if j - 2 - n >= 0:
-                c = 1.0
-                for i in range(n):
-                    c *= j - 2 - i
-                val += b[j] * c * zr ** (j - 2 - n)
-        return val
+    def _laurent(self, zr, n):
+        """Orders 0..n of P and zeta at a reduced point near the origin.
 
-    def _zeta_laurent(self, zr):
-        b = self._bn_ext
-        val = 1.0 / zr
-        for j in range(4, len(b), 2):
-            val -= b[j] / (j - 1) * zr ** (j - 1)
-        return val
+        z^{k+2} P^(k)(z) and z zeta(z) are even series; each is summed by
+        Horner in w = z^2 from a row built once per order from the table b:
+        P^(k) has coefficients b_j (j-2)(j-3)...(j-1-k), zeta has 1 and
+        -b_j / (j-1)."""
+        rows = self._laurent_rows  # rows[0] is zeta, rows[k + 1] is P^(k)
+        while len(rows) < n + 2:
+            k = len(rows) - 1
+            b = [complex(c) for c in self._bn_ext[::2]]
+            if k < 0:
+                row = [1.0] + [-b[i] / (2 * i - 1) for i in range(1, len(b))]
+            else:
+                row = [(-1) ** k * math.factorial(k + 1)]
+                row += [b[i] * math.perm(2 * i - 2, k) for i in range(1, len(b))]
+            rows.append([complex(c) for c in row])
+        w = zr * zr
+        zinv = 1.0 / zr
+        out = [_horner(row, w) * zinv ** (i + 1) for i, row in enumerate(rows[: n + 2])]
+        return out[1:], out[0]
 
-    def _wp_qseries(self, zr, n):
+    def _qseries(self, zr, n):
+        """Orders 0..n of P and zeta as q-series in u = e^{2 pi i z}.
+
+        u^m and u^-m are formed once; the tail of P^(k) is
+        sum_m m^{k+1} alpha_m (u^m + (-1)^k u^-m), and zeta's is the k = -1
+        row with the odd sign, so one product with the weight rows gives
+        every tail at once."""
         M = self._terms_for(n)
+        if len(self._qw) < n + 2:  # rows m^k alpha_m, k = 0..n+1
+            self._qw = self._marr ** np.arange(n + 2)[:, None] * self._qw[0]
         u = cmath.exp(_TWO_PI_I * zr)
-        marr = self._marr[:M]
-        am = self._alpha[:M]
-        up = u ** marr
-        un = (1.0 / u) ** marr
-        if n == 0:
-            s = np.sum(marr * am * (up + un - 2.0))
-            return _TWO_PI_I ** 2 * (1.0 / 12.0 + u / (1.0 - u) ** 2 + s)
-        s = np.sum(marr ** (n + 1) * am * (up + (-1) ** n * un))
-        rat = _horner(_npoly(n), u) / (1.0 - u) ** (n + 2)
-        return _TWO_PI_I ** (n + 2) * (rat + s)
-
-    def _zeta_qseries(self, zr):
-        M = self._terms_for(0)
-        u = cmath.exp(_TWO_PI_I * zr)
-        marr = self._marr[:M]
-        am = self._alpha[:M]
-        up = u ** marr
-        un = (1.0 / u) ** marr
-        return (
+        up = u ** self._marr[:M]
+        un = (1.0 / u) ** self._marr[:M]
+        even, odd = up + un, up - un
+        W = self._qw[: n + 2, :M]
+        tails = (W @ even, W @ odd)
+        # P itself keeps its own sum with the constant -2 folded in: it
+        # fixes the half-period values e, which `invariants` prints
+        s = np.sum(W[1] * (even - 2.0))
+        out = [_TWO_PI_I ** 2 * (1.0 / 12.0 + u / (1.0 - u) ** 2 + s)]
+        for k in range(1, n + 1):
+            rat = _horner(_npoly(k), u) / (1.0 - u) ** (k + 2)
+            out.append(_TWO_PI_I ** (k + 2) * (rat + tails[k % 2][k + 1]))
+        zt = (
             self.eta1 * zr
             + 1j * math.pi * (1.0 + u) / (u - 1.0)
-            - _TWO_PI_I * np.sum(am * (up - un))
+            - _TWO_PI_I * tails[1][0]
         )
+        return out, zt
 
     def to_json_dict(self):
         return {
@@ -273,7 +256,7 @@ class EllipticContext:
             "eta1": [self.eta1.real, self.eta1.imag],
             "order": self.order,
             "tol": self.tol,
-            "b": [p.to_json_dict() for p in self.b_sym],
+            "b": [p.to_json_dict() for p in weierstrass_laurent_symbolic(self.order)],
         }
 
 
@@ -294,6 +277,21 @@ def _eisenstein(tau):
     return 1.0 - 24.0 * S1, 1.0 + 240.0 * S3, 1.0 - 504.0 * S5
 
 
+def _g_invariants(E2, E4, E6, pi, with_derivative=True):
+    """g2, g3 and their tau-derivatives (Ramanujan identities) from E2, E4,
+    E6; the same arithmetic in double precision (pi = math.pi) and in mpmath
+    (pi = mpmath.pi)."""
+    g2 = (4.0 * pi ** 4 / 3.0) * E4
+    g3 = (8.0 * pi ** 6 / 27.0) * E6
+    if not with_derivative:
+        return g2, g3, None, None
+    dE4 = 2j * pi * (E2 * E4 - E6) / 3.0
+    dE6 = 2j * pi * (E2 * E6 - E4 ** 2) / 2.0
+    dg2 = (4.0 * pi ** 4 / 3.0) * dE4
+    dg3 = (8.0 * pi ** 6 / 27.0) * dE6
+    return g2, g3, dg2, dg3
+
+
 def compute_invariants(lattice, tol=1e-12, b_order=28):
     """Build the elliptic context for a lattice.
 
@@ -311,10 +309,8 @@ def compute_invariants(lattice, tol=1e-12, b_order=28):
         lattice = LatticeTau(complex(lattice))
     tau = lattice.tau
     E2, E4, E6 = _eisenstein(tau)
-    pi = math.pi
-    g2 = (4.0 * pi ** 4 / 3.0) * E4
-    g3 = (8.0 * pi ** 6 / 27.0) * E6
-    eta1 = (pi ** 2 / 3.0) * E2
+    g2, g3, _, _ = _g_invariants(E2, E4, E6, math.pi, with_derivative=False)
+    eta1 = (math.pi ** 2 / 3.0) * E2
     eta2 = eta1 * tau - _TWO_PI_I
 
     lam_min = min(
@@ -332,7 +328,6 @@ def compute_invariants(lattice, tol=1e-12, b_order=28):
         g2=complex(g2),
         g3=complex(g3),
         e=(0j, 0j, 0j),
-        b_sym=weierstrass_laurent_symbolic(b_order),
         b_num=tuple(bn_ext[: b_order + 1]),
         eta1=complex(eta1),
         eta2=complex(eta2),
@@ -371,21 +366,6 @@ def eval_weierstrass(ctx, z, kind="P", n=1):
 # ---- invariant forms and their zeros in tau ------------------------------
 
 FORM_NAMES = ("g2", "g3", "g2^3-27g3^2", "343g2^3-6561g3^2")
-
-
-def _form_and_derivative(tau, with_derivative=True):
-    """g2, g3 and their tau-derivatives from the Ramanujan identities."""
-    E2, E4, E6 = _eisenstein(tau)
-    pi = math.pi
-    g2 = (4.0 * pi ** 4 / 3.0) * E4
-    g3 = (8.0 * pi ** 6 / 27.0) * E6
-    if not with_derivative:
-        return g2, g3, None, None
-    dE4 = _TWO_PI_I * (E2 * E4 - E6) / 3.0
-    dE6 = _TWO_PI_I * (E2 * E6 - E4 ** 2) / 2.0
-    dg2 = (4.0 * pi ** 4 / 3.0) * dE4
-    dg3 = (8.0 * pi ** 6 / 27.0) * dE6
-    return g2, g3, dg2, dg3
 
 
 def _apply_form(form, g2, g3, dg2=None, dg3=None):
@@ -459,18 +439,6 @@ def _eisenstein_mp(tau):
     return 1 - 24 * S1, 1 + 240 * S3, 1 - 504 * S5
 
 
-def _g_invariants_mp(tau):
-    E2, E4, E6 = _eisenstein_mp(tau)
-    pi = mpmath.pi
-    g2 = (4 * pi ** 4 / 3) * E4
-    g3 = (8 * pi ** 6 / 27) * E6
-    dE4 = 2j * pi * (E2 * E4 - E6) / 3
-    dE6 = 2j * pi * (E2 * E6 - E4 ** 2) / 2
-    dg2 = (4 * pi ** 4 / 3) * dE4
-    dg3 = (8 * pi ** 6 / 27) * dE6
-    return g2, g3, dg2, dg3
-
-
 def form_value(form, tau, dps=None):
     """Value of a named invariant form at tau.
 
@@ -478,11 +446,11 @@ def form_value(form, tau, dps=None):
     the given working precision (needed to certify |form| below the double
     rounding floor of weight-12 quantities, which is around 1e-7)."""
     if dps is None:
-        g2, g3, _, _ = _form_and_derivative(complex(tau), with_derivative=False)
+        g2, g3, _, _ = _g_invariants(*_eisenstein(complex(tau)), math.pi, False)
         f, _ = _apply_form(form, g2, g3)
         return f
     with mpmath.workdps(dps):
-        g2, g3, _, _ = _g_invariants_mp(mpmath.mpc(tau))
+        g2, g3, _, _ = _g_invariants(*_eisenstein_mp(mpmath.mpc(tau)), mpmath.pi, False)
         f, _ = _apply_form(form, g2, g3)
         return f
 
@@ -499,7 +467,7 @@ def find_form_zero(form, seed, tol=1e-12):
         raise StructuralError("seed must be in the upper half plane")
     f_prev = None
     for _ in range(80):
-        g2, g3, dg2, dg3 = _form_and_derivative(tau)
+        g2, g3, dg2, dg3 = _g_invariants(*_eisenstein(tau), math.pi)
         f, fp = _apply_form(form, g2, g3, dg2, dg3)
         scale = _form_scale(form, g2, g3)
         if abs(f) <= 1e-9 * scale:
@@ -512,7 +480,7 @@ def find_form_zero(form, seed, tol=1e-12):
         for _ in range(10):
             cand = tau - s * step
             if cand.imag > 0.02:
-                g2c, g3c, _, _ = _form_and_derivative(cand, with_derivative=False)
+                g2c, g3c, _, _ = _g_invariants(*_eisenstein(cand), math.pi, False)
                 fc, _ = _apply_form(form, g2c, g3c)
                 if f_prev is None or abs(fc) < abs(f):
                     break
@@ -525,13 +493,13 @@ def find_form_zero(form, seed, tol=1e-12):
     with mpmath.workdps(40):
         t = mpmath.mpc(tau)
         for _ in range(60):
-            g2, g3, dg2, dg3 = _g_invariants_mp(t)
+            g2, g3, dg2, dg3 = _g_invariants(*_eisenstein_mp(t), mpmath.pi)
             f, fp = _apply_form(form, g2, g3, dg2, dg3)
             if abs(f) < mpmath.mpf(10) ** (-30):
                 break
             t = t - f / fp
         t = reduce_fundamental(t)
-        g2, g3, _, _ = _g_invariants_mp(t)
+        g2, g3, _, _ = _g_invariants(*_eisenstein_mp(t), mpmath.pi, False)
         f, _ = _apply_form(form, g2, g3)
         scale = float(_form_scale(form, complex(g2), complex(g3)))
         if abs(f) > tol * scale:

@@ -22,11 +22,11 @@ oriented 24-gons.
 import cmath
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .apparency import ParamVec, ProblemSpec
+from .apparency import ParamVec
 from .elliptic import compute_invariants
 from .errors import (
     EvaluationError,

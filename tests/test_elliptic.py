@@ -23,6 +23,7 @@ from todacensus.elliptic import (
 from todacensus.errors import NearPoleError, StructuralError
 
 TAUS = [0.21 + 1.13j, -0.37 + 0.93j, 0.05 + 1.4j]
+RHO = complex(0.5, math.sqrt(3.0) / 2.0)
 SAMPLE_Z = [0.31 + 0.17j, -0.22 + 0.41j, 0.47 - 0.11j, 0.13 + 0.52j]
 
 # frozen from a direct Eisenstein lattice sum over |m|,|n| <= 400 with the
@@ -128,13 +129,20 @@ def test_hexagonal_lattice_regression():
 
 
 def test_wp_derivs_consistency():
-    # wp_derivs must agree with wp(z, n) order by order
+    # wp_derivs and wp_bundle must agree with wp(z, n) order by order, and
+    # wp_bundle's zeta with zeta, in the q-series regime and inside the
+    # Laurent radius
     ctx = _ctx(0.21 + 1.13j)
-    z = 0.27 + 0.31j
-    d = ctx.wp_derivs(z, 6)
-    for n in range(7):
-        v = ctx.wp(z, n)
-        assert abs(d[n] - v) <= 1e-12 * (1 + abs(v))
+    z_q, z_laurent = 0.27 + 0.31j, 0.12 + 0.2j
+    assert abs(z_laurent) < 0.35 * ctx.lam_min < abs(z_q)
+    for z in (z_q, z_laurent):
+        d = ctx.wp_derivs(z, 6)
+        for n in range(7):
+            v = ctx.wp(z, n)
+            assert abs(d[n] - v) <= 1e-12 * (1 + abs(v))
+        P, P1, Z = ctx.wp_bundle(z)
+        for got, want in ((P, ctx.wp(z)), (P1, ctx.wp(z, 1)), (Z, ctx.zeta(z))):
+            assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_near_pole_refusal():
@@ -216,3 +224,20 @@ def test_regime_agreement_along_a_ray():
         P, P1, _ = ctx.wp_bundle(z)
         scale = 1.0 + abs(ctx.g2) ** 1.5 + abs(ctx.g3)
         assert abs(P1 ** 2 - (4 * P ** 3 - ctx.g2 * P - ctx.g3)) <= 1e-9 * (scale + abs(P1) ** 2)
+
+
+@pytest.mark.parametrize("tau", TAUS + [1j, RHO], ids=str)
+def test_regimes_agree_at_the_switch(tau):
+    # the Laurent and q-series routines evaluated at the same points on the
+    # switch radius, where the evaluator hands over from one to the other:
+    # 12 directions, orders 0..12 and zeta
+    ctx = _ctx(tau)
+    r = 0.35 * ctx.lam_min
+    for t in range(12):
+        zr = r * cmath.exp(1j * (2 * math.pi * t / 12 + 0.1))
+        assert ctx.reduce_point(zr)[1:] == (0, 0)
+        laurent, zeta_l = ctx._laurent(zr, 12)
+        qseries, zeta_q = ctx._qseries(zr, 12)
+        for n, (a, b) in enumerate(zip(laurent, qseries)):
+            assert abs(a - b) <= (1e-13 if n <= 2 else 1e-9) * abs(b), n
+        assert abs(zeta_l - zeta_q) <= 1e-13 * abs(zeta_q)
