@@ -660,8 +660,7 @@ def residual_general(problem, ctx, params, with_jacobian=False):
                 continue
             pl = problem.punctures[l]
             al, bl = float(pl.alpha), float(pl.beta)
-            z = ctx.zeta(pk.p - pl.p)
-            w = ctx.wp_derivs(pk.p - pl.p, jtop)
+            w, z = ctx.jet(pk.p - pl.p, jtop, 2)
             S1 = S1 + al * w[0] * one + z * Bk[l]
             S2a = S2a + al * w[1] * one - w[0] * Bk[l]
             S2b = S2b + bl * w[1] * one + w[0] * Dk[l] + z * A[l]

@@ -6,7 +6,7 @@ Invariants come from Eisenstein q-expansions,
     g2 = (4 pi^4 / 3) E4(q),   g3 = (8 pi^6 / 27) E6(q),   q = e^{2 pi i tau},
 
 with tau-derivatives from the Ramanujan identities (one map, doubles or
-mpmath).  Point evaluation is one evaluator, EllipticContext._jet, with
+mpmath).  Point evaluation is one evaluator, EllipticContext.jet, with
 wp, zeta, wp_bundle, wp_derivs and eval_weierstrass as views: one lattice
 reduction and near-pole guard, then one pass of one regime gives P, P', ...,
 P^(n) and zeta together.  The regimes are a q-series in u = e^{2 pi i z}
@@ -155,7 +155,7 @@ class EllipticContext:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _jet(self, z, n, order):
+    def jet(self, z, n, order):
         """([P, P', ..., P^(n)], zeta) at z.
 
         One lattice reduction, one near-pole guard (reporting the local pole
@@ -176,22 +176,20 @@ class EllipticContext:
 
     def wp(self, z, n=0):
         """n-th derivative of P at z (n = 0 is P itself)."""
-        return self._jet(z, n, n + 2)[0][n]
+        return self.jet(z, n, n + 2)[0][n]
 
     def zeta(self, z):
         """Weierstrass zeta at z (quasi-periodic: corrected by eta shifts)."""
-        return self._jet(z, 0, 1)[1]
+        return self.jet(z, 0, 1)[1]
 
     def wp_bundle(self, z):
-        """(P, P', zeta) at z from one evaluation.
-
-        This is the transport hot path."""
-        (p, p1), zt = self._jet(z, 1, 2)
+        """(P, P', zeta) at z from one evaluation."""
+        (p, p1), zt = self.jet(z, 1, 2)
         return p, p1, zt
 
     def wp_derivs(self, z, nmax):
         """Array [P(z), P'(z), ..., P^{(nmax)}(z)]."""
-        return np.array(self._jet(z, nmax, 2)[0])
+        return np.array(self.jet(z, nmax, 2)[0])
 
     # -- regime implementations ----------------------------------------------
 

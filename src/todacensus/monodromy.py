@@ -5,9 +5,9 @@ A root of the apparency system determines the third-order equation
     y''' + W2(z) y' + W3(z) y = 0
 
 with doubly periodic coefficients.  This module transports fundamental
-frames along planned paths (adaptive Dormand-Prince 5(4) on the companion
-system), extracts the two period monodromies and the local loop matrices,
-checks the scalar local condition and the commutator identity
+frames along planned paths (Taylor steps of fixed order built from the
+coefficient jets), extracts the two period monodromies and the local loop
+matrices, checks the scalar local condition and the commutator identity
 N1 N2 N1^-1 N2^-1 = eps I, searches for an invariant Hermitian form
 (unitarization), and reconstructs the two field profiles whose PDE residuals
 certify the root end to end.
@@ -56,9 +56,9 @@ __all__ = [
 class _OdeCoeffs:
     """W2, W3 and their z-derivatives for a batch of S parameter vectors.
 
-    The root parameters are held as (S, 1) columns, so one ``ctx.wp_bundle``
-    call per puncture gives the coefficients of every root at a point, and
-    the values broadcast against the rows of stacked (S, 3, 3) frames.
+    The root parameters are held as (S, 1) columns, so one ``ctx.jet`` call
+    per puncture gives the coefficient jets of every root at a point, and
+    they broadcast against the rows of stacked (S, 3, 3) frames.
     """
 
     def __init__(self, problem, ctx, params):
@@ -98,16 +98,6 @@ class _OdeCoeffs:
                     for p, al, be, Bk, Dk, Ak in self.data]
         return sub
 
-    def values(self, z):
-        """(W2(z), W3(z)) as (S, 1) columns."""
-        W2 = -self.B
-        W3 = self.D
-        for p, al, be, Bk, Dk, Ak in self.data:
-            P, P1, Z = self.ctx.wp_bundle(z - p)
-            W2 = W2 - (al * P + Bk * Z)
-            W3 = W3 + (be * P1 + Dk * P + Ak * Z)
-        return W2, W3
-
     def derivs(self, z, n):
         """Arrays (W2^(j)), (W3^(j)) of shape (S, n+1), j = 0..n."""
         W2d = np.zeros((self.size, n + 1), complex)
@@ -115,9 +105,8 @@ class _OdeCoeffs:
         W2d[:, :1] = -self.B
         W3d[:, :1] = self.D
         for p, al, be, Bk, Dk, Ak in self.data:
-            u = z - p
-            wp = self.ctx.wp_derivs(u, n + 1)
-            zv = self.ctx.zeta(u)
+            wp, zv = self.ctx.jet(z - p, n + 1, 2)
+            wp = np.array(wp)
             W2d[:, :1] -= al * wp[0] + Bk * zv
             W3d[:, :1] += be * wp[1] + Dk * wp[0] + Ak * zv
             # zeta^(j) = -wp^(j-1)
@@ -144,7 +133,7 @@ def ode_coefficients(problem, ctx, params, z):
     """(W2(z), W3(z)) of the equation attached to the given parameters;
     length-S arrays for a batch of parameter vectors."""
     coeffs, single = _coeffs(problem, ctx, params)
-    W2, W3 = coeffs.values(z)
+    W2, W3 = coeffs.derivs(z, 0)
     return (W2[0, 0], W3[0, 0]) if single else (W2[:, 0], W3[:, 0])
 
 
@@ -228,95 +217,78 @@ def _polygon(center, radius, nsides=24):
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) transport
+# Taylor transport
 
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+_ORDER = 26  # Taylor order of every step and reconstruction stack
+_SAFETY = 0.8  # share of the radius at which the series tail reaches tol
+_POLE_CAP = 0.6  # largest step, as a share of the distance to a singularity
+_MAX_STEPS = 200000
+_FACT = np.array([math.factorial(k) for k in range(_ORDER + 3)], float)
+_BINOM = np.array([[math.comb(k, j) for j in range(_ORDER)] for k in range(_ORDER)], float)
 
 
-def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, max_steps=200000):
+def _taylor_frame(coeffs, z, Y):
+    """Derivative stacks out[r, k] (3,) for k = 0.._ORDER+2 at z, one per root
+    of the batch coeffs, from the stacked frames Y (S, 3, 3).
+
+    Leibniz on y''' = -W2 y' - W3 y gives
+    y^(k+3) = -sum_j C(k, j) (W2^(j) y^(k-j+1) + W3^(j) y^(k-j)),
+    one product per k with the weights G[k, m] of y^(k+1-m)."""
+    out = np.zeros((len(Y), _ORDER + 3, 3), complex)
+    out[:, :3] = Y
+    W2d, W3d = coeffs.derivs(z, _ORDER - 1)
+    G = np.zeros((len(Y), _ORDER, _ORDER + 1), complex)
+    G[:, :, :-1] = _BINOM * W2d[:, None]
+    G[:, :, 1:] += _BINOM * W3d[:, None]
+    for k in range(_ORDER):
+        out[:, k + 3] = -(G[:, k, None, :k + 2] @ out[:, k + 1::-1])[:, 0]
+    return out
+
+
+def _eval_taylor(stack, delta, rows):
+    """Rows 0..rows-1 of derivative stacks (..., n, 3) moved by delta: row i
+    is sum_k stack[..., k + i] delta^k / k! over k = 0..n-rows."""
+    n = stack.shape[-2] - rows + 1
+    w = delta ** np.arange(n) / _FACT[:n]
+    return np.stack([w @ stack[..., i:i + n, :] for i in range(rows)], axis=-2)
+
+
+def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol):
     """Continue dY/dz = A(z) Y along the straight segment za -> zb.
 
     Y is one (3, 3) frame or a stack (S, 3, 3), one per root of the batch
-    coeffs.values describes.  All roots share one step sequence: each root's
-    error is scaled by its own atol + rtol * max|Y|, and a step is accepted
-    only when the worst root passes.
+    coeffs describes.  All roots share one sequence of Taylor steps of order
+    _ORDER.  A step is _SAFETY times the radius at which the last two terms
+    of the worst root reach its own atol + rtol * max|Y|, and at most
+    _POLE_CAP of the distance to the nearest singularity; no step is
+    rejected.
     """
     dz = zb - za
     L = abs(dz)
     if L == 0:
         return Y
-
-    def g(t, U):
-        W2, W3 = coeffs.values(za + t * dz)
-        out = np.empty_like(U)
-        out[..., 0, :] = U[..., 1, :]
-        out[..., 1, :] = U[..., 2, :]
-        out[..., 2, :] = -W3 * U[..., 0, :] - W2 * U[..., 1, :]
-        return dz * out
-
-    def root_max(M):
-        return np.abs(M).reshape(-1, 9).max(axis=1)
-
+    shape, Y = Y.shape, Y.reshape(-1, 3, 3)
+    K = _ORDER
     t = 0.0
-    have_sing = len(sing) > 0
-    cap = (0.25 * _min_dist(za, sing) / L) if have_sing else 1.0
-    h = min(0.1, cap, 1.0)
-    k1 = g(t, Y)
-    errold = 1.0
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= 1.0:
-            return Y
-        if have_sing:
-            cap = 0.25 * _min_dist(za + t * dz, sing) / L
-            h = min(h, cap)
-        h = min(h, 1.0 - t)
-        if h < 1e-14:
+            return Y.reshape(shape)
+        z = za + t * dz
+        stack = _taylor_frame(coeffs, z, Y)
+        tol = atol + rtol * np.abs(Y).reshape(len(Y), 9).max(axis=1)
+        # |y^(j)| for j = K-1..K+2, the largest over each frame row
+        m = np.abs(stack[:, K - 1:]).max(axis=2)
+        with np.errstate(divide="ignore"):
+            radius = np.minimum(
+                (tol * _FACT[K] / m[:, 1:].max(axis=1)) ** (1.0 / K),
+                (tol * _FACT[K - 1] / m[:, :3].max(axis=1)) ** (1.0 / (K - 1)),
+            )
+        h = min(_SAFETY * float(radius.min()), _POLE_CAP * _min_dist(z, sing))
+        dt = min(h / L, 1.0 - t)
+        if dt < 1e-14:
             raise EvaluationError("transport step size underflow")
-        ks = [k1]
-        for i in range(1, 7):
-            acc = _A[i][0] * ks[0]
-            for j in range(1, i):
-                if _A[i][j] != 0.0:
-                    acc = acc + _A[i][j] * ks[j]
-            ks.append(g(t + _C[i] * h, Y + h * acc))
-        Ynew = Y + h * (
-            _B[0] * ks[0] + _B[2] * ks[2] + _B[3] * ks[3]
-            + _B[4] * ks[4] + _B[5] * ks[5]
-        )
-        errv = h * (
-            _E[0] * ks[0] + _E[2] * ks[2] + _E[3] * ks[3]
-            + _E[4] * ks[4] + _E[5] * ks[5] + _E[6] * ks[6]
-        )
-        scale = atol + rtol * np.maximum(root_max(Y), root_max(Ynew))
-        err = float(np.max(root_max(errv) / scale))
-        if err <= 1.0:
-            t += h
-            Y = Ynew
-            k1 = ks[6]
-            fac = 0.9 * (err + 1e-30) ** (-0.14) * errold ** 0.08
-            errold = max(err, 1e-4)
-            h *= min(5.0, max(0.2, fac))
-        else:
-            h *= max(0.2, 0.9 * err ** (-0.2))
+        Y = _eval_taylor(stack, dt * dz, 3)
+        t += dt
     raise EvaluationError("transport exceeded the step budget")
 
 
@@ -630,36 +602,6 @@ def _stack_operator(basis, report):
 # reconstruction
 
 
-def _taylor_frame(coeffs, z, Y, order=12):
-    """Derivative stacks out[r, k] (3,) for k = 0..order at z, one per root
-    of the batch coeffs, from the stacked frames Y (S, 3, 3)."""
-    out = np.zeros((len(Y), order + 1, 3), complex)
-    out[:, :3] = Y
-    W2d, W3d = coeffs.derivs(z, max(order - 2, 1))
-    W2d, W3d = W2d[:, :, None], W3d[:, :, None]
-    for k in range(order - 2):
-        acc = np.zeros((len(Y), 3), complex)
-        for j in range(k + 1):
-            ckj = math.comb(k, j)
-            acc += ckj * (W2d[:, j] * out[:, k - j + 1] + W3d[:, j] * out[:, k - j])
-        out[:, k + 3] = -acc
-    return out
-
-
-def _eval_taylor(stack, delta):
-    val = np.zeros(3, complex)
-    der = np.zeros(3, complex)
-    f = 1.0
-    for k in range(stack.shape[0]):
-        if k > 0:
-            f *= k
-        dk = delta ** k / f
-        val += stack[k] * dk
-        if k + 1 < stack.shape[0]:
-            der += stack[k + 1] * dk
-    return val, der
-
-
 def _uv_from_frame(P, detP, Yval, Yder):
     yt = P @ Yval
     ytd = P @ Yder
@@ -677,13 +619,17 @@ def _uv_from_frame(P, detP, Yval, Yder):
 
 
 _OFFSETS = (0.0, 1.0, -1.0, 2.0, -2.0, 1j, -1j, 2j, -2j)
+_FD_STEP = 1e-3  # step of the finite-difference Laplacians
+_GRID_N = 8  # reconstruction grid: _GRID_N x _GRID_N points of the cell
+_EXCLUSION = 0.1  # grid points this close to a puncture are left out
 
 
-def _point_residual(P, detP, stack, h):
+def _point_residual(P, detP, stack):
     """(U, PDE residual) at a grid point from one root's Taylor stack.
 
-    The Laplacians are fourth-order central differences with step h."""
-    vals = {d: _uv_from_frame(P, detP, *_eval_taylor(stack, d * h)) for d in _OFFSETS}
+    The Laplacians are fourth-order central differences with step _FD_STEP."""
+    h = _FD_STEP
+    vals = {d: _uv_from_frame(P, detP, *_eval_taylor(stack, d * h, 2)) for d in _OFFSETS}
     u0, v0 = vals[0.0]
     lapU = (
         -vals[2][0] + 16 * vals[1][0] - 30 * u0 + 16 * vals[-1][0] - vals[-2][0]
@@ -696,8 +642,7 @@ def _point_residual(P, detP, stack, h):
     return u0, max(abs(lapU + math.exp(2 * u0 - v0)), abs(lapV + math.exp(2 * v0 - u0)))
 
 
-def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11,
-                          h=1e-3, exclusion=0.1, grid_n=8, taylor_order=12):
+def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11):
     """Reconstruct both field profiles on a grid and measure PDE residuals.
 
     Uses the invariant form of a successful unitarization (run here when the
@@ -731,7 +676,7 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11,
 
     tau = ctx.tau
     sing = _singular_translates(problem, ctx, pad=3)
-    n2 = grid_n // 2
+    n2 = _GRID_N // 2
 
     pts = {}
     order_idx = []
@@ -741,8 +686,8 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11,
         if (j + n2) % 2 == 1:
             row = row[::-1]
         for i in row:
-            z = ((i + 0.5) / grid_n) * 1.0 + ((j + 0.5) / grid_n) * tau
-            if _min_dist(z, sing) < exclusion:
+            z = ((i + 0.5) / _GRID_N) * 1.0 + ((j + 0.5) / _GRID_N) * tau
+            if _min_dist(z, sing) < _EXCLUSION:
                 continue
             pts[(i, j)] = z
             order_idx.append((i, j))
@@ -766,11 +711,11 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11,
         path = plan_path(prev, z, sing, clearance)
         Y = transport(problem, ctx, hops, path, rtol=rtol, sing=sing, Y0=Y)
         prev = z
-        stacks = _taylor_frame(hops, z, Y, order=taylor_order)
+        stacks = _taylor_frame(hops, z, Y)
         keep = []
         for pos, r in enumerate(live):
             try:
-                u0, res = _point_residual(*frames[r], stacks[pos], h)
+                u0, res = _point_residual(*frames[r], stacks[pos])
             except EvaluationError as e:
                 results[r] = e
                 continue

@@ -21,6 +21,7 @@ from todacensus.elliptic import (
     reduce_fundamental,
 )
 from todacensus.errors import NearPoleError, StructuralError
+from todacensus.monodromy import _ORDER
 
 TAUS = [0.21 + 1.13j, -0.37 + 0.93j, 0.05 + 1.4j]
 RHO = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -230,7 +231,8 @@ def test_regime_agreement_along_a_ray():
 def test_regimes_agree_at_the_switch(tau):
     # the Laurent and q-series routines evaluated at the same points on the
     # switch radius, where the evaluator hands over from one to the other:
-    # 12 directions, orders 0..12 and zeta
+    # 12 directions, orders 0..12 and zeta, then the higher orders up to
+    # _ORDER + 1 that the Taylor transport's coefficient jets use
     ctx = _ctx(tau)
     r = 0.35 * ctx.lam_min
     for t in range(12):
@@ -241,3 +243,7 @@ def test_regimes_agree_at_the_switch(tau):
         for n, (a, b) in enumerate(zip(laurent, qseries)):
             assert abs(a - b) <= (1e-13 if n <= 2 else 1e-9) * abs(b), n
         assert abs(zeta_l - zeta_q) <= 1e-13 * abs(zeta_q)
+        laurent, _ = ctx._laurent(zr, _ORDER + 1)
+        qseries, _ = ctx._qseries(zr, _ORDER + 1)
+        for n in range(13, _ORDER + 2):
+            assert abs(laurent[n] - qseries[n]) <= 1e-7 * abs(qseries[n]), n

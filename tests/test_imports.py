@@ -1,8 +1,11 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package module imports is used by that module, and every
+private name the package defines is used somewhere in the package.
 
-A static scan: each module of the package is parsed with ast, and an
-imported name counts as used when it appears as a name anywhere in the
-module or is re-exported through ``__all__``.
+Static scans: each module of the package is parsed with ast.  An imported
+name counts as used when it appears as a name anywhere in the module or is
+re-exported through ``__all__``.  A module-level ``_name`` or a ``_method``
+of a module-level class counts as used when some module of the package
+reads it as a name or an attribute, or imports it.
 """
 
 import ast
@@ -34,6 +37,38 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _dead_private_names(sources):
+    """(module, line, name) of the private definitions in sources (a dict
+    module name -> source text) that no module references."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, node.lineno, name) for name in names if _private(name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, item.lineno, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and _private(item.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    return sorted(d for d in defined if d[2] not in used)
+
+
 def test_scan_finds_an_unused_import():
     src = "import math\nfrom os import path, sep\n__all__ = ['sep']\n"
     assert _unused_imports(src) == [(1, "math"), (2, "path")]
@@ -42,3 +77,19 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_a_dead_private_name():
+    a = ("_TABLE = 1\n_ORPHAN = 2\n"
+         "def _helper():\n    return _TABLE\n"
+         "class K:\n    def _used(self):\n        return _helper()\n"
+         "    def _dead(self):\n        return self._used()\n"
+         "    def __len__(self):\n        return 0\n")
+    b = "from .a import _ORPHAN as orphan\n"
+    assert _dead_private_names({"a": a}) == [("a", 2, "_ORPHAN"), ("a", 8, "_dead")]
+    assert _dead_private_names({"a": a, "b": b}) == [("a", 8, "_dead")]
+
+
+def test_no_dead_private_names():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _dead_private_names(sources) == []

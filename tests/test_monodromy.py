@@ -67,8 +67,11 @@ class _ConstCoeffs:
     def __init__(self, W2, W3):
         self.W2, self.W3 = complex(W2), complex(W3)
 
-    def values(self, z):
-        return self.W2, self.W3
+    def derivs(self, z, n):
+        W2d = np.zeros((1, n + 1), complex)
+        W3d = np.zeros((1, n + 1), complex)
+        W2d[0, 0], W3d[0, 0] = self.W2, self.W3
+        return W2d, W3d
 
 
 def _expm(A):
@@ -83,6 +86,27 @@ def test_segment_transport_matches_matrix_exponential():
     A = np.array([[0, 1, 0], [0, 0, 1], [-co.W3, -co.W2, 0]], complex)
     want = _expm(A * (zb - za))
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_taylor_frame_matches_leibniz_loop():
+    # the vectorized recursion against the term-by-term Leibniz sum
+    prob, ctx = _setup(0, 4)
+    pvs = [ParamVec.m0(-39.7 - 1.1j, 0.3j, 2.0), ParamVec.m0(12.0 + 3.0j, -1.0, 0.5j)]
+    coeffs = monodromy._OdeCoeffs(prob, ctx, pvs)
+    z = 0.41 + 0.37j
+    Y = np.array([[[1, 2j, 0], [0.5, 1, -1], [0, 1j, 3]], np.eye(3)], complex)
+    got = monodromy._taylor_frame(coeffs, z, Y)
+    W2d, W3d = coeffs.derivs(z, got.shape[1] - 4)
+    want = np.zeros_like(got)
+    want[:, :3] = Y
+    for k in range(got.shape[1] - 3):
+        for j in range(k + 1):
+            c = math.comb(k, j)
+            want[:, k + 3] -= c * (W2d[:, j, None] * want[:, k - j + 1]
+                                   + W3d[:, j, None] * want[:, k - j])
+    for r in range(len(Y)):
+        for k in range(got.shape[1]):
+            assert np.max(np.abs(got[r, k] - want[r, k])) <= 1e-12 * np.max(np.abs(want[r, k]))
 
 
 def test_transport_composes_and_inverts():
@@ -221,28 +245,28 @@ def _census_params(n1, n2, tau=TAU):
     return prob, ctx, [ParamVec.m0(c.B, c.D0, c.D) for c in solve_m0(prob, ctx).clusters]
 
 
-def _count_wp_bundle(monkeypatch):
+def _count_jet(monkeypatch):
     calls = [0]
-    orig = EllipticContext.wp_bundle
+    orig = EllipticContext.jet
 
-    def counted(self, z):
+    def counted(self, z, n, order):
         calls[0] += 1
-        return orig(self, z)
+        return orig(self, z, n, order)
 
-    monkeypatch.setattr(EllipticContext, "wp_bundle", counted)
+    monkeypatch.setattr(EllipticContext, "jet", counted)
     return calls
 
 
 def test_batch_monodromy_matches_per_root(monkeypatch):
     prob, ctx, pvs = _census_params(0, 2)
     assert len(pvs) == 2
-    calls = _count_wp_bundle(monkeypatch)
+    calls = _count_jet(monkeypatch)
     alone = [monodromy_pair(prob, ctx, pvs[0])]
     calls_first = calls[0]
     alone.append(monodromy_pair(prob, ctx, pvs[1]))
     calls[0] = 0
     batch = monodromy_pair(prob, ctx, pvs)
-    # one step sequence and one coefficient evaluation per stage serve both
+    # one step sequence and one coefficient evaluation per step serve both
     assert calls[0] < 1.5 * calls_first
     assert len(batch) == 2
     for a, b in zip(alone, batch):
@@ -253,6 +277,17 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
     # a single vector is the one-root batch, bit for bit
     (one,) = monodromy_pair(prob, ctx, pvs[:1])
     assert one.to_json_dict() == alone[0].to_json_dict()
+
+
+def test_census_04_monodromy_to_high_accuracy():
+    # at the default rtol the monodromy identities hold near rounding on
+    # every root of the (0,4) census
+    prob, ctx, pvs = _census_params(0, 4)
+    assert len(pvs) == 5
+    for rep in monodromy_pair(prob, ctx, pvs):
+        assert rep.det_drift <= 1e-12
+        assert rep.eps_residual <= 1e-11
+        assert max(rep.local_scalar_residuals) <= 1e-11
 
 
 def test_verify_roots_attributes_failures_per_root():
