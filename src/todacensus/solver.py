@@ -3,7 +3,12 @@
 solve_m0 runs a multi-start damped-Newton search over the three accessory
 parameters (B, D0, D), polishes every convergent trajectory with pure Newton
 steps, merges results into clusters in weight-scaled coordinates, and reports
-the count next to the weighted-Bezout bound.  Starting points combine a
+the count next to the weighted-Bezout bound.  Newton drops a point as soon as
+its relative residual (see _relative_residual) is <= 1e-13 in the damped
+loop or <= 1e-15 in the polish; max_iter and polish_iter only cap the two
+phases.  Starts run in chunks, and each chunk's accepted points are merged
+into the clusters kept from the chunks before; the points are clustered
+afresh only when a box doubling changes the metric.  Starting points combine a
 low-discrepancy Halton cloud (deterministic for a fixed seed) with structured
 seeds: the origin and the even-sector roots lifted to (B, 0, 0).  The even
 sector is additionally solved on its own by an Aberth-Ehrlich iteration, so
@@ -212,22 +217,23 @@ class EvenReport:
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
 
 
-def _radical_inverse(i, base):
-    f = 1.0
-    r = 0.0
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
 def _halton_block(offset, count):
-    out = np.empty((count, 6))
-    for row in range(count):
-        i = offset + row
-        for c, b in enumerate(_HALTON_BASES):
-            out[row, c] = _radical_inverse(i, b)
+    """Rows offset .. offset+count-1 of the Halton sequence in _HALTON_BASES.
+
+    Each column is the radical inverse of the row index, digit by digit
+    (f /= base; r += f * digit), over all rows at once; a row out of digits
+    adds +0.0, so every entry is the same double as the one-row loop gives."""
+    i0 = np.arange(offset, offset + count, dtype=np.int64)
+    out = np.empty((count, len(_HALTON_BASES)))
+    for c, b in enumerate(_HALTON_BASES):
+        i = i0.copy()
+        f = 1.0
+        r = np.zeros(count)
+        while i.any():
+            f /= b
+            r += f * (i % b)
+            i //= b
+        out[:, c] = r
     return out
 
 
@@ -333,6 +339,13 @@ def _scaled_mag(B, D0, D, scales):
     )
 
 
+# Newton drops a point once its relative residual (see _relative_residual)
+# reaches these, in the damped loop and in the polish.  Converged points sit
+# near 1e-16, the rounding floor of that measure.
+_DAMPED_STOP = 1e-13
+_POLISH_STOP = 1e-15
+
+
 def _solve_steps(J, F):
     dets = np.abs(np.linalg.det(J))
     bad = ~np.isfinite(dets) | (dets < 1e-250)
@@ -354,6 +367,14 @@ def _solve_steps(J, F):
 def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     """Damped Newton + pure-Newton polish on a batch of starts.
 
+    A point leaves each phase as soon as it has converged: when its relative
+    residual (see _relative_residual), taken from the F and J that the
+    iteration computes anyway, is <= _DAMPED_STOP in the damped loop or
+    <= _POLISH_STOP in the polish.  Its absolute residual, known from the
+    line search before J is computed, bounds the relative one from above
+    and stops it at the same thresholds.  cfg.max_iter and cfg.polish_iter
+    cap the phases.
+
     Returns (X, res, tail_prev, tail_last): best-so-far points, their
     residuals, and the last two scaled polish step sizes (for tail
     diagnostics; Inf when never polished)."""
@@ -367,21 +388,37 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
             F = m0_value_batch(n1, n2, bnum, B_, D0_, D_)
             return np.max(np.abs(F), axis=-1)
 
+    rel = np.full(S, np.inf)  # relative residual at the current point, once known
+
+    def moving(act, stop):
+        """Indices of act still above stop, with their F and J; records
+        the relative residual of every point in act."""
+        idx = np.nonzero(act)[0]
+        Ba, D0a, Da = B[idx], D0[idx], D[idx]
+        with np.errstate(all="ignore"):
+            F, J = m0_residual_batch(n1, n2, bnum, Ba, D0a, Da)
+            rel[idx] = _relative(F, J, np.stack([Ba, D0a, Da], axis=1))
+        go = ~(rel[idx] <= stop)
+        return idx[go], F[go], J[go]
+
     res = vres(B, D0, D)
     for _ in range(cfg.max_iter):
         with np.errstate(all="ignore"):
             mag = _scaled_mag(B, D0, D, scales)
-        act = np.isfinite(res) & (res > cfg.accept_tol * 1e-3) & (mag < 1e8)
+        act = (np.isfinite(res) & (res > _DAMPED_STOP) & ~(rel <= _DAMPED_STOP)
+               & (mag < 1e8))
         if not act.any():
             break
-        Ba, D0a, Da = B[act], D0[act], D[act]
+        idx, F, J = moving(act, _DAMPED_STOP)
+        if not len(idx):
+            break
+        Ba, D0a, Da = B[idx], D0[idx], D[idx]
         with np.errstate(all="ignore"):
-            F, J = m0_residual_batch(n1, n2, bnum, Ba, D0a, Da)
             step = _solve_steps(J, F)
             sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales)
         cap = np.where(sn > 2.0, 2.0 / np.maximum(sn, 1e-300), 1.0)
         step = step * cap[:, None]
-        ra = res[act]
+        ra = res[idx]
         for _ in range(3):
             Bn = Ba + step[:, 0]
             D0n = D0a + step[:, 1]
@@ -391,8 +428,9 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
             if not worse.any():
                 break
             step[worse] *= 0.5
-        B[act], D0[act], D[act] = Bn, D0n, Dn
-        res[act] = rn
+        B[idx], D0[idx], D[idx] = Bn, D0n, Dn
+        res[idx] = rn
+        rel[idx] = np.inf
 
     # polish: pure Newton, keep the best visited point
     Bb, D0b, Db, rb = B.copy(), D0.copy(), D.copy(), res.copy()
@@ -400,24 +438,31 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     tail_last = np.full(S, np.inf)
     near = np.isfinite(res) & (res <= max(cfg.accept_tol * 1e4, 1e-6))
     for _ in range(cfg.polish_iter):
-        act = near & np.isfinite(res) & (res > 1e-16)
+        act = near & np.isfinite(res) & (res > _POLISH_STOP) & ~(rel <= _POLISH_STOP)
         if not act.any():
             break
-        Ba, D0a, Da = B[act], D0[act], D[act]
+        idx, F, J = moving(act, _POLISH_STOP)
+        if not len(idx):
+            break
         with np.errstate(all="ignore"):
-            F, J = m0_residual_batch(n1, n2, bnum, Ba, D0a, Da)
             step = _solve_steps(J, F)
-        Bn, D0n, Dn = Ba + step[:, 0], D0a + step[:, 1], Da + step[:, 2]
+        Bn, D0n, Dn = B[idx] + step[:, 0], D0[idx] + step[:, 1], D[idx] + step[:, 2]
         rn = vres(Bn, D0n, Dn)
         sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales)
-        tail_prev[act] = tail_last[act]
-        tail_last[act] = sn
-        B[act], D0[act], D[act], res[act] = Bn, D0n, Dn, rn
+        tail_prev[idx] = tail_last[idx]
+        tail_last[idx] = sn
+        B[idx], D0[idx], D[idx], res[idx] = Bn, D0n, Dn, rn
+        rel[idx] = np.inf
         better = np.isfinite(res) & (res < rb)
         Bb[better], D0b[better], Db[better], rb[better] = (
             B[better], D0[better], D[better], res[better],
         )
     return np.stack([Bb, D0b, Db], axis=1), rb, tail_prev, tail_last
+
+
+def _relative(F, J, X):
+    size = np.sum(np.abs(J) * np.abs(X)[:, None, :], axis=-1)
+    return np.max(np.abs(F) / np.maximum(size, 1.0), axis=-1)
 
 
 def _relative_residual(n1, n2, bnum, X):
@@ -433,43 +478,62 @@ def _relative_residual(n1, n2, bnum, X):
     """
     with np.errstate(all="ignore"):
         F, J = m0_residual_batch(n1, n2, bnum, X[:, 0], X[:, 1], X[:, 2])
-        size = np.sum(np.abs(J) * np.abs(X)[:, None, :], axis=-1)
-        return np.max(np.abs(F) / np.maximum(size, 1.0), axis=-1)
+        return _relative(F, J, X)
 
 
 # ---------------------------------------------------------------------------
 # clustering
 
 
-def _cluster_points(pts, res, scales, merge_tol):
-    """Greedy merge in scaled max-metric; returns list of index lists with
-    the minimum-residual member first."""
-    order = np.argsort(res, kind="stable")
-    sB, sD0, sD = scales
-    centers = []
-    groups = []
-    for idx in order:
-        p = pts[idx]
-        placed = False
-        for g, c in zip(groups, centers):
-            d = max(
-                abs(p[0] - c[0]) / sB,
-                abs(p[1] - c[1]) / sD0,
-                abs(p[2] - c[2]) / sD,
-            )
-            if d <= merge_tol:
-                g.append(idx)
-                placed = True
-                break
-        if not placed:
-            groups.append([idx])
-            centers.append(p)
-    return groups
+class _Clusters:
+    """Greedy clusters of accepted census points in the scaled max-metric.
+
+    A point joins the first cluster, in order of creation, whose centre lies
+    within merge_tol of it, max_k |x_k - c_k| / scales_k <= merge_tol, and
+    otherwise opens a new one.  A cluster's centre is its representative,
+    the minimum-residual member.  Points come in by _cluster_points, a chunk
+    at a time, each chunk in residual order: all points in one call give the
+    from-scratch greedy merge, and chunk by chunk give the same clusters
+    wherever no point lies within merge_tol of two centres."""
+
+    def __init__(self, scales, merge_tol):
+        self.inv_scales = 1.0 / np.array(scales)
+        self.merge_tol = merge_tol
+        self.centres = np.empty((0, 3), complex)  # scaled by 1 / scales
+        self.rep = []                     # point index of each representative
+        self.rep_res = []
+        self.label = np.empty(0, int)     # cluster of each point added so far
+
+    def __len__(self):
+        return len(self.rep)
 
 
-def _even_member(p, even_tol):
-    lim = even_tol * (1.0 + abs(p[0]))
-    return abs(p[1]) <= lim and abs(p[2]) <= lim
+def _cluster_points(pts, res, clusters):
+    """Add the points pts (S, 3) with residuals res to clusters, as the point
+    indices that follow those added before; returns clusters."""
+    c = clusters
+    base = len(c.label)
+    label = np.empty(len(pts), int)
+    scaled = pts * c.inv_scales
+    for i in np.argsort(res, kind="stable"):
+        near = np.flatnonzero(np.abs(c.centres - scaled[i]).max(axis=1) <= c.merge_tol)
+        if len(near):
+            k = near[0]
+            if res[i] < c.rep_res[k]:
+                c.rep[k], c.rep_res[k], c.centres[k] = base + i, res[i], scaled[i]
+        else:
+            k = len(c.rep)
+            c.rep.append(base + i)
+            c.rep_res.append(res[i])
+            c.centres = np.vstack([c.centres, scaled[i]])
+        label[i] = k
+    c.label = np.concatenate([c.label, label])
+    return c
+
+
+def _even_points(pts, even_tol):
+    lim = even_tol * (1.0 + np.abs(pts[:, 0]))
+    return (np.abs(pts[:, 1]) <= lim) & (np.abs(pts[:, 2]) <= lim)
 
 
 def _run_census(n1, n2, bnum, g2, g3, cfg):
@@ -491,15 +555,16 @@ def _run_census(n1, n2, bnum, g2, g3, cfg):
     except EvenNonexistenceError:
         pass
 
-    accepted = []        # rows (B, D0, D)
-    accepted_res = []
-    accepted_tail = []   # (prev, last)
+    # accepted points, their relative residuals and polish tails (prev, last)
+    pts = np.empty((0, 3), complex)
+    res = np.empty(0)
+    tails = np.empty((0, 2))
     starts_used = 0
     doublings = 0
     notes = []
 
     def do_batch(X, sample_scales, metric_scales):
-        nonlocal starts_used
+        nonlocal starts_used, pts, res, tails
         starts_used += len(X)
         Xb, rb, tp, tl = _newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg)
         with np.errstate(all="ignore"):
@@ -508,27 +573,24 @@ def _run_census(n1, n2, bnum, g2, g3, cfg):
         rb = np.full(len(Xb), np.inf)
         rb[inside] = _relative_residual(n1, n2, bnum, Xb[inside])
         keep = rb <= cfg.accept_tol
-        for i in np.nonzero(keep)[0]:
-            accepted.append(Xb[i])
-            accepted_res.append(rb[i])
-            accepted_tail.append((tp[i], tl[i]))
-
-    def clusters_now(metric_scales):
-        if not accepted:
-            return []
-        pts = np.array(accepted)
-        rs = np.array(accepted_res)
-        return _cluster_points(pts, rs, metric_scales, cfg.merge_tol)
+        pts = np.concatenate([pts, Xb[keep]])
+        res = np.concatenate([res, rb[keep]])
+        tails = np.concatenate([tails, np.stack([tp[keep], tl[keep]], axis=1)])
+        _cluster_points(Xb[keep], rb[keep], clusters)
 
     while True:
         # the cluster metric respects the scaling weights of the parameters;
         # the sampling box for D0 is deliberately wider (empirically the
-        # largest |D0| among roots runs near |B|, not sqrt(|B|))
+        # largest |D0| among roots runs near |B|, not sqrt(|B|)); a new box
+        # changes the metric, so the points so far are merged afresh
         metric_scales = (box, math.sqrt(box), box ** 1.5)
         sample_scales = (box, box, box ** 1.5)
+        clusters = _Clusters(metric_scales, cfg.merge_tol)
+        if len(pts):
+            _cluster_points(pts, res, clusters)
         consumed = 0
         first = True
-        while consumed < budget:
+        while consumed < budget and len(clusters) < bound:
             take = min(cfg.chunk, budget - consumed)
             u = _halton_block(offset, take)
             offset += take
@@ -538,66 +600,61 @@ def _run_census(n1, n2, bnum, g2, g3, cfg):
                 X = np.vstack([np.array(structured), X])
                 first = False
             do_batch(X, sample_scales, metric_scales)
-            if len(clusters_now(metric_scales)) >= bound:
-                consumed = budget
-                break
-        groups = clusters_now(metric_scales)
-        if len(groups) >= bound or doublings >= cfg.max_doublings:
+        if len(clusters) >= bound or doublings >= cfg.max_doublings:
             break
         doublings += 1
         box *= 2.0
         budget = max(cfg.chunk, cfg.starts // 2)
         notes.append("box doubled to %.3g after underfull census" % box)
 
-    if not groups:
+    if not len(clusters):
         raise InconclusiveError(
             "no roots found within the start budget; the census is inconclusive"
         )
-    if len(groups) > bound:
+    if len(clusters) > bound:
         notes.append("cluster count exceeds the bound; spurious splits likely")
 
-    pts = np.array(accepted)
-    rs = np.array(accepted_res)
-
     # final diagnostics on cluster centers
-    centers = np.array([pts[g[0]] for g in groups])
+    rep = np.array(clusters.rep)
+    hits = np.bincount(clusters.label, minlength=len(rep))
+    is_even = np.zeros(len(rep), bool)
+    np.logical_or.at(is_even, clusters.label, _even_points(pts, cfg.even_tol))
     with np.errstate(all="ignore"):
         _, J = m0_residual_batch(
-            n1, n2, bnum, centers[:, 0], centers[:, 1], centers[:, 2]
+            n1, n2, bnum, pts[rep, 0], pts[rep, 1], pts[rep, 2]
         )
         sig = np.linalg.svd(J, compute_uv=False)
 
-    clusters = []
-    for gi, g in enumerate(groups):
-        c = pts[g[0]]
-        tail_prev, tail_last = accepted_tail[g[0]]
+    out = []
+    for gi, i in enumerate(rep):
+        c = pts[i]
+        tail_prev, tail_last = tails[i]
         smin, smax = sig[gi, -1], sig[gi, 0]
         tail_bad = bool(
             np.isfinite(tail_last) and tail_last > 1e-9
             and np.isfinite(tail_prev) and tail_last > 0.2 * tail_prev
         )
         degenerate = bool(smin <= 1e-8 * (1.0 + smax)) or tail_bad
-        is_even = any(_even_member(pts[i], cfg.even_tol) for i in g)
-        clusters.append(
+        out.append(
             RootCluster(
                 B=complex(c[0]),
                 D0=complex(c[1]),
                 D=complex(c[2]),
-                residual=float(rs[g[0]]),
-                is_even=is_even,
+                residual=float(res[i]),
+                is_even=bool(is_even[gi]),
                 degenerate=degenerate,
-                hits=len(g),
+                hits=int(hits[gi]),
                 sigma_min=float(smin),
             )
         )
-    clusters.sort(
+    out.sort(
         key=lambda cl: (
             round(cl.B.real, 9), round(cl.B.imag, 9),
             round(cl.D0.real, 9), round(cl.D0.imag, 9),
             round(cl.D.real, 9), round(cl.D.imag, 9),
         )
     )
-    return tuple(clusters), starts_used, box, doublings, tuple(notes), cfg, bound
+    return tuple(out), starts_used, box, doublings, tuple(notes), cfg, bound
 
 
 def _m0_pair(problem):

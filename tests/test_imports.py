@@ -1,5 +1,6 @@
-"""Every name a package module imports is used by that module, and every
-private name the package defines is used somewhere in the package.
+"""Every name a package module imports is used by that module, every
+private name the package defines is used somewhere in the package, and
+every entry point the benchmark's tracer (bench/tracer.py) wraps exists.
 
 Static scans: each module of the package is parsed with ast.  An imported
 name counts as used when it appears as a name anywhere in the module or is
@@ -9,6 +10,8 @@ reads it as a name or an attribute, or imports it.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -93,3 +96,21 @@ def test_scan_finds_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert _dead_private_names(sources) == []
+
+
+def _load_tracer():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_resolve():
+    # the benchmark's tracer wraps these entry points by name; a rename must
+    # fail here, not only in a traced benchmark run
+    for modname, attr, *_ in _load_tracer().LAYERS:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            assert hasattr(owner, part), "%s.%s" % (modname, attr)
+            owner = getattr(owner, part)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import todacensus.solver as solver
 from todacensus.apparency import m0_value_batch, problem_m0
 from todacensus.elliptic import compute_invariants
 from todacensus.errors import (
@@ -16,6 +17,7 @@ from todacensus.errors import (
 )
 from todacensus.solver import (
     SolverConfig,
+    _halton_block,
     _relative_residual,
     roots_univariate,
     scan_tau,
@@ -67,6 +69,27 @@ def test_roots_univariate_leading_zeros_and_scaling():
 
 
 # ---------------------------------------------------------------------------
+# low-discrepancy starts
+
+def _radical_inverse(i, base):
+    f = 1.0
+    r = 0.0
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
+
+
+@pytest.mark.parametrize("offset", [0, 101, 101 + 7919 * 1000002])
+@pytest.mark.parametrize("count", [1, 513, 512])
+def test_halton_block_matches_radical_inverse(offset, count):
+    ref = np.array([[_radical_inverse(offset + row, b) for b in (2, 3, 5, 7, 11, 13)]
+                    for row in range(count)])
+    assert _halton_block(offset, count).tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # m = 0 census
 
 def test_census_01_basic():
@@ -83,7 +106,7 @@ def test_census_01_basic():
 
 @pytest.mark.parametrize("n1,n2,bound", [(0, 1, 1), (0, 2, 2), (0, 4, 5),
                                          (1, 2, 5), (1, 3, 8), (2, 3, 14),
-                                         (2, 4, 20)])
+                                         (2, 4, 20), (3, 7, 64)])
 def test_census_reaches_bound_generic(n1, n2, bound):
     taus = random_taus(2, seed=1000 + 17 * n1 + n2)
     for tau in taus:
@@ -126,6 +149,87 @@ def test_census_large_roots_without_doubling():
     assert rep.total == rep.bound == 44
     assert rep.doublings == 0
     assert all(c.residual <= 1e-10 for c in rep.clusters)
+
+
+CENSUS_TAU = -0.373 + 0.992j
+
+
+def test_newton_stops_at_convergence(monkeypatch):
+    # converged starts once iterated to the caps, max_iter + polish_iter =
+    # 100 Jacobians: 98.5 and 96.3 per start here
+    points = [0]
+    kernel = solver.m0_residual_batch
+
+    def counting(n1, n2, bnum, B, D0, D):
+        points[0] += len(B)
+        return kernel(n1, n2, bnum, B, D0, D)
+
+    monkeypatch.setattr(solver, "m0_residual_batch", counting)
+    for (n1, n2), total, starts in (((3, 5), 40, 2561), ((2, 7), 44, 1029)):
+        points[0] = 0
+        rep = solve_m0(problem_m0(CENSUS_TAU, n1, n2))
+        assert (rep.total, rep.bound, rep.starts_used) == (total, total, starts)
+        assert points[0] <= 30 * rep.starts_used
+
+
+def _greedy_clusters(pts, res, scales, merge_tol):
+    """From-scratch greedy merge in the scaled max-metric: index lists,
+    minimum-residual member first."""
+    sB, sD0, sD = scales
+    centers, groups = [], []
+    for idx in np.argsort(res, kind="stable"):
+        p = pts[idx]
+        for g, c in zip(groups, centers):
+            if max(abs(p[0] - c[0]) / sB, abs(p[1] - c[1]) / sD0,
+                   abs(p[2] - c[2]) / sD) <= merge_tol:
+                g.append(idx)
+                break
+        else:
+            groups.append([idx])
+            centers.append(p)
+    return groups
+
+
+def _groups(clusters):
+    return sorted((int(r), np.flatnonzero(clusters.label == k).tolist())
+                  for k, r in enumerate(clusters.rep))
+
+
+@pytest.mark.parametrize("n1,n2,tau,calls,doublings,degenerate", [
+    (2, 7, CENSUS_TAU, 2, 0, 0),   # two chunks in one box
+    (0, 4, 1j, 8, 3, 1),           # two chunks, then per doubling a re-merge and a chunk
+])
+def test_incremental_clusters_match_greedy(monkeypatch, n1, n2, tau, calls,
+                                           doublings, degenerate):
+    # after every chunk, the clusters kept so far equal a from-scratch merge
+    # of every point accepted since the last box doubling merged them afresh
+    seen, checked = [], []
+    merge = solver._cluster_points
+
+    def checking(pts, res, clusters):
+        nonlocal calls
+        calls -= 1
+        if not len(clusters.label):
+            seen.clear()
+        seen.append((pts.copy(), res.copy()))
+        out = merge(pts, res, clusters)
+        P = np.concatenate([p for p, _ in seen])
+        R = np.concatenate([r for _, r in seen])
+        groups = _greedy_clusters(P, R, 1.0 / clusters.inv_scales, clusters.merge_tol)
+        assert _groups(clusters) == sorted((g[0], sorted(g)) for g in groups)
+        checked[:] = [(P, R, groups)]
+        return out
+
+    monkeypatch.setattr(solver, "_cluster_points", checking)
+    rep = solve_m0(problem_m0(tau, n1, n2))
+    assert (calls, rep.doublings) == (0, doublings)
+    assert sum(c.degenerate for c in rep.clusters) == degenerate
+    # the report lists the representatives, in sorted order, with their hits
+    pts, res, groups = checked[0]
+    key = lambda p: tuple(v for z in p for v in (round(z.real, 9), round(z.imag, 9)))
+    want = [(*map(complex, pts[g[0]]), len(g), float(res[g[0]]))
+            for g in sorted(groups, key=lambda g: key(pts[g[0]]))]
+    assert [(c.B, c.D0, c.D, c.hits, c.residual) for c in rep.clusters] == want
 
 
 def test_census_02_root_identity():
