@@ -22,6 +22,7 @@ an integer whenever the totals are noncritical (N1 != N2 mod 3).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import cmath
 import math
 
@@ -534,7 +535,10 @@ def bezout_bound(arg):
 # batched numeric m = 0 residual (the solver kernel)
 
 
+@lru_cache(maxsize=None)
 def _m0_scalars(n1, n2):
+    """(rho_0, alpha, beta) as floats, once per pair: _local_data works in
+    exact fractions, which would cost more than a small kernel call."""
     _, _, alpha, beta, rho = _local_data(n1, n2)
     return float(rho[0]), float(alpha), float(beta)
 

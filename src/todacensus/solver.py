@@ -14,6 +14,11 @@ seeds: the origin and the even-sector roots lifted to (B, 0, 0).  The even
 sector is additionally solved on its own by an Aberth-Ehrlich iteration, so
 the two counts can be compared independently by callers and tests.
 
+scan_tau runs the census cell by cell over a tau grid, as one chain: each
+cell first runs Newton from the roots of its neighbour, and stops there if
+they reach the weighted-Bezout bound, which no census can exceed; only a
+cell left short runs the full multi-start search.
+
 Scaling convention: under z -> lam * z the parameters transform with weights
 B: lam^-2, D0: lam^-1, D: lam^-3, so search boxes, step caps and the cluster
 metric all live in coordinates (B / r, D0 / sqrt(r), D / r^1.5) for a box
@@ -21,7 +26,6 @@ radius r.
 """
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -33,7 +37,6 @@ from .apparency import (
     build_even_poly,
     m0_residual_batch,
     m0_value_batch,
-    problem_m0,
 )
 from .elliptic import compute_invariants
 from .errors import (
@@ -57,6 +60,7 @@ __all__ = [
     "roots_univariate",
 ]
 
+# read by nothing since scans run as one warm-started chain; bench/run.py imports it
 WORKERS_ENV = "TODA_CENSUS_WORKERS"
 
 
@@ -419,15 +423,20 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
         cap = np.where(sn > 2.0, 2.0 / np.maximum(sn, 1e-300), 1.0)
         step = step * cap[:, None]
         ra = res[idx]
-        for _ in range(3):
-            Bn = Ba + step[:, 0]
-            D0n = D0a + step[:, 1]
-            Dn = Da + step[:, 2]
-            rn = vres(Bn, D0n, Dn)
-            worse = ~(rn <= np.maximum(ra, cfg.accept_tol))
-            if not worse.any():
+        Bn = Ba + step[:, 0]
+        D0n = D0a + step[:, 1]
+        Dn = Da + step[:, 2]
+        rn = vres(Bn, D0n, Dn)
+        for _ in range(2):
+            # only the points whose step grew the residual take a halved one
+            w = np.flatnonzero(~(rn <= np.maximum(ra, cfg.accept_tol)))
+            if not len(w):
                 break
-            step[worse] *= 0.5
+            step[w] *= 0.5
+            Bn[w] = Ba[w] + step[w, 0]
+            D0n[w] = D0a[w] + step[w, 1]
+            Dn[w] = Da[w] + step[w, 2]
+            rn[w] = vres(Bn[w], D0n[w], Dn[w])
         B[idx], D0[idx], D[idx] = Bn, D0n, Dn
         res[idx] = rn
         rel[idx] = np.inf
@@ -536,24 +545,33 @@ def _even_points(pts, even_tol):
     return (np.abs(pts[:, 1]) <= lim) & (np.abs(pts[:, 2]) <= lim)
 
 
-def _run_census(n1, n2, bnum, g2, g3, cfg):
-    """Shared census engine; returns (clusters, starts_used, box, doublings,
-    notes)."""
-    bound = bezout_bound([(n1, n2)])
-    cfg = cfg.resolved(g2, g3, bound)
-    box = cfg.box_radius
-    budget = cfg.starts
-    offset = 101 + 7919 * (cfg.seed % 1000003)
-
-    structured = [np.zeros(3, complex)]
+def _structured_starts(n1, n2, g2, g3):
+    """The origin and the even-sector roots lifted to (B, 0, 0)."""
+    out = [np.zeros(3, complex)]
     try:
         ep = build_even_poly(n1, n2)
         asg = {"B": 0.0, "g2": complex(g2), "g3": complex(g3)}
         coeffs = [c.eval(asg) for c in ep.coeffs_in_B()]
         for r, _ in roots_univariate(coeffs, tol=1e-12):
-            structured.append(np.array([r, 0.0, 0.0], complex))
+            out.append(np.array([r, 0.0, 0.0], complex))
     except EvenNonexistenceError:
         pass
+    return np.array(out)
+
+
+def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
+    """Shared census engine; returns (clusters, starts_used, box, doublings,
+    notes, cfg, bound).
+
+    warm, an (S, 3) array of (B, D0, D), is Newton-solved as a first batch
+    before any other start.  Theorem (i) bounds the number of solutions by
+    the weighted-Bezout bound, so if that batch alone reaches it the census
+    is complete; otherwise it goes on as without warm starts."""
+    bound = bezout_bound([(n1, n2)])
+    cfg = cfg.resolved(g2, g3, bound)
+    box = cfg.box_radius
+    budget = cfg.starts
+    offset = 101 + 7919 * (cfg.seed % 1000003)
 
     # accepted points, their relative residuals and polish tails (prev, last)
     pts = np.empty((0, 3), complex)
@@ -586,7 +604,9 @@ def _run_census(n1, n2, bnum, g2, g3, cfg):
         metric_scales = (box, math.sqrt(box), box ** 1.5)
         sample_scales = (box, box, box ** 1.5)
         clusters = _Clusters(metric_scales, cfg.merge_tol)
-        if len(pts):
+        if doublings == 0 and warm is not None and len(warm):
+            do_batch(warm, sample_scales, metric_scales)
+        elif len(pts):
             _cluster_points(pts, res, clusters)
         consumed = 0
         first = True
@@ -597,7 +617,7 @@ def _run_census(n1, n2, bnum, g2, g3, cfg):
             consumed += take
             X = _starts_from_unit(u, sample_scales)
             if first and doublings == 0:
-                X = np.vstack([np.array(structured), X])
+                X = np.vstack([_structured_starts(n1, n2, g2, g3), X])
                 first = False
             do_batch(X, sample_scales, metric_scales)
         if len(clusters) >= bound or doublings >= cfg.max_doublings:
@@ -657,6 +677,11 @@ def _run_census(n1, n2, bnum, g2, g3, cfg):
     return tuple(out), starts_used, box, doublings, tuple(notes), cfg, bound
 
 
+def _ordered_pair(n1, n2):
+    if not (0 <= n1 < n2):
+        raise StructuralError("need 0 <= n1 < n2")
+
+
 def _m0_pair(problem):
     if not isinstance(problem, ProblemSpec):
         raise StructuralError("expected a ProblemSpec")
@@ -664,26 +689,20 @@ def _m0_pair(problem):
         raise StructuralError("this census handles a single puncture")
     problem.require_noncritical()
     pk = problem.punctures[0]
-    if not (0 <= pk.n1 < pk.n2):
-        raise StructuralError("need 0 <= n1 < n2")
+    _ordered_pair(pk.n1, pk.n2)
     return pk.n1, pk.n2
 
 
-def solve_m0(problem, ctx=None, config=None):
-    """Count and compute all solutions of the single-puncture system."""
-    n1, n2 = _m0_pair(problem)
-    if ctx is None:
-        ctx = compute_invariants(problem.lattice)
-    cfg = config or SolverConfig()
+def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     clusters, used, box, doublings, notes, cfg, bound = _run_census(
-        n1, n2, ctx._bn_ext, ctx.g2, ctx.g3, cfg
+        n1, n2, bnum, g2, g3, config or SolverConfig(), warm
     )
     return CensusReport(
-        tau=ctx.tau,
+        tau=tau,
         n1=n1,
         n2=n2,
-        g2=ctx.g2,
-        g3=ctx.g3,
+        g2=g2,
+        g3=g3,
         bound=bound,
         total=len(clusters),
         even_total=sum(1 for c in clusters if c.is_even),
@@ -694,6 +713,14 @@ def solve_m0(problem, ctx=None, config=None):
         config=cfg,
         notes=notes,
     )
+
+
+def solve_m0(problem, ctx=None, config=None):
+    """Count and compute all solutions of the single-puncture system."""
+    n1, n2 = _m0_pair(problem)
+    if ctx is None:
+        ctx = compute_invariants(problem.lattice)
+    return _census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, config)
 
 
 def solve_m0_degenerate(n1, n2, config=None):
@@ -703,31 +730,12 @@ def solve_m0_degenerate(n1, n2, config=None):
     candidate; this probe demonstrates how multiplicity collapses there and
     exercises the degenerate-root diagnostics."""
     n1, n2 = int(n1), int(n2)
-    if not (0 <= n1 < n2):
-        raise StructuralError("need 0 <= n1 < n2")
+    _ordered_pair(n1, n2)
     bnum = np.zeros(max(48, n1 + n2 + 5), complex)
     cfg = config or SolverConfig()
     if cfg.box_radius is None:
         cfg = replace(cfg, box_radius=10.0)
-    clusters, used, box, doublings, notes, cfg, bound = _run_census(
-        n1, n2, bnum, 0j, 0j, cfg
-    )
-    return CensusReport(
-        tau=None,
-        n1=n1,
-        n2=n2,
-        g2=0j,
-        g3=0j,
-        bound=bound,
-        total=len(clusters),
-        even_total=sum(1 for c in clusters if c.is_even),
-        clusters=clusters,
-        starts_used=used,
-        box_radius=box,
-        doublings=doublings,
-        config=cfg,
-        notes=notes,
-    )
+    return _census(n1, n2, None, bnum, 0j, 0j, cfg)
 
 
 def solve_even(problem, ctx=None, config=None):
@@ -761,7 +769,9 @@ def solve_even(problem, ctx=None, config=None):
 # parameter scans
 
 
-def _scan_cell(n1, n2, tau, config):
+def _scan_cell(n1, n2, tau, config, warm):
+    """One scan row, and the cell's cluster representatives (S, 3) as warm
+    starts for the next cell (None when the census failed)."""
     row = {
         "tau_re": tau.real,
         "tau_im": tau.imag,
@@ -774,25 +784,35 @@ def _scan_cell(n1, n2, tau, config):
     }
     try:
         ctx = compute_invariants(tau)
-        rep = solve_m0(problem_m0(tau, n1, n2), ctx, config)
-        row["bound"] = rep.bound
-        row["total"] = rep.total
-        row["even_total"] = rep.even_total
-        row["max_residual"] = max((c.residual for c in rep.clusters), default=0.0)
-        row["degenerate"] = sum(1 for c in rep.clusters if c.degenerate)
+        rep = _census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, config, warm)
     except (InconclusiveError, EvaluationError) as e:
         row["error"] = str(e)
-    return row
+        return row, None
+    row["bound"] = rep.bound
+    row["total"] = rep.total
+    row["even_total"] = rep.even_total
+    row["max_residual"] = max((c.residual for c in rep.clusters), default=0.0)
+    row["degenerate"] = sum(1 for c in rep.clusters if c.degenerate)
+    return row, np.array([[c.B, c.D0, c.D] for c in rep.clusters], complex)
 
 
 def scan_tau(n1, n2, grid, config=None):
     """Census over a rectangular lattice-parameter grid.
 
     grid = {re0, re1, nre, im0, im1, nim}; points with non-positive
-    imaginary part are dropped.  Rows come back in row-major order (imag
-    outer, real inner).  Worker count is read from TODA_CENSUS_WORKERS.
+    imaginary part are dropped.  Cells are solved, and rows come back, in
+    row-major order (imag outer, real inner).
+
+    The roots move continuously with tau, so each cell's census first runs
+    Newton from the roots of a neighbour: cell (i, j) from those of
+    (i, j - 1), and the first cell of a row from those of the first cell of
+    the row before.  Once these warm starts reach the weighted-Bezout bound
+    the cell is complete, since no census can find more; otherwise (the
+    first cell, a cell after a failed one, or where roots collide, as for
+    (0,4) at tau = i) the cell runs the full census of solve_m0 after them.
     """
     bezout_bound([(n1, n2)])  # validates the pair once, incl. criticality
+    _ordered_pair(n1, n2)
     try:
         re0, re1, nre = grid["re0"], grid["re1"], int(grid["nre"])
         im0, im1, nim = grid["im0"], grid["im1"], int(grid["nim"])
@@ -800,17 +820,15 @@ def scan_tau(n1, n2, grid, config=None):
         raise StructuralError("scan grid is missing %s" % e)
     if nre < 1 or nim < 1:
         raise StructuralError("grid sizes must be positive")
-    res = np.linspace(re0, re1, nre)
-    ims = np.linspace(im0, im1, nim)
-    taus = [
-        complex(r, i) for i in ims for r in res if i > 1e-9
-    ]
-    nworkers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if nworkers > 1 and len(taus) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(lambda t: _scan_cell(n1, n2, t, config), taus))
-    else:
-        rows = [_scan_cell(n1, n2, t, config) for t in taus]
+    rows = []
+    row_start = None  # roots of the first cell of the row before
+    for im in np.linspace(im0, im1, nim):
+        if not im > 1e-9:
+            continue
+        warm = row_start
+        for j, re in enumerate(np.linspace(re0, re1, nre)):
+            row, warm = _scan_cell(n1, n2, complex(re, im), config, warm)
+            rows.append(row)
+            if j == 0:
+                row_start = warm
     return rows
