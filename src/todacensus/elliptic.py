@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import cmath
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import EvaluationError, NearPoleError, StructuralError
@@ -401,8 +400,7 @@ def reduce_fundamental(tau):
     Works on complex or mpmath.mpc and preserves the input type."""
     t = tau
     for _ in range(256):
-        re = t.real if isinstance(t, complex) else mpmath.re(t)
-        shift = int(math.ceil(float(re) - 0.5))
+        shift = int(math.ceil(float(t.real) - 0.5))
         t = t - shift
         # the slack stops boundary points (|tau| = 1 up to rounding) from
         # ping-ponging between the two corners forever
@@ -416,6 +414,7 @@ def reduce_fundamental(tau):
 
 
 def _eisenstein_mp(tau):
+    import mpmath
     q = mpmath.exp(2j * mpmath.pi * tau)
     if abs(q) >= mpmath.mpf("0.999"):
         raise EvaluationError("tau too close to the real axis")
@@ -447,6 +446,7 @@ def form_value(form, tau, dps=None):
         g2, g3, _, _ = _g_invariants(*_eisenstein(complex(tau)), math.pi, False)
         f, _ = _apply_form(form, g2, g3)
         return f
+    import mpmath
     with mpmath.workdps(dps):
         g2, g3, _, _ = _g_invariants(*_eisenstein_mp(mpmath.mpc(tau)), mpmath.pi, False)
         f, _ = _apply_form(form, g2, g3)
@@ -488,6 +488,7 @@ def find_form_zero(form, seed, tol=1e-12):
     else:
         raise EvaluationError("double-precision Newton stalled for %s" % form)
 
+    import mpmath
     with mpmath.workdps(40):
         t = mpmath.mpc(tau)
         for _ in range(60):

@@ -10,7 +10,10 @@ coefficient jets), extracts the two period monodromies and the local loop
 matrices, checks the scalar local condition and the commutator identity
 N1 N2 N1^-1 N2^-1 = eps I, searches for an invariant Hermitian form
 (unitarization), and reconstructs the two field profiles whose PDE residuals
-certify the root end to end.
+certify the root end to end.  The reconstruction hops one batch of frames
+from grid point to grid point, each hop starting from the Taylor stacks of
+the point it leaves, and evaluates the finite-difference stencil of every
+root at a point in one array pass.
 
 Conventions fixed here: a transport T along a path maps initial data
 (y, y', y'') at the start to data at the end, composing as T(q after p) =
@@ -253,7 +256,7 @@ def _eval_taylor(stack, delta, rows):
     return np.stack([w @ stack[..., i:i + n, :] for i in range(rows)], axis=-2)
 
 
-def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol):
+def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, stack=None):
     """Continue dY/dz = A(z) Y along the straight segment za -> zb.
 
     Y is one (3, 3) frame or a stack (S, 3, 3), one per root of the batch
@@ -261,7 +264,7 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol):
     _ORDER.  A step is _SAFETY times the radius at which the last two terms
     of the worst root reach its own atol + rtol * max|Y|, and at most
     _POLE_CAP of the distance to the nearest singularity; no step is
-    rejected.
+    rejected.  stack, if given, is _taylor_frame(coeffs, za, Y) for the first step.
     """
     dz = zb - za
     L = abs(dz)
@@ -274,7 +277,8 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol):
         if t >= 1.0:
             return Y.reshape(shape)
         z = za + t * dz
-        stack = _taylor_frame(coeffs, z, Y)
+        if t > 0 or stack is None:
+            stack = _taylor_frame(coeffs, z, Y)
         tol = atol + rtol * np.abs(Y).reshape(len(Y), 9).max(axis=1)
         # |y^(j)| for j = K-1..K+2, the largest over each frame row
         m = np.abs(stack[:, K - 1:]).max(axis=2)
@@ -296,18 +300,22 @@ def transport(problem, ctx, params, vertices, rtol=1e-11, sing=None, Y0=None):
     """Fundamental transport along a polyline; columns carry initial data.
 
     A single parameter vector gives one (3, 3) frame; a batch (see
-    _coeffs) gives the stack (S, 3, 3), transported in lockstep.
+    _coeffs) gives the stack (S, 3, 3), transported in lockstep.  Y0, the
+    initial frame, may come as its _taylor_frame stacks at vertices[0],
+    which then serve the first step.
     """
     coeffs, single = _coeffs(problem, ctx, params)
     if sing is None:
         sing = _singular_translates(problem, ctx)
     if Y0 is None:
-        Y = np.tile(np.eye(3, dtype=complex), (coeffs.size, 1, 1))
-    else:
-        Y = np.array(Y0, complex).reshape(coeffs.size, 3, 3)
+        Y0 = np.tile(np.eye(3, dtype=complex), (coeffs.size, 1, 1))
+    Y0 = np.array(Y0, complex)
+    stack = Y0 if Y0.shape[-2:] == (_ORDER + 3, 3) else None
+    Y = (Y0 if stack is None else Y0[:, :3]).reshape(coeffs.size, 3, 3)
     atol = rtol * 1e-2
     for va, vb in zip(vertices, vertices[1:]):
-        Y = _segment_transport(coeffs, complex(va), complex(vb), Y, sing, rtol, atol)
+        Y = _segment_transport(coeffs, complex(va), complex(vb), Y, sing, rtol, atol, stack)
+        stack = None
     return Y[0] if single else Y
 
 
@@ -602,44 +610,44 @@ def _stack_operator(basis, report):
 # reconstruction
 
 
-def _uv_from_frame(P, detP, Yval, Yder):
-    yt = P @ Yval
-    ytd = P @ Yder
-    r1 = float(np.sum(np.abs(yt) ** 2))
-    w01 = yt[0] * ytd[1] - ytd[0] * yt[1]
-    w12 = yt[1] * ytd[2] - ytd[1] * yt[2]
-    w20 = yt[2] * ytd[0] - ytd[2] * yt[0]
-    r2 = float(abs(w01) ** 2 + abs(w12) ** 2 + abs(w20) ** 2)
-    a = abs(detP)
-    eU = 0.25 * a ** (-2.0 / 3.0) * r1
-    eV = 0.25 * a ** (-4.0 / 3.0) * r2
-    if not (eU > 0 and eV > 0):
-        raise EvaluationError("degenerate frame during reconstruction")
-    return -math.log(eU), -math.log(eV)
-
-
-_OFFSETS = (0.0, 1.0, -1.0, 2.0, -2.0, 1j, -1j, 2j, -2j)
 _FD_STEP = 1e-3  # step of the finite-difference Laplacians
 _GRID_N = 8  # reconstruction grid: _GRID_N x _GRID_N points of the cell
 _EXCLUSION = 0.1  # grid points this close to a puncture are left out
+# the stencil points z + _FD_STEP * d, their Taylor weights (h d)^k / k!
+# over the _ORDER + 2 terms a stack gives for y and y', and the weights of
+# the fourth-order central-difference Laplacian over them, times 12 h^2
+_OFFSETS = np.array([0, 1, -1, 2, -2, 1j, -1j, 2j, -2j])
+_SHIFT = (_FD_STEP * _OFFSETS[:, None]) ** np.arange(_ORDER + 2) / _FACT[:_ORDER + 2]
+_LAPLACIAN = np.array([-60, 16, 16, -1, -1, 16, 16, -1, -1], float)
 
 
-def _point_residual(P, detP, stack):
-    """(U, PDE residual) at a grid point from one root's Taylor stack.
+def _stencil(stacks, P, detP):
+    """(u0, PDE residual, ok) at one grid point for each root, from the
+    Taylor stacks (S, _ORDER+3, 3) there and the invariant frames P
+    (S, 3, 3) with determinants detP (S,).
 
-    The Laplacians are fourth-order central differences with step _FD_STEP."""
-    h = _FD_STEP
-    vals = {d: _uv_from_frame(P, detP, *_eval_taylor(stack, d * h, 2)) for d in _OFFSETS}
-    u0, v0 = vals[0.0]
-    lapU = (
-        -vals[2][0] + 16 * vals[1][0] - 30 * u0 + 16 * vals[-1][0] - vals[-2][0]
-        - vals[2j][0] + 16 * vals[1j][0] - 30 * u0 + 16 * vals[-1j][0] - vals[-2j][0]
-    ) / (12 * h * h)
-    lapV = (
-        -vals[2][1] + 16 * vals[1][1] - 30 * v0 + 16 * vals[-1][1] - vals[-2][1]
-        - vals[2j][1] + 16 * vals[1j][1] - 30 * v0 + 16 * vals[-1j][1] - vals[-2j][1]
-    ) / (12 * h * h)
-    return u0, max(abs(lapU + math.exp(2 * u0 - v0)), abs(lapV + math.exp(2 * v0 - u0)))
+    All roots are moved to all _OFFSETS at once.  ok is False for a root
+    whose frame degenerates (eU or eV not > 0) at some offset; its u0 and
+    residual mean nothing."""
+    n = stacks.shape[1] - 1
+    Y = _SHIFT @ np.stack([stacks[:, :n], stacks[:, 1:]], axis=1)  # y, y' (S, 2, 9, 3)
+    # P y as one 3-vector product each, rounded as for a single frame
+    Y = (P[:, None, None] @ Y[..., None])[..., 0]
+    yt, ytd = Y[:, 0], Y[:, 1]
+    # |P y|^2, and |P y ^ P y'|^2 from the Wronskians w01, w12, w20
+    w = yt * np.roll(ytd, -1, axis=2) - ytd * np.roll(yt, -1, axis=2)
+    r = np.stack([np.sum(np.abs(yt) ** 2, axis=2), np.sum(np.abs(w) ** 2, axis=2)], axis=1)
+    e = np.array([[0.25 * abs(d) ** (-2.0 / 3.0), 0.25 * abs(d) ** (-4.0 / 3.0)]
+                  for d in detP.tolist()])[..., None] * r  # eU, eV (S, 2, 9)
+    ok = np.all(e > 0, axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        uv = -np.log(e)
+        # u0 from libm's log, which numpy's vector log can miss by an ulp
+        uv[ok, 0, 0] = [-math.log(x) for x in e[ok, 0, 0]]
+        lap = uv @ _LAPLACIAN / (12 * _FD_STEP * _FD_STEP)
+        # the residuals of Lap u + e^(2u - v) and Lap v + e^(2v - u)
+        res = np.abs(lap + np.exp(2 * uv[:, :, 0] - uv[:, ::-1, 0])).max(axis=1)
+    return uv[:, 0, 0], res, ok
 
 
 def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11):
@@ -678,19 +686,13 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11):
     sing = _singular_translates(problem, ctx, pad=3)
     n2 = _GRID_N // 2
 
-    pts = {}
-    order_idx = []
+    pts = {}  # (i, j) -> grid point, in hop order: the rows snake
     for j in range(-n2, n2):
-        irange = range(-n2, n2)
-        row = list(irange)
-        if (j + n2) % 2 == 1:
-            row = row[::-1]
+        row = range(-n2, n2) if (j + n2) % 2 == 0 else range(n2 - 1, -n2 - 1, -1)
         for i in row:
             z = ((i + 0.5) / _GRID_N) * 1.0 + ((j + 0.5) / _GRID_N) * tau
-            if _min_dist(z, sing) < _EXCLUSION:
-                continue
-            pts[(i, j)] = z
-            order_idx.append((i, j))
+            if _min_dist(z, sing) >= _EXCLUSION:
+                pts[(i, j)] = z
     if not pts:
         raise StructuralError("reconstruction grid is empty")
 
@@ -700,41 +702,37 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11):
 
     live = list(frames)
     hops = coeffs.take(live)
+    P = np.array([frames[r][0] for r in live])
+    detP = np.array([frames[r][1] for r in live])
     U = {r: {} for r in live}
     pde_res = dict.fromkeys(live, 0.0)
-    Y = np.tile(np.eye(3, dtype=complex), (len(live), 1, 1))
+    # the frames at prev, past the first point as their Taylor stacks there
+    stacks = np.tile(np.eye(3, dtype=complex), (len(live), 1, 1))
     prev = q0
-    for key in order_idx:
+    for key, z in pts.items():
         if not live:
             break
-        z = pts[key]
         path = plan_path(prev, z, sing, clearance)
-        Y = transport(problem, ctx, hops, path, rtol=rtol, sing=sing, Y0=Y)
+        Y = transport(problem, ctx, hops, path, rtol=rtol, sing=sing, Y0=stacks)
         prev = z
         stacks = _taylor_frame(hops, z, Y)
-        keep = []
+        u0, res, ok = _stencil(stacks, P, detP)
         for pos, r in enumerate(live):
-            try:
-                u0, res = _point_residual(*frames[r], stacks[pos])
-            except EvaluationError as e:
-                results[r] = e
-                continue
-            keep.append(pos)
-            U[r][key] = u0
-            pde_res[r] = max(pde_res[r], res)
-        if len(keep) < len(live):
-            live = [live[pos] for pos in keep]
-            hops = hops.take(keep)
-            Y = Y[keep]
+            if ok[pos]:
+                U[r][key] = u0[pos]
+                pde_res[r] = max(pde_res[r], res[pos])
+            else:
+                results[r] = EvaluationError("degenerate frame during reconstruction")
+        if not ok.all():
+            live = [r for r, good in zip(live, ok) if good]
+            hops = hops.take(np.flatnonzero(ok))
+            stacks, P, detP = stacks[ok], P[ok], detP[ok]
 
     sym = all((-1 - i, -1 - j) in pts for (i, j) in pts)
     for r in live:
         even_res = None
         if sym:
-            even_res = 0.0
-            for (i, j), u in U[r].items():
-                even_res = max(even_res, abs(u - U[r][(-1 - i, -1 - j)]))
-            even_res = float(even_res)
+            even_res = float(max(abs(u - U[r][(-1 - i, -1 - j)]) for (i, j), u in U[r].items()))
         reports[r].pde_residual = float(pde_res[r])
         reports[r].even_residual = even_res
         results[r] = (float(pde_res[r]), even_res)

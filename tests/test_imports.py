@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, every
-private name the package defines is used somewhere in the package, and
-every entry point the benchmark's tracer (bench/tracer.py) wraps exists.
+private name the package defines is used somewhere in the package, every
+entry point the benchmark's tracer (bench/tracer.py) wraps exists, and the
+CLI starts without mpmath.
 
 Static scans: each module of the package is parsed with ast.  An imported
 name counts as used when it appears as a name anywhere in the module or is
@@ -12,7 +13,10 @@ reads it as a name or an attribute, or imports it.
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -114,3 +118,18 @@ def test_traced_layers_resolve():
         for part in attr.split("."):
             assert hasattr(owner, part), "%s.%s" % (modname, attr)
             owner = getattr(owner, part)
+
+
+def test_cli_start_leaves_mpmath_unloaded():
+    # mpmath serves only the high-precision form routines; every process
+    # would otherwise pay its import
+    code = ("import sys, todacensus.cli\n"
+            "from todacensus.elliptic import compute_invariants\n"
+            "compute_invariants(0.21 + 1.13j)\n"
+            "print('mpmath' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(pathlib.Path(todacensus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False"]

@@ -313,18 +313,125 @@ def test_degenerate_frame_fails_only_its_root(monkeypatch):
     twin = monodromy_pair(prob, ctx, pv)
     twin.H = 4.0 * rep.H
     big = abs(np.linalg.det(np.linalg.cholesky(rep.H)))
-    orig = monodromy._uv_from_frame
+    orig = monodromy._stencil
 
-    def fragile(P, detP, Yval, Yder):
-        if abs(detP) > 2.0 * big:
-            raise EvaluationError("degenerate frame during reconstruction")
-        return orig(P, detP, Yval, Yder)
+    def fragile(stacks, P, detP):
+        u0, res, ok = orig(stacks, P, detP)
+        return u0, res, ok & (np.abs(detP) <= 2.0 * big)
 
-    monkeypatch.setattr(monodromy, "_uv_from_frame", fragile)
+    monkeypatch.setattr(monodromy, "_stencil", fragile)
     first, second = reconstruct_and_check(prob, ctx, [pv, pv], report=[rep, twin])
     assert first == alone
     assert isinstance(second, EvaluationError)
     assert twin.pde_residual is None
+
+
+# the per-root stencil that _stencil replaced, kept as its reference
+
+_REF_OFFSETS = (0.0, 1.0, -1.0, 2.0, -2.0, 1j, -1j, 2j, -2j)
+
+
+def _uv_from_frame(P, detP, Yval, Yder):
+    yt = P @ Yval
+    ytd = P @ Yder
+    r1 = float(np.sum(np.abs(yt) ** 2))
+    w01 = yt[0] * ytd[1] - ytd[0] * yt[1]
+    w12 = yt[1] * ytd[2] - ytd[1] * yt[2]
+    w20 = yt[2] * ytd[0] - ytd[2] * yt[0]
+    r2 = float(abs(w01) ** 2 + abs(w12) ** 2 + abs(w20) ** 2)
+    a = abs(detP)
+    eU = 0.25 * a ** (-2.0 / 3.0) * r1
+    eV = 0.25 * a ** (-4.0 / 3.0) * r2
+    if not (eU > 0 and eV > 0):
+        raise EvaluationError("degenerate frame during reconstruction")
+    return -math.log(eU), -math.log(eV)
+
+
+def _point_residual(P, detP, stack):
+    """(U, PDE residual) at a grid point from one root's Taylor stack, with
+    fourth-order central-difference Laplacians of step _FD_STEP."""
+    h = monodromy._FD_STEP
+    vals = {d: _uv_from_frame(P, detP, *monodromy._eval_taylor(stack, d * h, 2))
+            for d in _REF_OFFSETS}
+    u0, v0 = vals[0.0]
+    lapU = (
+        -vals[2][0] + 16 * vals[1][0] - 30 * u0 + 16 * vals[-1][0] - vals[-2][0]
+        - vals[2j][0] + 16 * vals[1j][0] - 30 * u0 + 16 * vals[-1j][0] - vals[-2j][0]
+    ) / (12 * h * h)
+    lapV = (
+        -vals[2][1] + 16 * vals[1][1] - 30 * v0 + 16 * vals[-1][1] - vals[-2][1]
+        - vals[2j][1] + 16 * vals[1j][1] - 30 * v0 + 16 * vals[-1j][1] - vals[-2j][1]
+    ) / (12 * h * h)
+    return u0, max(abs(lapU + math.exp(2 * u0 - v0)), abs(lapV + math.exp(2 * v0 - u0)))
+
+
+def _record(monkeypatch, name):
+    """Wrap monodromy.<name>; returns the list of (args, result) per call."""
+    calls = []
+    orig = getattr(monodromy, name)
+
+    def recorded(*args):
+        out = orig(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(monodromy, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n1, n2, tau, size", [(0, 4, TAU, 5), (2, 4, -0.373 + 0.992j, 20)])
+def test_stencil_matches_per_root_reference(monkeypatch, n1, n2, tau, size):
+    prob, ctx, pvs = _census_params(n1, n2, tau)
+    assert len(pvs) == size
+    calls = _record(monkeypatch, "_stencil")
+    reconstruct_and_check(prob, ctx, pvs)
+    assert len(calls) >= 50
+    got, want = np.zeros(size), np.zeros(size)
+    for (stacks, P, detP), (u0, res, ok) in calls:
+        assert len(stacks) == size and ok.all()
+        for r in range(size):
+            want_u, want_res = _point_residual(P[r], detP[r], stacks[r])
+            assert abs(u0[r] - want_u) <= 1e-13 * abs(want_u)
+            got[r], want[r] = max(got[r], res[r]), max(want[r], want_res)
+    # a point's residual is mostly finite-difference rounding noise, which
+    # the order of the sums moves; each root's residual, the largest over
+    # the grid, must agree
+    assert np.all(np.abs(got - want) <= np.maximum(0.05 * want, 2e-9))
+    # a root whose frame degenerates fails alone; the others keep their values
+    (stacks, P, detP), (u0, res, ok) = calls[0]
+    P = P.copy()
+    P[1] = 0
+    u0_bad, res_bad, ok_bad = monodromy._stencil(stacks, P, detP)
+    assert not ok_bad[1] and np.delete(ok_bad, 1).all()
+    assert np.array_equal(np.delete(u0_bad, 1), np.delete(u0, 1))
+    assert np.array_equal(np.delete(res_bad, 1), np.delete(res, 1))
+
+
+def test_hops_start_from_the_grid_stacks(monkeypatch):
+    prob, ctx, pvs = _census_params(0, 4)
+    reports = monodromy_pair(prob, ctx, pvs)
+    for rep in reports:
+        assert unitarize(rep).ok
+    frames = _record(monkeypatch, "_taylor_frame")
+    stencils = _record(monkeypatch, "_stencil")
+    reused = reconstruct_and_check(prob, ctx, pvs, report=reports)
+    # one frame per grid point is saved against building every hop's first
+    # stack afresh (245 frames)
+    assert len(frames) <= 184
+    reused_stacks = [args[0] for args, _ in stencils]
+
+    # without the handed-over stack the first step rebuilds it: same frames
+    orig = monodromy._segment_transport
+    monkeypatch.setattr(monodromy, "_segment_transport", lambda *args: orig(*args[:7]))
+    frames.clear()
+    stencils.clear()
+    fresh = reconstruct_and_check(prob, ctx, pvs, report=reports)
+    assert len(frames) > 184
+    assert len(stencils) == len(reused_stacks)
+    for (args, _), stacks in zip(stencils, reused_stacks):
+        assert np.array_equal(args[0], stacks)
+    assert fresh == reused
+    assert all(even is not None for _, even in reused)
 
 
 def test_shared_transport_give_up_reruns_each_root_alone(monkeypatch):
