@@ -307,30 +307,29 @@ def _phi(j, n1, n2):
 
 
 def _frobenius(n1, n2, rhs, zero, one):
-    """The two-pass Frobenius recursion at the exponent -g1, over any
-    coefficient type that rhs works in and that divides by an integer.
+    """The two-pass Frobenius recursion at the exponent -g1, run as one
+    sweep, over coefficients that are arrays (..., S) of any element type
+    that rhs works in and that divides by an integer.
 
     rhs(j, c) is the right-hand side of phi(j) c_j = rhs(j, c) given the
     coefficients c_0..c_{j-1}.  The first pass starts from c_0 = one and
     yields the obstruction P1 at the resonance j = n1+1, where the free
     coefficient is set to zero, and P3 at j = n1+n2+2.  The second pass
     injects the free coefficient (c_{n1+1} = one, lower ones zero) and yields
-    P2 at j = n1+n2+2.  Returns (P1, P2, P3).
+    P2 at j = n1+n2+2.  Up to the resonance only the first pass is run; from
+    there on every coefficient carries both passes on axis -2, so one rhs
+    call advances both.  Returns (P1, P2, P3).
     """
     jtop = n1 + n2 + 2
     c = [one]
-    for j in range(1, jtop):
-        r = rhs(j, c)
-        if j == n1 + 1:
-            P1 = r
-            c.append(zero)
-        else:
-            c.append(r / _phi(j, n1, n2))
-    P3 = rhs(jtop, c)
-    c = [zero] * (n1 + 1) + [one]
+    for j in range(1, n1 + 1):
+        c.append(rhs(j, c) / _phi(j, n1, n2))
+    P1 = rhs(n1 + 1, c)
+    c = [np.stack((x, zero), axis=-2) for x in c] + [np.stack((zero, one), axis=-2)]
     for j in range(n1 + 2, jtop):
         c.append(rhs(j, c) / _phi(j, n1, n2))
-    return P1, rhs(jtop, c), P3
+    top = rhs(jtop, c)
+    return P1, top[..., 1, :], top[..., 0, :]
 
 
 def _m0_terms(j, c, rho, alpha, beta, b, mulB, mulD0, mulD):
@@ -339,22 +338,23 @@ def _m0_terms(j, c, rho, alpha, beta, b, mulB, mulD0, mulD):
     The coefficients c and the Laurent table b may be exact polynomials or
     batched jets; rho, alpha, beta are the matching scalars, and mulB, mulD0,
     mulD multiply a coefficient by B, D0, D.  The operation order fixes the
-    rounding of the batched solver kernels; keep it.
+    rounding of the batched solver kernels; keep it.  The terms are added in
+    place to r, an array made here, which saves an allocation per term.
     """
     r = -mulD0(c[j - 1])
     if j >= 2:
-        r = r + (j + rho - 2) * mulB(c[j - 2])
+        r += (j + rho - 2) * mulB(c[j - 2])
     if j >= 3:
-        r = r - mulD(c[j - 3])
+        r -= mulD(c[j - 3])
     acc = None
     for i in range(4, j + 1, 2):
         bi = b[i]
         if bi != 0:
-            r = r + ((j + rho - i) * alpha - (i - 2) * beta) * bi * c[j - i]
+            r += ((j + rho - i) * alpha - (i - 2) * beta) * bi * c[j - i]
             if i < j:
                 acc = bi * c[j - 1 - i] if acc is None else acc + bi * c[j - 1 - i]
     if acc is not None:
-        r = r - mulD0(acc)
+        r -= mulD0(acc)
     return r
 
 
@@ -365,7 +365,9 @@ def build_m0_system(n1, n2=None):
     (n1, n2).  The Frobenius recursion at the exponent -g1 is run twice over
     Q[B, D0, D, g2, g3]: once from the top solution (c0 = 1) and once from
     the free coefficient injected at the first resonance j = n1+1.  The
-    obstructions at j = n1+1 and j = n1+n2+2 give P1 and (P3, P2).
+    obstructions at j = n1+1 and j = n1+n2+2 give P1 and (P3, P2).  The
+    coefficients are one-element object arrays of polynomials, so that the
+    recursion is the one the numeric kernels run.
     """
     if isinstance(n1, ProblemSpec):
         prob = n1
@@ -387,9 +389,12 @@ def build_m0_system(n1, n2=None):
                          lambda x: Bv * x, lambda x: D0v * x, lambda x: Dv * x)
 
     P1, P2, P3 = _frobenius(
-        n1, n2, rhs, WeightedPoly.zero(V, W), WeightedPoly.const(V, W, 1)
+        n1, n2, rhs,
+        np.array([WeightedPoly.zero(V, W)], object),
+        np.array([WeightedPoly.const(V, W, 1)], object),
     )
-    return M0System(n1=n1, n2=n2, P1=P1, P2=P2, P3=P3, bound=bezout_bound([(n1, n2)]))
+    return M0System(n1=n1, n2=n2, P1=P1[0], P2=P2[0], P3=P3[0],
+                    bound=bezout_bound([(n1, n2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +550,23 @@ def _m0_scalars(n1, n2):
 
 def _times_var(x, row):
     """Multiply a jet by the variable x whose partial derivative is jet row
-    `row`.  A jet is an array (rows, S) holding the value, then the partials;
-    a plain (S,) array is a value without partials."""
+    `row`.  A jet is an array (rows, ..., S) holding the value, then the
+    partials; with row None it is a plain value (..., S) without partials."""
+    if row is None:
+        return lambda c: c * x
+
     def mul(c):
         out = c * x
-        if out.ndim > 1:
-            out[row] += c[0]
+        out[row] += c[0]
         return out
     return mul
 
 
 def _jet_mul(a, b):
-    """Product of two jets (rows, S), by the Leibniz rule on the partials."""
+    """Product of the jets a (rows, S) and b, by the Leibniz rule on the
+    partials; b may carry both Frobenius passes, (rows, 2, S)."""
+    if b.ndim > a.ndim:
+        a = a[:, None]
     out = a[0] * b
     out[1:] += b[0] * a[1:]
     return out
@@ -572,7 +582,8 @@ def _m0_jets(n1, n2, bnum, B, D0, D, one):
     """(P1, P2, P3) of the m = 0 recursion over jets shaped like `one`: a
     plain (S,) value, or a (4, S) jet with the partials in B, D0, D."""
     rho, alpha, beta = _m0_scalars(n1, n2)
-    mulB, mulD0, mulD = _times_var(B, 1), _times_var(D0, 2), _times_var(D, 3)
+    rows = (None,) * 3 if one.ndim == 1 else (1, 2, 3)
+    mulB, mulD0, mulD = (_times_var(x, r) for x, r in zip((B, D0, D), rows))
 
     def rhs(j, c):
         return _m0_terms(j, c, rho, alpha, beta, bnum, mulB, mulD0, mulD)

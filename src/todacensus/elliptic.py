@@ -310,12 +310,12 @@ def compute_invariants(lattice, tol=1e-12, b_order=28):
     eta1 = (math.pi ** 2 / 3.0) * E2
     eta2 = eta1 * tau - _TWO_PI_I
 
-    lam_min = min(
-        abs(m + n * tau)
-        for m in range(-6, 7)
-        for n in range(-6, 7)
-        if (m, n) != (0, 0)
-    )
+    # the shortest of the vectors m + n tau, |m|, |n| <= 6; np.hypot, not
+    # np.abs, which rounds some complex moduli differently from abs()
+    k = np.arange(-6.0, 7.0)
+    vec = (k[:, None] + k[None, :] * tau).ravel()
+    vec = vec[vec != 0]
+    lam_min = np.hypot(vec.real, vec.imag).min()
 
     bn_ext = np.array(
         weierstrass_laurent(g2, g3, max(b_order, 46), 0j, 1.0), dtype=complex

@@ -160,21 +160,30 @@ def _min_dist(z, sing):
 
 
 def _worst_violation(a, b, sing, clearance):
+    """Detour waypoint for the segment a -> b past the singularity sing[k]
+    nearest to it, or None when every one keeps the clearance.
+
+    The distances of all singularities come from one array pass, written
+    with real arithmetic so each is the double the complex expression
+    abs(s - (a + t d)) gives.  Among near ties the first in sing wins: a
+    later one replaces the nearest so far only when it is closer by a
+    relative 1e-12, which only the few within the clearance are checked for.
+    """
     d = b - a
     L = abs(d)
     if L == 0:
         return None
-    best = None
-    best_dist = clearance
-    for s in sing:
-        t = ((s - a) * d.conjugate()).real / (L * L)
-        t = min(max(t, 0.0), 1.0)
-        dist = abs(s - (a + t * d))
-        if dist < best_dist * (1.0 - 1e-12):
-            best_dist = dist
-            best = s
-    if best is None:
+    t = ((sing.real - a.real) * d.real + (sing.imag - a.imag) * d.imag) / (L * L)
+    t = np.clip(t, 0.0, 1.0)
+    dist = np.hypot(sing.real - (a.real + t * d.real), sing.imag - (a.imag + t * d.imag))
+    hits = np.flatnonzero(dist < clearance * (1.0 - 1e-12))
+    if not len(hits):
         return None
+    k = hits[0]
+    for i in hits[1:]:
+        if dist[i] < dist[k] * (1.0 - 1e-12):
+            k = i
+    best = sing[k]
     # deterministic detour: push the waypoint to the left of the direction
     n = 1j * d / L
     return best + 1.5 * clearance * n

@@ -162,6 +162,9 @@ class WeightedPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, WeightedPoly):
+            # an array of polynomials then multiplies elementwise
+            return NotImplemented
         self._check_compatible(other)
         out = {}
         for e1, c1 in self.terms.items():

@@ -3,16 +3,20 @@
 solve_m0 runs a multi-start damped-Newton search over the three accessory
 parameters (B, D0, D), polishes every convergent trajectory with pure Newton
 steps, merges results into clusters in weight-scaled coordinates, and reports
-the count next to the weighted-Bezout bound.  Newton drops a point as soon as
-its relative residual (see _relative_residual) is <= 1e-13 in the damped
-loop or <= 1e-15 in the polish; max_iter and polish_iter only cap the two
-phases.  Starts run in chunks, and each chunk's accepted points are merged
-into the clusters kept from the chunks before; the points are clustered
-afresh only when a box doubling changes the metric.  Starting points combine a
-low-discrepancy Halton cloud (deterministic for a fixed seed) with structured
-seeds: the origin and the even-sector roots lifted to (B, 0, 0).  The even
-sector is additionally solved on its own by an Aberth-Ehrlich iteration, so
-the two counts can be compared independently by callers and tests.
+the count next to the weighted-Bezout bound.  Each Newton iterate costs one
+kernel call: the trial points are evaluated with their Jacobians, which the
+next step from there reuses, and only a line search's halved trials are
+evaluated without.  Newton drops a point as soon as its relative residual
+(see _relative) is <= 1e-13 in the damped loop or <= 1e-15 in the polish,
+and returns it for every point, so acceptance costs no further kernel call;
+max_iter and polish_iter only cap the two phases.  Starts run in chunks,
+and each chunk's accepted points are merged into the clusters kept from the
+chunks before; the points are clustered afresh only when a box doubling
+changes the metric.  Starting points combine a low-discrepancy Halton
+cloud (deterministic for a fixed seed) with structured seeds: the origin
+and the even-sector roots lifted to (B, 0, 0).  The even sector is
+additionally solved on its own by an Aberth-Ehrlich iteration, so the two
+counts can be compared independently by callers and tests.
 
 scan_tau runs the census cell by cell over a tau grid, as one chain: each
 cell first runs Newton from the roots of its neighbour, and stops there if
@@ -112,7 +116,7 @@ class RootCluster:
     """One merged solution of the apparency system.
 
     residual is the relative residual of the representative point (see
-    _relative_residual); the census accepts points with residual <=
+    _relative); the census accepts points with residual <=
     SolverConfig.accept_tol."""
 
     B: complex
@@ -343,7 +347,7 @@ def _scaled_mag(B, D0, D, scales):
     )
 
 
-# Newton drops a point once its relative residual (see _relative_residual)
+# Newton drops a point once its relative residual (see _relative)
 # reaches these, in the damped loop and in the polish.  Converged points sit
 # near 1e-16, the rounding floor of that measure.
 _DAMPED_STOP = 1e-13
@@ -371,54 +375,66 @@ def _solve_steps(J, F):
 def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     """Damped Newton + pure-Newton polish on a batch of starts.
 
-    A point leaves each phase as soon as it has converged: when its relative
-    residual (see _relative_residual), taken from the F and J that the
-    iteration computes anyway, is <= _DAMPED_STOP in the damped loop or
-    <= _POLISH_STOP in the polish.  Its absolute residual, known from the
-    line search before J is computed, bounds the relative one from above
-    and stops it at the same thresholds.  cfg.max_iter and cfg.polish_iter
-    cap the phases.
+    Each iterate costs one kernel call: the trial points of a step are
+    evaluated by m0_residual_batch, whose F, J and relative residual (see
+    _relative) then serve the next step from there.  Only the line search's
+    halved trials are judged by m0_value_batch alone; a point whose accepted
+    step was halved gets its F and J at the start of its next iterate, or
+    before the polish.
 
-    Returns (X, res, tail_prev, tail_last): best-so-far points, their
-    residuals, and the last two scaled polish step sizes (for tail
-    diagnostics; Inf when never polished)."""
+    A point leaves each phase as soon as it has converged: when its relative
+    residual is <= _DAMPED_STOP in the damped loop or <= _POLISH_STOP in the
+    polish.  Its absolute residual bounds the relative one from above and
+    stops it at the same thresholds.  cfg.max_iter and cfg.polish_iter cap
+    the phases.
+
+    Returns (X, res, rel, tail_prev, tail_last): best-so-far points, their
+    absolute and relative residuals (rel is known wherever res is finite),
+    and the last two scaled polish step sizes (for tail diagnostics; Inf
+    when never polished)."""
     B = X0[:, 0].copy()
     D0 = X0[:, 1].copy()
     D = X0[:, 2].copy()
     S = len(B)
+    # F, J and relative residual at the current points; stale marks a point
+    # whose F and J are not known there (rel is then Inf)
+    Fc = np.empty((S, 3), complex)
+    Jc = np.empty((S, 3, 3), complex)
+    rel = np.full(S, np.inf)
+    stale = np.zeros(S, bool)
+
+    def evaluate(idx, B_, D0_, D_):
+        """F and J at the points (B_, D0_, D_), recorded as those of the
+        points idx; returns their absolute residuals."""
+        with np.errstate(all="ignore"):
+            F, J = m0_residual_batch(n1, n2, bnum, B_, D0_, D_)
+            Fc[idx], Jc[idx] = F, J
+            rel[idx] = _relative(F, J, np.stack([B_, D0_, D_], axis=1))
+            stale[idx] = False
+            return np.max(np.abs(F), axis=-1)
 
     def vres(B_, D0_, D_):
         with np.errstate(all="ignore"):
             F = m0_value_batch(n1, n2, bnum, B_, D0_, D_)
             return np.max(np.abs(F), axis=-1)
 
-    rel = np.full(S, np.inf)  # relative residual at the current point, once known
+    def refresh(sel):
+        w = np.flatnonzero(sel & stale)
+        if len(w):
+            evaluate(w, B[w], D0[w], D[w])
 
-    def moving(act, stop):
-        """Indices of act still above stop, with their F and J; records
-        the relative residual of every point in act."""
-        idx = np.nonzero(act)[0]
-        Ba, D0a, Da = B[idx], D0[idx], D[idx]
-        with np.errstate(all="ignore"):
-            F, J = m0_residual_batch(n1, n2, bnum, Ba, D0a, Da)
-            rel[idx] = _relative(F, J, np.stack([Ba, D0a, Da], axis=1))
-        go = ~(rel[idx] <= stop)
-        return idx[go], F[go], J[go]
-
-    res = vres(B, D0, D)
+    res = evaluate(slice(None), B, D0, D)
     for _ in range(cfg.max_iter):
         with np.errstate(all="ignore"):
             mag = _scaled_mag(B, D0, D, scales)
-        act = (np.isfinite(res) & (res > _DAMPED_STOP) & ~(rel <= _DAMPED_STOP)
-               & (mag < 1e8))
-        if not act.any():
-            break
-        idx, F, J = moving(act, _DAMPED_STOP)
+        act = np.isfinite(res) & (res > _DAMPED_STOP) & (mag < 1e8)
+        refresh(act)
+        idx = np.flatnonzero(act & ~(rel <= _DAMPED_STOP))
         if not len(idx):
             break
         Ba, D0a, Da = B[idx], D0[idx], D[idx]
         with np.errstate(all="ignore"):
-            step = _solve_steps(J, F)
+            step = _solve_steps(Jc[idx], Fc[idx])
             sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales)
         cap = np.where(sn > 2.0, 2.0 / np.maximum(sn, 1e-300), 1.0)
         step = step * cap[:, None]
@@ -426,7 +442,7 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
         Bn = Ba + step[:, 0]
         D0n = D0a + step[:, 1]
         Dn = Da + step[:, 2]
-        rn = vres(Bn, D0n, Dn)
+        rn = evaluate(idx, Bn, D0n, Dn)
         for _ in range(2):
             # only the points whose step grew the residual take a halved one
             w = np.flatnonzero(~(rn <= np.maximum(ra, cfg.accept_tol)))
@@ -437,46 +453,40 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
             D0n[w] = D0a[w] + step[w, 1]
             Dn[w] = Da[w] + step[w, 2]
             rn[w] = vres(Bn[w], D0n[w], Dn[w])
+            stale[idx[w]] = True
+            rel[idx[w]] = np.inf
         B[idx], D0[idx], D[idx] = Bn, D0n, Dn
         res[idx] = rn
-        rel[idx] = np.inf
 
     # polish: pure Newton, keep the best visited point
-    Bb, D0b, Db, rb = B.copy(), D0.copy(), D.copy(), res.copy()
+    refresh(np.isfinite(res))
+    Bb, D0b, Db, rb, relb = B.copy(), D0.copy(), D.copy(), res.copy(), rel.copy()
     tail_prev = np.full(S, np.inf)
     tail_last = np.full(S, np.inf)
     near = np.isfinite(res) & (res <= max(cfg.accept_tol * 1e4, 1e-6))
     for _ in range(cfg.polish_iter):
-        act = near & np.isfinite(res) & (res > _POLISH_STOP) & ~(rel <= _POLISH_STOP)
-        if not act.any():
-            break
-        idx, F, J = moving(act, _POLISH_STOP)
+        idx = np.flatnonzero(near & np.isfinite(res) & (res > _POLISH_STOP)
+                             & ~(rel <= _POLISH_STOP))
         if not len(idx):
             break
         with np.errstate(all="ignore"):
-            step = _solve_steps(J, F)
+            step = _solve_steps(Jc[idx], Fc[idx])
         Bn, D0n, Dn = B[idx] + step[:, 0], D0[idx] + step[:, 1], D[idx] + step[:, 2]
-        rn = vres(Bn, D0n, Dn)
+        rn = evaluate(idx, Bn, D0n, Dn)
         sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales)
         tail_prev[idx] = tail_last[idx]
         tail_last[idx] = sn
         B[idx], D0[idx], D[idx], res[idx] = Bn, D0n, Dn, rn
-        rel[idx] = np.inf
         better = np.isfinite(res) & (res < rb)
-        Bb[better], D0b[better], Db[better], rb[better] = (
-            B[better], D0[better], D[better], res[better],
+        Bb[better], D0b[better], Db[better], rb[better], relb[better] = (
+            B[better], D0[better], D[better], res[better], rel[better],
         )
-    return np.stack([Bb, D0b, Db], axis=1), rb, tail_prev, tail_last
+    return np.stack([Bb, D0b, Db], axis=1), rb, relb, tail_prev, tail_last
 
 
 def _relative(F, J, X):
-    size = np.sum(np.abs(J) * np.abs(X)[:, None, :], axis=-1)
-    return np.max(np.abs(F) / np.maximum(size, 1.0), axis=-1)
-
-
-def _relative_residual(n1, n2, bnum, X):
-    """Residual of the census points X (S, 3) against the size of the
-    equations there: max_i |F_i| / max(1, sum_k |dF_i/dx_k| |x_k|).
+    """Residual of the points X (S, 3), with F and J there, against the size
+    of the equations: max_i |F_i| / max(1, sum_k |dF_i/dx_k| |x_k|).
 
     The denominator is how far F_i moves when every parameter moves by its
     own size, so the ratio is about the relative change of (B, D0, D) that
@@ -485,9 +495,8 @@ def _relative_residual(n1, n2, bnum, X):
     the largest roots: at |D| ~ 600 the double nearest a root already has
     |F| ~ 3e-10, while its relative residual stays near 1e-16.
     """
-    with np.errstate(all="ignore"):
-        F, J = m0_residual_batch(n1, n2, bnum, X[:, 0], X[:, 1], X[:, 2])
-        return _relative(F, J, X)
+    size = np.sum(np.abs(J) * np.abs(X)[:, None, :], axis=-1)
+    return np.max(np.abs(F) / np.maximum(size, 1.0), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +593,10 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     def do_batch(X, sample_scales, metric_scales):
         nonlocal starts_used, pts, res, tails
         starts_used += len(X)
-        Xb, rb, tp, tl = _newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg)
+        Xb, rb, relb, tp, tl = _newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg)
         with np.errstate(all="ignore"):
             mag = _scaled_mag(Xb[:, 0], Xb[:, 1], Xb[:, 2], sample_scales)
-        inside = np.isfinite(rb) & (mag < 5.0)
-        rb = np.full(len(Xb), np.inf)
-        rb[inside] = _relative_residual(n1, n2, bnum, Xb[inside])
+        rb = np.where(np.isfinite(rb) & (mag < 5.0), relb, np.inf)
         keep = rb <= cfg.accept_tol
         pts = np.concatenate([pts, Xb[keep]])
         res = np.concatenate([res, rb[keep]])

@@ -20,13 +20,14 @@ from todacensus.apparency import (
     problem_m0,
     residual_general,
 )
+from todacensus.apparency import _local_data, _m0_scalars, _m0_terms
 from todacensus.elliptic import compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
     EvenNonexistenceError,
     StructuralError,
 )
-from todacensus.polyring import WeightedPoly
+from todacensus.polyring import WeightedPoly, weierstrass_laurent_symbolic
 
 from oracle_series import oracle_residual
 
@@ -176,6 +177,82 @@ def test_value_kernel_is_residual_kernel_value_row(n1, n2, S):
     vals = m0_value_batch(n1, n2, ctx._bn_ext, B, D0, D)
     assert vals.shape == (S, 3)
     assert np.array_equal(vals, F)
+
+
+def _two_pass_frobenius(n1, n2, rhs, zero, one):
+    """The recursion as two sweeps over j, the second from the injected
+    free coefficient: the reference for the one-sweep kernels."""
+    jtop = n1 + n2 + 2
+    phi = lambda j: j * (j - n1 - 1) * (j - n1 - n2 - 2)
+    c = [one]
+    for j in range(1, jtop):
+        r = rhs(j, c)
+        if j == n1 + 1:
+            P1 = r
+            c.append(zero)
+        else:
+            c.append(r / phi(j))
+    P3 = rhs(jtop, c)
+    c = [zero] * (n1 + 1) + [one]
+    for j in range(n1 + 2, jtop):
+        c.append(rhs(j, c) / phi(j))
+    return P1, rhs(jtop, c), P3
+
+
+def _two_pass_jets(n1, n2, bnum, B, D0, D, one):
+    rho, alpha, beta = _m0_scalars(n1, n2)
+
+    def times(x, row):
+        def mul(c):
+            out = c * x
+            if out.ndim > 1:
+                out[row] += c[0]
+            return out
+        return mul
+
+    def rhs(j, c):
+        return _m0_terms(j, c, rho, alpha, beta, bnum,
+                         times(B, 1), times(D0, 2), times(D, 3))
+
+    return _two_pass_frobenius(n1, n2, rhs, np.zeros_like(one), one)
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 2), (1, 8), (2, 7), (3, 5)])
+@pytest.mark.parametrize("S", [1, 7, 513])
+def test_one_sweep_kernels_match_two_passes(n1, n2, S):
+    # both passes of the recursion run in one sweep, stacked on an axis
+    # before S; every residual, partial and value must round as it did
+    # when the second pass ran on its own
+    ctx = compute_invariants(-0.373 + 0.992j)
+    rng = np.random.default_rng(10 * n1 + n2 + S)
+    scale = np.array([[300.0], [5.0], [600.0]])
+    B, D0, D = scale * (rng.normal(size=(3, S)) + 1j * rng.normal(size=(3, S)))
+    jets = np.zeros((4, S), complex)
+    jets[0] = 1.0
+    P = _two_pass_jets(n1, n2, ctx._bn_ext, B, D0, D, jets)
+    F, J = m0_residual_batch(n1, n2, ctx._bn_ext, B, D0, D)
+    assert np.array_equal(F, np.stack([p[0] for p in P], axis=-1))
+    assert np.array_equal(J, np.stack([p[1:].T for p in P], axis=1))
+    P = _two_pass_jets(n1, n2, ctx._bn_ext, B, D0, D, np.ones(S, complex))
+    assert np.array_equal(m0_value_batch(n1, n2, ctx._bn_ext, B, D0, D),
+                          np.stack(P, axis=-1))
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 2), (1, 3), (2, 7)])
+def test_exact_system_matches_two_passes(n1, n2):
+    # build_m0_system runs the same one-sweep recursion over polynomials
+    V, W = M0_VARS, M0_WEIGHTS
+    Bv, D0v, Dv = (WeightedPoly.var(V, W, x) for x in ("B", "D0", "D"))
+    _, _, alpha, beta, rho = _local_data(n1, n2)
+    b = weierstrass_laurent_symbolic(n1 + n2 + 2, vars=V, weights=W)
+
+    def rhs(j, c):
+        return _m0_terms(j, c, rho[0], alpha, beta, b,
+                         lambda x: Bv * x, lambda x: D0v * x, lambda x: Dv * x)
+
+    want = _two_pass_frobenius(n1, n2, rhs, WeightedPoly.zero(V, W),
+                               WeightedPoly.const(V, W, 1))
+    assert build_m0_system(n1, n2).polys() == want
 
 
 def test_critical_and_order_refusals():

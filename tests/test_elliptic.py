@@ -23,6 +23,8 @@ from todacensus.elliptic import (
 from todacensus.errors import NearPoleError, StructuralError
 from todacensus.monodromy import _ORDER
 
+from conftest import random_taus
+
 TAUS = [0.21 + 1.13j, -0.37 + 0.93j, 0.05 + 1.4j]
 RHO = complex(0.5, math.sqrt(3.0) / 2.0)
 SAMPLE_Z = [0.31 + 0.17j, -0.22 + 0.41j, 0.47 - 0.11j, 0.13 + 0.52j]
@@ -247,3 +249,12 @@ def test_regimes_agree_at_the_switch(tau):
         qseries, _ = ctx._qseries(zr, _ORDER + 1)
         for n in range(13, _ORDER + 2):
             assert abs(laurent[n] - qseries[n]) <= 1e-7 * abs(qseries[n]), n
+
+
+@pytest.mark.parametrize("tau", TAUS + random_taus(20) + [1j, RHO], ids=str)
+def test_shortest_lattice_vector(tau):
+    # the array pass gives the same double as the scalar loop over the
+    # vectors m + n tau, |m|, |n| <= 6: it sets the Laurent/q-series switch
+    want = min(abs(m + n * tau) for m in range(-6, 7) for n in range(-6, 7)
+               if (m, n) != (0, 0))
+    assert _ctx(tau).lam_min == want

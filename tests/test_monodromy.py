@@ -57,6 +57,40 @@ def test_plan_path_endpoint_violation_raises():
         plan_path(0.0, 1.0, [0.05j], 0.2)
 
 
+def _worst_violation_loop(a, b, sing, clearance):
+    """The waypoint rule singularity by singularity: the nearest one within
+    the clearance, an earlier one kept unless a later is 1e-12 closer."""
+    d = b - a
+    L = abs(d)
+    best, best_dist = None, clearance
+    for s in sing:
+        t = min(max(((s - a) * d.conjugate()).real / (L * L), 0.0), 1.0)
+        dist = abs(s - (a + t * d))
+        if dist < best_dist * (1.0 - 1e-12):
+            best, best_dist = s, dist
+    return None if best is None else best + 1.5 * clearance * (1j * d / L)
+
+
+def test_worst_violation_matches_the_loop():
+    # the array pass picks the same waypoint to the bit, ties included: a
+    # segment on x = 0.5 passes the translates at 0 and 1 at equal distance
+    rng = np.random.default_rng(7)
+    tau = TAU
+    sing = np.array([m + n * tau for m in range(-3, 4) for n in range(-3, 4)])
+    detours = 0
+    for k in range(400):
+        if k % 4 == 0:
+            a, b = complex(0.5, -1.0), complex(0.5, rng.uniform(-0.5, 1.0))
+        else:
+            a, b = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(2))
+        clearance = rng.uniform(0.01, 0.6)
+        want = _worst_violation_loop(a, b, sing, clearance)
+        got = monodromy._worst_violation(a, b, sing, clearance)
+        assert got == want
+        detours += want is not None
+    assert 100 < detours < 400
+
+
 # ---------------------------------------------------------------------------
 # transport on closed-form and structural cases
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import todacensus.solver as solver
-from todacensus.apparency import m0_value_batch, problem_m0
+from todacensus.apparency import m0_residual_batch, m0_value_batch, problem_m0
 from todacensus.elliptic import compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
@@ -18,7 +18,7 @@ from todacensus.errors import (
 from todacensus.solver import (
     SolverConfig,
     _halton_block,
-    _relative_residual,
+    _relative,
     roots_univariate,
     scan_tau,
     solve_even,
@@ -139,7 +139,8 @@ def test_large_roots_residual_floor():
     X = np.array([c.B, c.D0, c.D]) * (1.0 + ulps[:, None])
     F = m0_value_batch(2, 7, ctx._bn_ext, X[:, 0], X[:, 1], X[:, 2])
     assert np.max(np.abs(F)) > 1e-10
-    assert np.max(_relative_residual(2, 7, ctx._bn_ext, X)) <= 1e-13
+    F, J = m0_residual_batch(2, 7, ctx._bn_ext, X[:, 0], X[:, 1], X[:, 2])
+    assert np.max(_relative(F, J, X)) <= 1e-13
 
 
 def test_census_large_roots_without_doubling():
@@ -187,6 +188,30 @@ def test_line_search_evaluates_only_halved_steps(monkeypatch):
     rep = solve_m0(problem_m0(CENSUS_TAU, 3, 5))
     assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 2561)
     assert points[0] <= 25 * rep.starts_used
+
+
+def _count_kernels(monkeypatch):
+    """calls and points of both kernels as the solver makes them"""
+    seen = {"calls": 0, "points": 0}
+    for name in ("m0_residual_batch", "m0_value_batch"):
+        def counting(n1, n2, bnum, B, D0, D, kernel=getattr(solver, name)):
+            seen["calls"] += 1
+            seen["points"] += len(B)
+            return kernel(n1, n2, bnum, B, D0, D)
+        monkeypatch.setattr(solver, name, counting)
+    return seen
+
+
+def test_newton_evaluates_each_point_once(monkeypatch):
+    # a trial point's F and J serve the next step and the acceptance test:
+    # both kernels evaluated 36.6 and 37.1 points per start here when each
+    # iterate judged its step by value, then re-evaluated the point with J
+    seen = _count_kernels(monkeypatch)
+    for (n1, n2), total, starts in (((3, 5), 40, 2561), ((2, 7), 44, 1029)):
+        seen["points"] = 0
+        rep = solve_m0(problem_m0(CENSUS_TAU, n1, n2))
+        assert (rep.total, rep.bound, rep.starts_used) == (total, total, starts)
+        assert seen["points"] <= 22 * rep.starts_used
 
 
 def _greedy_clusters(pts, res, scales, merge_tol):
@@ -431,6 +456,27 @@ def test_scan_warm_cells_use_few_starts(monkeypatch):
     assert all(r["total"] == r["bound"] == 5 for r in rows)
     assert len(starts) == 9 and starts[0] > 512
     assert all(n <= 2 * 5 for n in starts[1:])
+
+
+def test_scan_warm_cells_use_few_kernel_calls(monkeypatch):
+    # a warm cell's handful of points costs one kernel call per Newton
+    # iterate, so per-call overhead, not points, sets its price: 14-16
+    # calls a warm cell when every iterate made two
+    calls = []
+    seen = _count_kernels(monkeypatch)
+    census = solver._census
+
+    def new_cell(*args):
+        before = seen["calls"]
+        rep = census(*args)
+        calls.append(seen["calls"] - before)
+        return rep
+
+    monkeypatch.setattr(solver, "_census", new_cell)
+    rows = scan_tau(0, 4, GENERIC_GRID)
+    assert all(r["total"] == r["bound"] == 5 for r in rows)
+    assert len(calls) == 9
+    assert all(n <= 10 for n in calls[1:])
 
 
 def test_scan_worker_env(monkeypatch):
