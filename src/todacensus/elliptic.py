@@ -7,9 +7,9 @@ Invariants come from Eisenstein q-expansions,
 
 with tau-derivatives from the Ramanujan identities (one map, doubles or
 mpmath).  Point evaluation is one evaluator, EllipticContext.jet, with
-wp, zeta, wp_bundle, wp_derivs and eval_weierstrass as views: one lattice
-reduction and near-pole guard, then one pass of one regime gives P, P', ...,
-P^(n) and zeta together.  The regimes are a q-series in u = e^{2 pi i z}
+wp, zeta, wp_bundle and wp_derivs as views: one lattice reduction and
+near-pole guard, then one pass of one regime gives P, P', ..., P^(n) and
+zeta together.  The regimes are a q-series in u = e^{2 pi i z}
 away from lattice points, and the Laurent expansion at the origin (a Horner
 sum in z^2 per order) once the reduced argument is within 35% of the
 shortest lattice vector.  The switch matters: near a pole the q-series
@@ -36,7 +36,6 @@ __all__ = [
     "LatticeTau",
     "EllipticContext",
     "compute_invariants",
-    "eval_weierstrass",
     "find_form_zero",
     "form_value",
     "reduce_fundamental",
@@ -339,25 +338,6 @@ def compute_invariants(lattice, tol=1e-12, b_order=28):
         ctx.wp((1.0 + tau) / 2.0),
     )
     return ctx
-
-
-def eval_weierstrass(ctx, z, kind="P", n=1):
-    """Evaluate P, a derivative of P, or zeta at z.
-
-    kind is one of "P", "P_DERIV" (with derivative order n >= 1), "ZETA".
-    Points within sqrt(ctx.tol) of a lattice point raise NearPoleError
-    carrying the distance and the local pole order.
-    """
-    if kind == "P":
-        return ctx.wp(z, 0)
-    if kind == "P_DERIV":
-        n = int(n)
-        if n < 1:
-            raise StructuralError("P_DERIV needs n >= 1; use kind='P' for n = 0")
-        return ctx.wp(z, n)
-    if kind == "ZETA":
-        return ctx.zeta(z)
-    raise StructuralError("unknown kind %r" % (kind,))
 
 
 # ---- invariant forms and their zeros in tau ------------------------------

@@ -18,10 +18,16 @@ and the even-sector roots lifted to (B, 0, 0).  The even sector is
 additionally solved on its own by an Aberth-Ehrlich iteration, so the two
 counts can be compared independently by callers and tests.
 
-scan_tau runs the census cell by cell over a tau grid, as one chain: each
-cell first runs Newton from the roots of its neighbour, and stops there if
-they reach the weighted-Bezout bound, which no census can exceed; only a
-cell left short runs the full multi-start search.
+scan_tau runs the census over a tau grid: each cell first runs Newton from
+the roots of its neighbour, and stops there if they reach the
+weighted-Bezout bound, which no census can exceed; only a cell left short
+runs the full multi-start search.  A cell's neighbour lies on the
+anti-diagonal before its own, so the cells are solved in waves, one
+anti-diagonal at a time, and the warm starts of a whole wave are one Newton
+batch: the kernels take a Laurent table per point, and Newton a metric
+scale per point, so each start is solved as in a batch of its own lattice
+and the rows are those of the cell-by-cell chain.  The census keeps
+Newton's Jacobians at the cluster representatives for sigma_min.
 
 Scaling convention: under z -> lam * z the parameters transform with weights
 B: lam^-2, D0: lam^-1, D: lam^-3, so search boxes, step caps and the cluster
@@ -388,14 +394,22 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     stops it at the same thresholds.  cfg.max_iter and cfg.polish_iter cap
     the phases.
 
-    Returns (X, res, rel, tail_prev, tail_last): best-so-far points, their
-    absolute and relative residuals (rel is known wherever res is finite),
-    and the last two scaled polish step sizes (for tail diagnostics; Inf
-    when never polished)."""
+    bnum is the Laurent table of the lattice (L,), or one column per start
+    (L, S), and scales the metric scales (sB, sD0, sD), or one row per start
+    (S, 3).  Every kernel call gets the columns of the points it evaluates,
+    so one batch solves the starts of several lattices, each bit for bit as
+    a batch of its own would.
+
+    Returns (X, res, rel, J, tail_prev, tail_last): best-so-far points,
+    their absolute and relative residuals and Jacobians (rel and J are
+    known wherever res is finite), and the last two scaled polish step sizes
+    (for tail diagnostics; Inf when never polished)."""
     B = X0[:, 0].copy()
     D0 = X0[:, 1].copy()
     D = X0[:, 2].copy()
     S = len(B)
+    tables = bnum if np.ndim(bnum) == 2 else None
+    sc = np.asarray(scales, float).T if np.ndim(scales) == 2 else None
     # F, J and relative residual at the current points; stale marks a point
     # whose F and J are not known there (rel is then Inf)
     Fc = np.empty((S, 3), complex)
@@ -403,19 +417,25 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     rel = np.full(S, np.inf)
     stale = np.zeros(S, bool)
 
+    def table(idx):
+        return bnum if tables is None else tables[:, idx]
+
+    def scales_at(idx):
+        return scales if sc is None else sc[:, idx]
+
     def evaluate(idx, B_, D0_, D_):
         """F and J at the points (B_, D0_, D_), recorded as those of the
         points idx; returns their absolute residuals."""
         with np.errstate(all="ignore"):
-            F, J = m0_residual_batch(n1, n2, bnum, B_, D0_, D_)
+            F, J = m0_residual_batch(n1, n2, table(idx), B_, D0_, D_)
             Fc[idx], Jc[idx] = F, J
             rel[idx] = _relative(F, J, np.stack([B_, D0_, D_], axis=1))
             stale[idx] = False
             return np.max(np.abs(F), axis=-1)
 
-    def vres(B_, D0_, D_):
+    def vres(idx, B_, D0_, D_):
         with np.errstate(all="ignore"):
-            F = m0_value_batch(n1, n2, bnum, B_, D0_, D_)
+            F = m0_value_batch(n1, n2, table(idx), B_, D0_, D_)
             return np.max(np.abs(F), axis=-1)
 
     def refresh(sel):
@@ -426,7 +446,7 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     res = evaluate(slice(None), B, D0, D)
     for _ in range(cfg.max_iter):
         with np.errstate(all="ignore"):
-            mag = _scaled_mag(B, D0, D, scales)
+            mag = _scaled_mag(B, D0, D, scales_at(slice(None)))
         act = np.isfinite(res) & (res > _DAMPED_STOP) & (mag < 1e8)
         refresh(act)
         idx = np.flatnonzero(act & ~(rel <= _DAMPED_STOP))
@@ -435,7 +455,7 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
         Ba, D0a, Da = B[idx], D0[idx], D[idx]
         with np.errstate(all="ignore"):
             step = _solve_steps(Jc[idx], Fc[idx])
-            sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales)
+            sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales_at(idx))
         cap = np.where(sn > 2.0, 2.0 / np.maximum(sn, 1e-300), 1.0)
         step = step * cap[:, None]
         ra = res[idx]
@@ -452,7 +472,7 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
             Bn[w] = Ba[w] + step[w, 0]
             D0n[w] = D0a[w] + step[w, 1]
             Dn[w] = Da[w] + step[w, 2]
-            rn[w] = vres(Bn[w], D0n[w], Dn[w])
+            rn[w] = vres(idx[w], Bn[w], D0n[w], Dn[w])
             stale[idx[w]] = True
             rel[idx[w]] = np.inf
         B[idx], D0[idx], D[idx] = Bn, D0n, Dn
@@ -461,6 +481,7 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     # polish: pure Newton, keep the best visited point
     refresh(np.isfinite(res))
     Bb, D0b, Db, rb, relb = B.copy(), D0.copy(), D.copy(), res.copy(), rel.copy()
+    Jb = Jc.copy()
     tail_prev = np.full(S, np.inf)
     tail_last = np.full(S, np.inf)
     near = np.isfinite(res) & (res <= max(cfg.accept_tol * 1e4, 1e-6))
@@ -473,7 +494,7 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
             step = _solve_steps(Jc[idx], Fc[idx])
         Bn, D0n, Dn = B[idx] + step[:, 0], D0[idx] + step[:, 1], D[idx] + step[:, 2]
         rn = evaluate(idx, Bn, D0n, Dn)
-        sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales)
+        sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales_at(idx))
         tail_prev[idx] = tail_last[idx]
         tail_last[idx] = sn
         B[idx], D0[idx], D[idx], res[idx] = Bn, D0n, Dn, rn
@@ -481,7 +502,8 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
         Bb[better], D0b[better], Db[better], rb[better], relb[better] = (
             B[better], D0[better], D[better], res[better], rel[better],
         )
-    return np.stack([Bb, D0b, Db], axis=1), rb, relb, tail_prev, tail_last
+        Jb[better] = Jc[better]
+    return np.stack([Bb, D0b, Db], axis=1), rb, relb, Jb, tail_prev, tail_last
 
 
 def _relative(F, J, X):
@@ -568,14 +590,25 @@ def _structured_starts(n1, n2, g2, g3):
     return np.array(out)
 
 
+def _metric_scales(box):
+    """Cluster metric and Newton step scales of (B, D0, D) in a box of
+    radius box, by the scaling weights of the parameters."""
+    return box, math.sqrt(box), box ** 1.5
+
+
 def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     """Shared census engine; returns (clusters, starts_used, box, doublings,
     notes, cfg, bound).
 
-    warm, an (S, 3) array of (B, D0, D), is Newton-solved as a first batch
-    before any other start.  Theorem (i) bounds the number of solutions by
-    the weighted-Bezout bound, so if that batch alone reaches it the census
-    is complete; otherwise it goes on as without warm starts."""
+    warm is what _newton_m0_batch returned for a batch of warm starts,
+    solved in the metric of the first box, _metric_scales of
+    cfg.resolved(g2, g3, bound).box_radius: its points are taken as a first
+    batch before any other start.  Theorem (i) bounds the number of
+    solutions by the weighted-Bezout bound, so if that batch alone reaches
+    it the census is complete; otherwise it goes on as without warm starts.
+
+    Only the Jacobians of the cluster representatives are kept from
+    Newton; they give sigma_min."""
     bound = bezout_bound([(n1, n2)])
     cfg = cfg.resolved(g2, g3, bound)
     box = cfg.box_radius
@@ -586,14 +619,25 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     pts = np.empty((0, 3), complex)
     res = np.empty(0)
     tails = np.empty((0, 2))
+    rep_J = {}  # point index -> J there, for the cluster representatives
     starts_used = 0
     doublings = 0
     notes = []
 
-    def do_batch(X, sample_scales, metric_scales):
+    def merge(X, r, J=None):
+        """Cluster the points X with residuals r, and keep a copy of J at
+        those that become representatives (J None: points merged afresh)."""
+        nonlocal rep_J
+        base = len(clusters.label)
+        _cluster_points(X, r, clusters)
+        if J is not None:
+            rep_J.update((i, J[i - base].copy()) for i in clusters.rep if i >= base)
+        rep_J = {i: rep_J[i] for i in clusters.rep if i in rep_J}
+
+    def accept(newton_out, sample_scales):
         nonlocal starts_used, pts, res, tails
-        starts_used += len(X)
-        Xb, rb, relb, tp, tl = _newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg)
+        Xb, rb, relb, Jb, tp, tl = newton_out
+        starts_used += len(Xb)
         with np.errstate(all="ignore"):
             mag = _scaled_mag(Xb[:, 0], Xb[:, 1], Xb[:, 2], sample_scales)
         rb = np.where(np.isfinite(rb) & (mag < 5.0), relb, np.inf)
@@ -601,20 +645,20 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
         pts = np.concatenate([pts, Xb[keep]])
         res = np.concatenate([res, rb[keep]])
         tails = np.concatenate([tails, np.stack([tp[keep], tl[keep]], axis=1)])
-        _cluster_points(Xb[keep], rb[keep], clusters)
+        merge(Xb[keep], rb[keep], Jb[keep])
 
     while True:
         # the cluster metric respects the scaling weights of the parameters;
         # the sampling box for D0 is deliberately wider (empirically the
         # largest |D0| among roots runs near |B|, not sqrt(|B|)); a new box
         # changes the metric, so the points so far are merged afresh
-        metric_scales = (box, math.sqrt(box), box ** 1.5)
+        metric_scales = _metric_scales(box)
         sample_scales = (box, box, box ** 1.5)
         clusters = _Clusters(metric_scales, cfg.merge_tol)
-        if doublings == 0 and warm is not None and len(warm):
-            do_batch(warm, sample_scales, metric_scales)
+        if doublings == 0 and warm is not None:
+            accept(warm, sample_scales)
         elif len(pts):
-            _cluster_points(pts, res, clusters)
+            merge(pts, res)
         consumed = 0
         first = True
         while consumed < budget and len(clusters) < bound:
@@ -626,7 +670,7 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
             if first and doublings == 0:
                 X = np.vstack([_structured_starts(n1, n2, g2, g3), X])
                 first = False
-            do_batch(X, sample_scales, metric_scales)
+            accept(_newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg), sample_scales)
         if len(clusters) >= bound or doublings >= cfg.max_doublings:
             break
         doublings += 1
@@ -646,11 +690,15 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     hits = np.bincount(clusters.label, minlength=len(rep))
     is_even = np.zeros(len(rep), bool)
     np.logical_or.at(is_even, clusters.label, _even_points(pts, cfg.even_tol))
+    # a re-merge after a box doubling may make a point a representative
+    # whose J was not kept
+    missing = [i for i in clusters.rep if i not in rep_J]
+    if missing:
+        with np.errstate(all="ignore"):
+            _, J = m0_residual_batch(n1, n2, bnum, *pts[missing].T)
+        rep_J.update(zip(missing, J))
     with np.errstate(all="ignore"):
-        _, J = m0_residual_batch(
-            n1, n2, bnum, pts[rep, 0], pts[rep, 1], pts[rep, 2]
-        )
-        sig = np.linalg.svd(J, compute_uv=False)
+        sig = np.linalg.svd(np.array([rep_J[i] for i in clusters.rep]), compute_uv=False)
 
     out = []
     for gi, i in enumerate(rep):
@@ -776,9 +824,8 @@ def solve_even(problem, ctx=None, config=None):
 # parameter scans
 
 
-def _scan_cell(n1, n2, tau, config, warm):
-    """One scan row, and the cell's cluster representatives (S, 3) as warm
-    starts for the next cell (None when the census failed)."""
+def _scan_row(tau, rep=None, error=None):
+    """One scan row, from the cell's census report or its error."""
     row = {
         "tau_re": tau.real,
         "tau_im": tau.imag,
@@ -787,28 +834,38 @@ def _scan_cell(n1, n2, tau, config, warm):
         "even_total": None,
         "max_residual": None,
         "degenerate": None,
-        "error": None,
+        "error": error,
     }
-    try:
-        ctx = compute_invariants(tau)
-        rep = _census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, config, warm)
-    except (InconclusiveError, EvaluationError) as e:
-        row["error"] = str(e)
-        return row, None
-    row["bound"] = rep.bound
-    row["total"] = rep.total
-    row["even_total"] = rep.even_total
-    row["max_residual"] = max((c.residual for c in rep.clusters), default=0.0)
-    row["degenerate"] = sum(1 for c in rep.clusters if c.degenerate)
-    return row, np.array([[c.B, c.D0, c.D] for c in rep.clusters], complex)
+    if rep is not None:
+        row["bound"] = rep.bound
+        row["total"] = rep.total
+        row["even_total"] = rep.even_total
+        row["max_residual"] = max((c.residual for c in rep.clusters), default=0.0)
+        row["degenerate"] = sum(1 for c in rep.clusters if c.degenerate)
+    return row
+
+
+def _warm_wave(n1, n2, bound, cells, cfg):
+    """Newton on the warm starts of every cell of one wave, as one batch:
+    each start with its own lattice's Laurent table and first-box metric.
+    cells holds (ctx, warm starts); returns each cell's share of the
+    _newton_m0_batch output."""
+    sizes = [len(w) for _, w in cells]
+    tables = np.repeat(np.stack([ctx._bn_ext for ctx, _ in cells], axis=1), sizes, axis=1)
+    scales = np.repeat([_metric_scales(cfg.resolved(ctx.g2, ctx.g3, bound).box_radius)
+                        for ctx, _ in cells], sizes, axis=0)
+    X0 = np.concatenate([w for _, w in cells])
+    out = _newton_m0_batch(n1, n2, tables, X0, scales, cfg)
+    cuts = np.cumsum(sizes)[:-1]
+    return [tuple(part) for part in zip(*(np.split(a, cuts) for a in out))]
 
 
 def scan_tau(n1, n2, grid, config=None):
     """Census over a rectangular lattice-parameter grid.
 
     grid = {re0, re1, nre, im0, im1, nim}; points with non-positive
-    imaginary part are dropped.  Cells are solved, and rows come back, in
-    row-major order (imag outer, real inner).
+    imaginary part are dropped.  Rows come back in row-major order (imag
+    outer, real inner).
 
     The roots move continuously with tau, so each cell's census first runs
     Newton from the roots of a neighbour: cell (i, j) from those of
@@ -817,8 +874,16 @@ def scan_tau(n1, n2, grid, config=None):
     the cell is complete, since no census can find more; otherwise (the
     first cell, a cell after a failed one, or where roots collide, as for
     (0,4) at tau = i) the cell runs the full census of solve_m0 after them.
+
+    A cell depends only on a neighbour on the anti-diagonal i + j before its
+    own, so the cells are solved in waves, one anti-diagonal at a time: the
+    warm starts of every cell of a wave are one Newton batch, each start
+    with its own lattice's table and box, and then each cell finishes its
+    census (a fallback included) before the next wave starts.  Newton
+    treats every start on its own, so the rows are those of the cell-by-cell
+    chain, bit for bit.
     """
-    bezout_bound([(n1, n2)])  # validates the pair once, incl. criticality
+    bound = bezout_bound([(n1, n2)])  # validates the pair once, incl. criticality
     _ordered_pair(n1, n2)
     try:
         re0, re1, nre = grid["re0"], grid["re1"], int(grid["nre"])
@@ -827,15 +892,32 @@ def scan_tau(n1, n2, grid, config=None):
         raise StructuralError("scan grid is missing %s" % e)
     if nre < 1 or nim < 1:
         raise StructuralError("grid sizes must be positive")
-    rows = []
-    row_start = None  # roots of the first cell of the row before
-    for im in np.linspace(im0, im1, nim):
-        if not im > 1e-9:
-            continue
-        warm = row_start
-        for j, re in enumerate(np.linspace(re0, re1, nre)):
-            row, warm = _scan_cell(n1, n2, complex(re, im), config, warm)
-            rows.append(row)
-            if j == 0:
-                row_start = warm
-    return rows
+    cfg = config or SolverConfig()
+    ims = [im for im in np.linspace(im0, im1, nim) if im > 1e-9]
+    reals = np.linspace(re0, re1, nre)
+    rows = {}
+    roots = {}  # (i, j) -> cluster representatives (S, 3), None after an error
+    for t in range(len(ims) + nre - 1):
+        wave = []  # (cell, tau, ctx, warm starts or None)
+        for i in range(max(0, t - nre + 1), min(len(ims), t + 1)):
+            j = t - i
+            tau = complex(reals[j], ims[i])
+            try:
+                ctx = compute_invariants(tau)
+            except (InconclusiveError, EvaluationError) as e:
+                rows[i, j], roots[i, j] = _scan_row(tau, error=str(e)), None
+                continue
+            warm = roots.get((i, j - 1) if j else (i - 1, 0))
+            wave.append(((i, j), tau, ctx, warm))
+        warm_cells = [(ctx, w) for _, _, ctx, w in wave if w is not None]
+        solved = iter(_warm_wave(n1, n2, bound, warm_cells, cfg) if warm_cells else ())
+        for cell, tau, ctx, warm in wave:
+            try:
+                rep = _census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, config,
+                              None if warm is None else next(solved))
+            except (InconclusiveError, EvaluationError) as e:
+                rows[cell], roots[cell] = _scan_row(tau, error=str(e)), None
+                continue
+            rows[cell] = _scan_row(tau, rep)
+            roots[cell] = np.array([[c.B, c.D0, c.D] for c in rep.clusters], complex)
+    return [rows[i, j] for i in range(len(ims)) for j in range(nre)]

@@ -20,14 +20,14 @@ from todacensus.apparency import (
     problem_m0,
     residual_general,
 )
-from todacensus.apparency import _local_data, _m0_scalars, _m0_terms
+from todacensus.apparency import _live_terms, _local_data, _m0_scalars, _m0_terms
 from todacensus.elliptic import compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
     EvenNonexistenceError,
     StructuralError,
 )
-from todacensus.polyring import WeightedPoly, weierstrass_laurent_symbolic
+from todacensus.polyring import WeightedPoly, weierstrass_laurent, weierstrass_laurent_symbolic
 
 from oracle_series import oracle_residual
 
@@ -179,6 +179,52 @@ def test_value_kernel_is_residual_kernel_value_row(n1, n2, S):
     assert np.array_equal(vals, F)
 
 
+def _laurent_tables():
+    """Laurent tables of one length: a generic tau, tau = i (g3 = 0, so
+    b_6 = 0), rho (g2 = 0, so b_4 = 0), and the zero table of the degenerate
+    probe"""
+    generic = compute_invariants(0.21 + 1.13j)._bn_ext
+    L = len(generic)
+    g2_i = compute_invariants(1j).g2
+    g3_rho = compute_invariants(complex(0.5, 3 ** 0.5 / 2)).g3
+    tables = [generic,
+              np.array(weierstrass_laurent(g2_i, 0j, L - 1, 0j, 1.0)),
+              np.array(weierstrass_laurent(0j, g3_rho, L - 1, 0j, 1.0)),
+              np.zeros(L, complex)]
+    assert tables[1][6] == 0 != tables[1][4] and tables[2][4] == 0 != tables[2][6]
+    return tables
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 2), (2, 7), (3, 5)])
+@pytest.mark.parametrize("S", [1, 7, 513])
+def test_kernels_take_a_laurent_column_per_point(n1, n2, S):
+    # a scan's warm wave evaluates the points of several lattices in one
+    # call: point s is computed with column s of an (L, S) table, and must
+    # get exactly what a call on that table alone gives it, also where some
+    # columns have zero entries that others have not
+    tables = _laurent_tables()
+    rng = np.random.default_rng(10 * n1 + n2 + S)
+    scale = np.array([[30.0], [5.0], [60.0]])
+    B, D0, D = scale * (rng.normal(size=(3, S)) + 1j * rng.normal(size=(3, S)))
+    D0[::3] = D[::3] = 0.0  # even-sector starts, where partials vanish
+    which = np.arange(S) % len(tables)
+    columns = np.stack([tables[k] for k in which], axis=1)
+    F, J = m0_residual_batch(n1, n2, columns, B, D0, D)
+    vals = m0_value_batch(n1, n2, columns, B, D0, D)
+    for k, table in enumerate(tables):
+        sel = which == k
+        if not sel.any():
+            continue
+        # the table as an array, and as the tuple ctx.b_num is
+        # (bit for bit: np.array_equal would let the sign of a zero differ)
+        for bnum in (table, tuple(table)):
+            Fk, Jk = m0_residual_batch(n1, n2, bnum, B[sel], D0[sel], D[sel])
+            assert np.array_equal(F[sel], Fk) and np.array_equal(J[sel], Jk)
+            assert F[sel].tobytes() == Fk.tobytes() and J[sel].tobytes() == Jk.tobytes()
+            Vk = m0_value_batch(n1, n2, bnum, B[sel], D0[sel], D[sel])
+            assert vals[sel].tobytes() == Vk.tobytes()
+
+
 def _two_pass_frobenius(n1, n2, rhs, zero, one):
     """The recursion as two sweeps over j, the second from the injected
     free coefficient: the reference for the one-sweep kernels."""
@@ -210,8 +256,10 @@ def _two_pass_jets(n1, n2, bnum, B, D0, D, one):
             return out
         return mul
 
+    live = _live_terms(bnum, n1 + n2 + 2)
+
     def rhs(j, c):
-        return _m0_terms(j, c, rho, alpha, beta, bnum,
+        return _m0_terms(j, c, rho, alpha, beta, bnum, live,
                          times(B, 1), times(D0, 2), times(D, 3))
 
     return _two_pass_frobenius(n1, n2, rhs, np.zeros_like(one), one)
@@ -245,9 +293,10 @@ def test_exact_system_matches_two_passes(n1, n2):
     Bv, D0v, Dv = (WeightedPoly.var(V, W, x) for x in ("B", "D0", "D"))
     _, _, alpha, beta, rho = _local_data(n1, n2)
     b = weierstrass_laurent_symbolic(n1 + n2 + 2, vars=V, weights=W)
+    live = _live_terms(b, n1 + n2 + 2)
 
     def rhs(j, c):
-        return _m0_terms(j, c, rho[0], alpha, beta, b,
+        return _m0_terms(j, c, rho[0], alpha, beta, b, live,
                          lambda x: Bv * x, lambda x: D0v * x, lambda x: Dv * x)
 
     want = _two_pass_frobenius(n1, n2, rhs, WeightedPoly.zero(V, W),

@@ -15,7 +15,6 @@ from todacensus.elliptic import (
     FORM_NAMES,
     LatticeTau,
     compute_invariants,
-    eval_weierstrass,
     find_form_zero,
     form_value,
     reduce_fundamental,
@@ -159,13 +158,13 @@ def test_near_pole_refusal():
     assert abs(v - 1e8) <= 1e-3 * 1e8
 
 
-def test_eval_weierstrass_wrapper():
+def test_jet_matches_its_views():
+    # one jet call gives P and its derivatives up to order n with zeta, as
+    # the single-purpose views do
     tau = 0.21 + 1.13j
     ctx = _ctx(tau)
     z = 0.31 + 0.17 * tau
-    P = eval_weierstrass(ctx, z, kind="P")
-    P2 = eval_weierstrass(ctx, z, kind="P_DERIV", n=2)
-    Z = eval_weierstrass(ctx, z, kind="ZETA")
+    (P, _, P2), Z = ctx.jet(z, 2, 4)
     assert abs(P - ctx.wp(z)) <= 1e-12 * (1 + abs(P))
     assert abs(P2 - ctx.wp(z, 2)) <= 1e-12 * (1 + abs(P2))
     assert abs(Z - ctx.zeta(z)) <= 1e-12 * (1 + abs(Z))

@@ -1,7 +1,8 @@
 """Every name a package module imports is used by that module, every
 private name the package defines is used somewhere in the package, every
-entry point the benchmark's tracer (bench/tracer.py) wraps exists, and the
-CLI starts without mpmath.
+entry point the benchmark's tracer (bench/tracer.py) wraps exists, a
+traced scan counts each Newton start once, and the CLI starts without
+mpmath.
 
 Static scans: each module of the package is parsed with ast.  An imported
 name counts as used when it appears as a name anywhere in the module or is
@@ -118,6 +119,37 @@ def test_traced_layers_resolve():
         for part in attr.split("."):
             assert hasattr(owner, part), "%s.%s" % (modname, attr)
             owner = getattr(owner, part)
+
+
+def test_traced_scan_counts_every_newton_start(monkeypatch):
+    # a scan solves the warm starts of a wave of cells in one Newton batch;
+    # the tracer's start count must still be the cells' starts, each once
+    tracing = _load_tracer()
+    for modname in {m for m, *_ in tracing.LAYERS}:
+        importlib.import_module(modname)  # the tracer wraps loaded modules only
+    solver = importlib.import_module("todacensus.solver")
+
+    used = []
+    census = solver._census
+
+    def recording(*args):
+        rep = census(*args)
+        used.append(rep.starts_used)
+        return rep
+
+    monkeypatch.setattr(solver, "_census", recording)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rows = solver.scan_tau(0, 4, {"re0": 0.1, "re1": 0.3, "nre": 3,
+                                      "im0": 1.1, "im1": 1.3, "nim": 3})
+    finally:
+        tracer.uninstall()
+    assert len(rows) == len(used) == 9
+    metrics = tracer.layer_metrics(0.0, 0.0, 0.0, 0.0)
+    assert metrics["solver.newton.starts"][0] == sum(used)
+    # one batch for the first cell's census chunk, one per later wave
+    assert metrics["solver.newton.calls"][0] == 1 + (3 + 3 - 2)
 
 
 def test_cli_start_leaves_mpmath_unloaded():

@@ -11,7 +11,9 @@ from todacensus.apparency import m0_residual_batch, m0_value_batch, problem_m0
 from todacensus.elliptic import compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
+    EvaluationError,
     EvenNonexistenceError,
+    InconclusiveError,
     InconclusiveWarning,
     StructuralError,
 )
@@ -214,6 +216,37 @@ def test_newton_evaluates_each_point_once(monkeypatch):
         assert seen["points"] <= 22 * rep.starts_used
 
 
+def test_newton_batch_over_two_lattices_matches_separate_batches():
+    # each start carries its lattice's Laurent column and metric scales, so
+    # one batch over two lattices is two batches of their own, bit for bit
+    n1, n2 = 3, 5
+    bound = solver.bezout_bound([(n1, n2)])
+    parts = []
+    for k, tau in enumerate((CENSUS_TAU, GENERIC_TAU)):
+        ctx = compute_invariants(tau)
+        cfg = SolverConfig().resolved(ctx.g2, ctx.g3, bound)
+        box = cfg.box_radius
+        u = _halton_block(101 + 37 * k, 64)
+        u[-4:] *= 1e9  # far outside the box: never stepped
+        X = np.vstack([solver._structured_starts(n1, n2, ctx.g2, ctx.g3),
+                       solver._starts_from_unit(u, (box, box, box ** 1.5))])
+        parts.append((ctx._bn_ext, X, solver._metric_scales(box), cfg))
+    cfg = parts[0][3]
+    alone = [solver._newton_m0_batch(n1, n2, b, X, sc, cfg) for b, X, sc, _ in parts]
+    sizes = [len(X) for _, X, _, _ in parts]
+    tables = np.repeat(np.stack([b for b, _, _, _ in parts], axis=1), sizes, axis=1)
+    scales = np.repeat([sc for _, _, sc, _ in parts], sizes, axis=0)
+    mixed = solver._newton_m0_batch(n1, n2, tables, np.vstack([X for _, X, _, _ in parts]),
+                                    scales, cfg)
+    for got, want in zip(mixed, alone[0]):
+        assert got[:sizes[0]].tobytes() == want.tobytes()
+    for got, want in zip(mixed, alone[1]):
+        assert got[sizes[0]:].tobytes() == want.tobytes()
+    # some starts of each lattice converged, and some did not
+    for _, _, rel, *_ in alone:
+        assert 0 < np.sum(rel <= 1e-10) < len(rel)
+
+
 def _greedy_clusters(pts, res, scales, merge_tol):
     """From-scratch greedy merge in the scaled max-metric: index lists,
     minimum-residual member first."""
@@ -272,6 +305,56 @@ def test_incremental_clusters_match_greedy(monkeypatch, n1, n2, tau, calls,
     want = [(*map(complex, pts[g[0]]), len(g), float(res[g[0]]))
             for g in sorted(groups, key=lambda g: key(pts[g[0]]))]
     assert [(c.B, c.D0, c.D, c.hits, c.residual) for c in rep.clusters] == want
+
+
+def _sigma_min_at(n1, n2, bnum, clusters):
+    """sigma_min of the kernel Jacobian at each reported root"""
+    X = np.array([[c.B, c.D0, c.D] for c in clusters])
+    _, J = m0_residual_batch(n1, n2, bnum, X[:, 0], X[:, 1], X[:, 2])
+    return np.linalg.svd(J, compute_uv=False)[:, -1].tolist()
+
+
+@pytest.mark.parametrize("promote", [False, True])
+def test_sigma_min_from_newton_jacobians(monkeypatch, promote):
+    # the census keeps Newton's J at each cluster representative, so
+    # sigma_min costs no kernel call; only a point that becomes a
+    # representative when a box doubling merges the points afresh (forced
+    # here by raising the residual that ranks the old one first) needs one
+    calls = []
+    kernel = solver.m0_residual_batch
+    newton = solver._newton_m0_batch
+    merge = solver._cluster_points
+    depth = [0]
+
+    def counting(n1, n2, bnum, B, D0, D):
+        calls.append(depth[0])
+        return kernel(n1, n2, bnum, B, D0, D)
+
+    def in_newton(*args):
+        depth[0] += 1
+        try:
+            return newton(*args)
+        finally:
+            depth[0] -= 1
+
+    fresh = []
+
+    def promoting(pts, res, clusters):
+        if not len(clusters.label):
+            fresh.append(len(pts))
+            if promote and len(fresh) > 1:  # a re-merge after a doubling
+                res = res.copy()
+                res[np.argmin(res)] = np.inf
+        return merge(pts, res, clusters)
+
+    monkeypatch.setattr(solver, "m0_residual_batch", counting)
+    monkeypatch.setattr(solver, "_newton_m0_batch", in_newton)
+    monkeypatch.setattr(solver, "_cluster_points", promoting)
+    ctx = compute_invariants(1j)
+    rep = solve_m0(problem_m0(1j, 0, 4), ctx)
+    assert rep.doublings == len(fresh) - 1 == 3
+    assert calls.count(0) == (1 if promote else 0)
+    assert [c.sigma_min for c in rep.clusters] == _sigma_min_at(0, 4, ctx._bn_ext, rep.clusters)
 
 
 def test_census_02_root_identity():
@@ -405,26 +488,81 @@ def test_scan_requires_valid_pair():
 GENERIC_GRID = {"re0": 0.1, "re1": 0.3, "nre": 3, "im0": 1.1, "im1": 1.3, "nim": 3}
 # tau = i is the middle of the second row: (0,4) has 3 of its 5 roots there
 SQUARE_GRID = {"re0": -0.1, "re1": 0.1, "nre": 3, "im0": 0.8, "im1": 1.0, "nim": 2}
+# (2,4) grids where the neighbour's roots leave cells short, which then run
+# the full census: the right column of the first, the middle of the second
+FALLBACK_GRIDS = (
+    {"re0": 0.23, "re1": 0.38, "nre": 2, "im0": 0.95, "im1": 1.05, "nim": 2},
+    {"re0": 0.2, "re1": 0.4, "nre": 3, "im0": 0.9, "im1": 1.1, "nim": 3},
+)
+
+
+def _record_cells(monkeypatch):
+    """tau -> (census report, warm Newton output or None) of every scan cell"""
+    cells = {}
+    census = solver._census
+
+    def recording(*args):
+        rep = census(*args)
+        cells[args[2]] = (rep, args[-1])
+        return rep
+
+    monkeypatch.setattr(solver, "_census", recording)
+    return cells
+
+
+def _serial_scan(n1, n2, grid):
+    """The scan as a chain of cells in row-major order, each cell's warm
+    starts solved as a Newton batch of its own: cell (i, j) from the roots
+    of (i, j - 1), the first cell of a row from those of the row before's."""
+    bound = solver.bezout_bound([(n1, n2)])
+    rows, row_start = [], None
+    for im in np.linspace(grid["im0"], grid["im1"], grid["nim"]):
+        if not im > 1e-9:
+            continue
+        warm = row_start
+        for j, re in enumerate(np.linspace(grid["re0"], grid["re1"], grid["nre"])):
+            tau = complex(re, im)
+            ctx = compute_invariants(tau)
+            cfg = SolverConfig().resolved(ctx.g2, ctx.g3, bound)
+            solved = None if warm is None else solver._newton_m0_batch(
+                n1, n2, ctx._bn_ext, warm, solver._metric_scales(cfg.box_radius), cfg)
+            rep = solver._census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, None, solved)
+            rows.append(solver._scan_row(tau, rep))
+            warm = np.array([[c.B, c.D0, c.D] for c in rep.clusters], complex)
+            if j == 0:
+                row_start = warm
+    return rows
+
+
+@pytest.mark.parametrize("pair,grid", [((0, 4), GENERIC_GRID), ((0, 4), SQUARE_GRID),
+                                       ((2, 4), FALLBACK_GRIDS[0]),
+                                       ((2, 4), FALLBACK_GRIDS[1])],
+                         ids=["generic", "square", "fallback-2x2", "fallback-3x3"])
+def test_scan_waves_match_serial_chain(monkeypatch, pair, grid):
+    # a wave's warm starts are one Newton batch over several lattices, and
+    # cells finish in wave order: the rows are those of the cell-by-cell
+    # chain, bit for bit, in row-major order
+    want = _serial_scan(*pair, grid)
+    cells = _record_cells(monkeypatch)
+    rows = scan_tau(*pair, grid)
+    assert rows == want
+    if pair == (2, 4):
+        # some cells did fall back to the full census after their warm starts
+        assert any(warm is not None and rep.starts_used > len(warm[0])
+                   for rep, warm in cells.values())
 
 
 @pytest.mark.parametrize("grid", [GENERIC_GRID, SQUARE_GRID])
 def test_scan_matches_independent_census(monkeypatch, grid):
     # warm starts from a neighbour change how a cell is searched, never
     # what it reports: each row equals a census of its own
-    cells = []
-    census = solver._census
-
-    def recording(*args):
-        rep = census(*args)
-        cells.append((rep, args[-1]))
-        return rep
-
-    monkeypatch.setattr(solver, "_census", recording)
+    cells = _record_cells(monkeypatch)
     rows = scan_tau(0, 4, grid)
     assert len(rows) == len(cells) == grid["nre"] * grid["nim"]
     keys = ("bound", "total", "even_total", "degenerate", "error")
-    for row, (rep, warm) in zip(rows, cells):
+    for row in rows:
         tau = complex(row["tau_re"], row["tau_im"])
+        rep, warm = cells[tau]
         ref = solve_m0(problem_m0(tau, 0, 4))
         want = {"bound": ref.bound, "total": ref.total, "even_total": ref.even_total,
                 "degenerate": sum(c.degenerate for c in ref.clusters), "error": None}
@@ -432,51 +570,99 @@ def test_scan_matches_independent_census(monkeypatch, grid):
         assert row["max_residual"] <= 1e-10
         if rep.total < rep.bound:
             # underfull after the warm starts: the full census ran after them
-            assert rep.starts_used > len(warm)
+            assert rep.starts_used > len(warm[0])
     if grid is SQUARE_GRID:
         assert (rows[4]["tau_re"], rows[4]["tau_im"], rows[4]["total"]) == (0.0, 1.0, 3)
 
 
-def test_scan_warm_cells_use_few_starts(monkeypatch):
-    # the neighbour's roots alone complete every cell after the first
-    starts = []
-    census, newton = solver._census, solver._newton_m0_batch
+def test_scan_failed_cell_ends_its_chain(monkeypatch):
+    # a cell whose invariants or census fail reports its error, and the
+    # cells that would start from its roots run without warm starts: its
+    # right neighbour and, for a first cell, the next row's first cell
+    cells = _record_cells(monkeypatch)
+    invariants, census = solver.compute_invariants, solver._census
+    g = GENERIC_GRID
+    reals, ims = np.linspace(g["re0"], g["re1"], 3), np.linspace(g["im0"], g["im1"], 3)
 
-    def new_cell(*args):
-        starts.append(0)
+    def failing_invariants(tau):
+        if tau == complex(reals[1], ims[0]):
+            raise EvaluationError("no invariants here")
+        return invariants(tau)
+
+    def failing_census(*args):
+        if args[2] == complex(reals[0], ims[1]):
+            raise InconclusiveError("no roots here")
         return census(*args)
 
-    def counting(n1, n2, bnum, X0, scales, cfg):
-        starts[-1] += len(X0)
-        return newton(n1, n2, bnum, X0, scales, cfg)
+    monkeypatch.setattr(solver, "compute_invariants", failing_invariants)
+    monkeypatch.setattr(solver, "_census", failing_census)
+    rows = scan_tau(0, 4, GENERIC_GRID)
+    taus = [complex(r["tau_re"], r["tau_im"]) for r in rows]
+    assert [r["error"] for r in rows] == [None, "no invariants here", None,
+                                          "no roots here"] + [None] * 5
+    cold = {taus[0], taus[2], taus[4], taus[6]}
+    assert sorted(cells, key=taus.index) == [t for t in taus if t not in (taus[1], taus[3])]
+    assert all((cells[t][1] is None) == (t in cold) for t in cells)
+    assert all(r["total"] == 5 for r in rows if r["error"] is None)
 
-    monkeypatch.setattr(solver, "_census", new_cell)
-    monkeypatch.setattr(solver, "_newton_m0_batch", counting)
+
+def test_scan_warm_cells_use_few_starts(monkeypatch):
+    # the neighbour's roots alone complete every cell after the first
+    cells = _record_cells(monkeypatch)
     rows = scan_tau(0, 4, GENERIC_GRID)
     assert all(r["total"] == r["bound"] == 5 for r in rows)
-    assert len(starts) == 9 and starts[0] > 512
-    assert all(n <= 2 * 5 for n in starts[1:])
+    assert len(cells) == 9
+    first, _ = cells[complex(0.1, 1.1)]
+    assert first.starts_used > 512
+    warm_cells = [(rep, warm) for rep, warm in cells.values() if warm is not None]
+    assert len(warm_cells) == 8
+    assert all(rep.starts_used == len(warm[0]) <= 2 * 5 for rep, warm in warm_cells)
+
+
+def _count_wave_kernels(monkeypatch):
+    """kernel calls of each Newton batch with per-point tables (a scan's
+    warm wave) and of the other Newton batches together"""
+    seen = _count_kernels(monkeypatch)
+    waves, other = [], [0]
+    newton = solver._newton_m0_batch
+
+    def counting(n1, n2, bnum, X0, scales, cfg):
+        before = seen["calls"]
+        out = newton(n1, n2, bnum, X0, scales, cfg)
+        if np.ndim(bnum) == 2:
+            waves.append(seen["calls"] - before)
+        else:
+            other[0] += seen["calls"] - before
+        return out
+
+    monkeypatch.setattr(solver, "_newton_m0_batch", counting)
+    return seen, waves, other
 
 
 def test_scan_warm_cells_use_few_kernel_calls(monkeypatch):
-    # a warm cell's handful of points costs one kernel call per Newton
-    # iterate, so per-call overhead, not points, sets its price: 14-16
-    # calls a warm cell when every iterate made two
-    calls = []
-    seen = _count_kernels(monkeypatch)
-    census = solver._census
-
-    def new_cell(*args):
-        before = seen["calls"]
-        rep = census(*args)
-        calls.append(seen["calls"] - before)
-        return rep
-
-    monkeypatch.setattr(solver, "_census", new_cell)
+    # a wave's handful of points per cell costs one kernel call per Newton
+    # iterate for all its cells together, so per-call overhead, not points,
+    # sets its price: 7-11 calls for each warm cell on its own before
+    seen, waves, other = _count_wave_kernels(monkeypatch)
     rows = scan_tau(0, 4, GENERIC_GRID)
     assert all(r["total"] == r["bound"] == 5 for r in rows)
-    assert len(calls) == 9
-    assert all(n <= 10 for n in calls[1:])
+    assert len(waves) == 3 + 3 - 2
+    assert all(n <= 10 for n in waves)
+    # sigma_min comes from Newton's own Jacobians: no kernel call outside it
+    assert seen["calls"] == sum(waves) + other[0]
+
+
+def test_scan_runs_one_warm_batch_per_wave(monkeypatch):
+    # cell (i, j) starts from (i, j - 1), the first cell of a row from
+    # (i - 1, 0): the cells of one anti-diagonal i + j share a batch, and
+    # only the first cell has no warm starts
+    _, waves, _ = _count_wave_kernels(monkeypatch)
+    grid = {"re0": -0.4, "re1": 0.35, "nre": 6, "im0": 0.95, "im1": 1.45, "nim": 6}
+    rows = scan_tau(0, 4, grid)
+    assert [(r["tau_re"], r["tau_im"]) for r in rows] == [
+        (re, im) for im in np.linspace(0.95, 1.45, 6) for re in np.linspace(-0.4, 0.35, 6)]
+    assert all(r["total"] == r["bound"] == 5 for r in rows)
+    assert len(waves) == 6 + 6 - 2
 
 
 def test_scan_worker_env(monkeypatch):
