@@ -12,11 +12,16 @@ and returns it for every point, so acceptance costs no further kernel call;
 max_iter and polish_iter only cap the two phases.  Starts run in chunks,
 and each chunk's accepted points are merged into the clusters kept from the
 chunks before; the points are clustered afresh only when a box doubling
-changes the metric.  Starting points combine a low-discrepancy Halton
-cloud (deterministic for a fixed seed) with structured seeds: the origin
-and the even-sector roots lifted to (B, 0, 0).  The even sector is
-additionally solved on its own by an Aberth-Ehrlich iteration, so the two
-counts can be compared independently by callers and tests.
+changes the metric.  The system is invariant under z -> -z, which maps a
+solution (B, D0, D) to (B, -D0, -D) and fixes the even ones: while a
+census is short of the bound, each non-even root found brings in its
+mirror, whose residual and Jacobian follow from the root's by signs alone,
+so the starts need to reach only one root of each pair.  Starting points
+combine a low-discrepancy Halton cloud (deterministic for a fixed seed) with
+structured seeds: the origin and the even-sector roots lifted to (B, 0, 0).
+The even sector is additionally solved on its own by an Aberth-Ehrlich
+iteration, so the two counts can be compared independently by callers and
+tests.
 
 scan_tau runs the census over a tau grid: each cell first runs Newton from
 the roots of its neighbour, and stops there if they reach the
@@ -123,7 +128,10 @@ class RootCluster:
 
     residual is the relative residual of the representative point (see
     _relative); the census accepts points with residual <=
-    SolverConfig.accept_tol."""
+    SolverConfig.accept_tol.  hits counts the Newton endpoints in the
+    cluster; the mirrors (B, -D0, -D) of other clusters' roots that the
+    census adds are members too, but not hits, so a cluster first reached
+    as a mirror has hits 0."""
 
     B: complex
     D0: complex
@@ -596,6 +604,16 @@ def _metric_scales(box):
     return box, math.sqrt(box), box ** 1.5
 
 
+def _mirror_signs(n1, n2):
+    """Signs s of the equations under sigma(B, D0, D) = (B, -D0, -D), the
+    z -> -z symmetry (lam = -1 in the scaling weights): F(sigma x) = s F(x)
+    and J(sigma x) = s J(x) _SIGMA, bit for bit."""
+    return np.array([(-1.0) ** (n1 + 1), (-1.0) ** (n2 + 1), (-1.0) ** (n1 + n2)])
+
+
+_SIGMA = np.array([1.0, -1.0, -1.0])
+
+
 def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     """Shared census engine; returns (clusters, starts_used, box, doublings,
     notes, cfg, bound).
@@ -607,6 +625,14 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     solutions by the weighted-Bezout bound, so if that batch alone reaches
     it the census is complete; otherwise it goes on as without warm starts.
 
+    sigma(x) = (B, -D0, -D) is a solution with x, and the even ones are its
+    fixed points.  A batch that leaves the census short of the bound is
+    followed by the mirror sigma(r) of every non-even representative r
+    whose cluster holds no mirror yet: its F, J, relative residual and
+    polish tails are those of r up to signs, so it costs no kernel call.
+    Mirrors are clustered like Newton endpoints, but only endpoints count
+    as hits.
+
     Only the Jacobians of the cluster representatives are kept from
     Newton; they give sigma_min."""
     bound = bezout_bound([(n1, n2)])
@@ -614,11 +640,15 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     box = cfg.box_radius
     budget = cfg.starts
     offset = 101 + 7919 * (cfg.seed % 1000003)
+    signs = _mirror_signs(n1, n2)[:, None] * _SIGMA
 
-    # accepted points, their relative residuals and polish tails (prev, last)
+    # accepted points, their relative residuals and polish tails (prev, last);
+    # endpoint marks Newton's points, paired those that are a mirror or have one
     pts = np.empty((0, 3), complex)
     res = np.empty(0)
     tails = np.empty((0, 2))
+    endpoint = np.empty(0, bool)
+    paired = np.empty(0, bool)
     rep_J = {}  # point index -> J there, for the cluster representatives
     starts_used = 0
     doublings = 0
@@ -626,26 +656,48 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
 
     def merge(X, r, J=None):
         """Cluster the points X with residuals r, and keep a copy of J at
-        those that become representatives (J None: points merged afresh)."""
+        those that become representatives (J None: points merged afresh;
+        an entry None: J unknown there)."""
         nonlocal rep_J
         base = len(clusters.label)
         _cluster_points(X, r, clusters)
         if J is not None:
-            rep_J.update((i, J[i - base].copy()) for i in clusters.rep if i >= base)
+            rep_J.update((i, J[i - base].copy()) for i in clusters.rep
+                         if i >= base and J[i - base] is not None)
         rep_J = {i: rep_J[i] for i in clusters.rep if i in rep_J}
 
+    def add(X, r, t, J, newton):
+        nonlocal pts, res, tails, endpoint, paired
+        pts = np.concatenate([pts, X])
+        res = np.concatenate([res, r])
+        tails = np.concatenate([tails, t])
+        endpoint = np.concatenate([endpoint, np.full(len(X), newton)])
+        paired = np.concatenate([paired, np.full(len(X), not newton)])
+        merge(X, r, J)
+
+    def mirror():
+        has = np.zeros(len(clusters), bool)
+        np.logical_or.at(has, clusters.label, paired)
+        alone = np.array(clusters.rep, int)[~has]
+        alone = alone[~_even_points(pts[alone], cfg.even_tol)]
+        if len(alone):
+            paired[alone] = True
+            J = [rep_J[i] * signs if i in rep_J else None for i in alone]
+            X = pts[alone]
+            X[:, 1:] = -X[:, 1:]
+            add(X, res[alone], tails[alone], J, False)
+
     def accept(newton_out, sample_scales):
-        nonlocal starts_used, pts, res, tails
+        nonlocal starts_used
         Xb, rb, relb, Jb, tp, tl = newton_out
         starts_used += len(Xb)
         with np.errstate(all="ignore"):
             mag = _scaled_mag(Xb[:, 0], Xb[:, 1], Xb[:, 2], sample_scales)
         rb = np.where(np.isfinite(rb) & (mag < 5.0), relb, np.inf)
         keep = rb <= cfg.accept_tol
-        pts = np.concatenate([pts, Xb[keep]])
-        res = np.concatenate([res, rb[keep]])
-        tails = np.concatenate([tails, np.stack([tp[keep], tl[keep]], axis=1)])
-        merge(Xb[keep], rb[keep], Jb[keep])
+        add(Xb[keep], rb[keep], np.stack([tp[keep], tl[keep]], axis=1), Jb[keep], True)
+        if len(clusters) < bound:
+            mirror()
 
     while True:
         # the cluster metric respects the scaling weights of the parameters;
@@ -687,7 +739,7 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
 
     # final diagnostics on cluster centers
     rep = np.array(clusters.rep)
-    hits = np.bincount(clusters.label, minlength=len(rep))
+    hits = np.bincount(clusters.label[endpoint], minlength=len(rep))
     is_even = np.zeros(len(rep), bool)
     np.logical_or.at(is_even, clusters.label, _even_points(pts, cfg.even_tol))
     # a re-merge after a box doubling may make a point a representative

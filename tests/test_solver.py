@@ -157,9 +157,15 @@ def test_census_large_roots_without_doubling():
 CENSUS_TAU = -0.373 + 0.992j
 
 
+# starts of the (3,5) and (2,7) censuses at CENSUS_TAU: one chunk and the
+# structured starts, after which the mirrors of the roots found complete both
+# (2,561 and 1,029 starts when every root had to be reached by Newton)
+CENSUS_STARTS = (((3, 5), 40, 513), ((2, 7), 44, 517))
+
+
 def test_newton_stops_at_convergence(monkeypatch):
     # converged starts once iterated to the caps, max_iter + polish_iter =
-    # 100 Jacobians: 98.5 and 96.3 per start here
+    # 100 Jacobians: 98.5 and 96.3 per start here, 18.0 now
     points = [0]
     kernel = solver.m0_residual_batch
 
@@ -168,7 +174,7 @@ def test_newton_stops_at_convergence(monkeypatch):
         return kernel(n1, n2, bnum, B, D0, D)
 
     monkeypatch.setattr(solver, "m0_residual_batch", counting)
-    for (n1, n2), total, starts in (((3, 5), 40, 2561), ((2, 7), 44, 1029)):
+    for (n1, n2), total, starts in CENSUS_STARTS:
         points[0] = 0
         rep = solve_m0(problem_m0(CENSUS_TAU, n1, n2))
         assert (rep.total, rep.bound, rep.starts_used) == (total, total, starts)
@@ -178,7 +184,7 @@ def test_newton_stops_at_convergence(monkeypatch):
 def test_line_search_evaluates_only_halved_steps(monkeypatch):
     # each damped step once re-evaluated every point for each of its 3
     # trials, where only the halved steps had moved: 49.1 value points per
-    # start here, against 18.1 when only those are evaluated again
+    # start here, against 18.1 when only those are evaluated again (0.9 now)
     points = [0]
     kernel = solver.m0_value_batch
 
@@ -188,7 +194,7 @@ def test_line_search_evaluates_only_halved_steps(monkeypatch):
 
     monkeypatch.setattr(solver, "m0_value_batch", counting)
     rep = solve_m0(problem_m0(CENSUS_TAU, 3, 5))
-    assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 2561)
+    assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 513)
     assert points[0] <= 25 * rep.starts_used
 
 
@@ -208,8 +214,9 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     # a trial point's F and J serve the next step and the acceptance test:
     # both kernels evaluated 36.6 and 37.1 points per start here when each
     # iterate judged its step by value, then re-evaluated the point with J
+    # (18.9 now)
     seen = _count_kernels(monkeypatch)
-    for (n1, n2), total, starts in (((3, 5), 40, 2561), ((2, 7), 44, 1029)):
+    for (n1, n2), total, starts in CENSUS_STARTS:
         seen["points"] = 0
         rep = solve_m0(problem_m0(CENSUS_TAU, n1, n2))
         assert (rep.total, rep.bound, rep.starts_used) == (total, total, starts)
@@ -271,40 +278,58 @@ def _groups(clusters):
 
 
 @pytest.mark.parametrize("n1,n2,tau,calls,doublings,degenerate", [
-    (2, 7, CENSUS_TAU, 2, 0, 0),   # two chunks in one box
+    (3, 7, GENERIC_TAU, 7, 0, 0),  # five chunks in one box, mirrors after the first and last
     (0, 4, 1j, 8, 3, 1),           # two chunks, then per doubling a re-merge and a chunk
 ])
 def test_incremental_clusters_match_greedy(monkeypatch, n1, n2, tau, calls,
                                            doublings, degenerate):
-    # after every chunk, the clusters kept so far equal a from-scratch merge
-    # of every point accepted since the last box doubling merged them afresh
-    seen, checked = [], []
+    # after every chunk and every batch of mirrors, the clusters kept so far
+    # equal a from-scratch merge of every point accepted since the last box
+    # doubling merged them afresh
+    seen, checked, added = [], [], []
+    from_newton = [False]
     merge = solver._cluster_points
+    newton = solver._newton_m0_batch
 
     def checking(pts, res, clusters):
         nonlocal calls
         calls -= 1
+        # Newton's endpoints, mirrors, or a re-merge of every point so far
+        if from_newton[0] or len(clusters.label):
+            endpoint = np.full(len(pts), from_newton[0])
+            added.append(endpoint)
+        else:
+            endpoint = np.concatenate(added)
+        from_newton[0] = False
         if not len(clusters.label):
             seen.clear()
-        seen.append((pts.copy(), res.copy()))
+        seen.append((pts.copy(), res.copy(), endpoint))
         out = merge(pts, res, clusters)
-        P = np.concatenate([p for p, _ in seen])
-        R = np.concatenate([r for _, r in seen])
+        P, R, E = (np.concatenate(a) for a in zip(*seen))
         groups = _greedy_clusters(P, R, 1.0 / clusters.inv_scales, clusters.merge_tol)
         assert _groups(clusters) == sorted((g[0], sorted(g)) for g in groups)
-        checked[:] = [(P, R, groups)]
+        checked[:] = [(P, R, E, groups)]
         return out
 
+    def marking(*args):
+        from_newton[0] = True
+        return newton(*args)
+
     monkeypatch.setattr(solver, "_cluster_points", checking)
+    monkeypatch.setattr(solver, "_newton_m0_batch", marking)
     rep = solve_m0(problem_m0(tau, n1, n2))
     assert (calls, rep.doublings) == (0, doublings)
     assert sum(c.degenerate for c in rep.clusters) == degenerate
-    # the report lists the representatives, in sorted order, with their hits
-    pts, res, groups = checked[0]
+    # the report lists the representatives, in sorted order, with their hits:
+    # the members that are Newton endpoints, not mirrors
+    pts, res, endpoint, groups = checked[0]
     key = lambda p: tuple(v for z in p for v in (round(z.real, 9), round(z.imag, 9)))
-    want = [(*map(complex, pts[g[0]]), len(g), float(res[g[0]]))
+    want = [(*map(complex, pts[g[0]]), int(endpoint[g].sum()), float(res[g[0]]))
             for g in sorted(groups, key=lambda g: key(pts[g[0]]))]
     assert [(c.B, c.D0, c.D, c.hits, c.residual) for c in rep.clusters] == want
+    if n1:
+        # a cluster first reached as a mirror
+        assert min(c.hits for c in rep.clusters) == 0
 
 
 def _sigma_min_at(n1, n2, bnum, clusters):
@@ -355,6 +380,114 @@ def test_sigma_min_from_newton_jacobians(monkeypatch, promote):
     assert rep.doublings == len(fresh) - 1 == 3
     assert calls.count(0) == (1 if promote else 0)
     assert [c.sigma_min for c in rep.clusters] == _sigma_min_at(0, 4, ctx._bn_ext, rep.clusters)
+
+
+RHO = complex(0.5, math.sqrt(3.0) / 2.0)
+SIGMA_PAIRS = [(0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4), (2, 7), (3, 5),
+               (1, 8), (3, 7), (4, 8), (5, 9)]
+
+
+@pytest.mark.parametrize("tau", [GENERIC_TAU, 1j, RHO], ids=["generic", "i", "rho"])
+@pytest.mark.parametrize("n1,n2", SIGMA_PAIRS)
+def test_kernels_are_sigma_equivariant(n1, n2, tau):
+    # z -> -z maps (B, D0, D) to sigma x = (B, -D0, -D): the kernels give
+    # F(sigma x) = s F(x) and J(sigma x) = s J(x) diag(1, -1, -1) bit for bit,
+    # so a mirror's relative residual is its root's, and costs no kernel call
+    bnum = compute_invariants(tau)._bn_ext
+    s = solver._mirror_signs(n1, n2)
+    gen = np.random.default_rng(17 * n1 + n2)
+    for S in (1, 513):
+        X = (gen.standard_normal((S, 3)) + 1j * gen.standard_normal((S, 3))) * [30, 5, 100]
+        M = X * solver._SIGMA
+        F, J = m0_residual_batch(n1, n2, bnum, *X.T)
+        FM, JM = m0_residual_batch(n1, n2, bnum, *M.T)
+        assert FM.tobytes() == (F * s).tobytes()
+        # the sign of a zero entry may differ
+        assert np.array_equal(JM, s[:, None] * J * solver._SIGMA)
+        V = m0_value_batch(n1, n2, bnum, *M.T)
+        assert V.tobytes() == (m0_value_batch(n1, n2, bnum, *X.T) * s).tobytes()
+        assert _relative(FM, JM, M).tobytes() == _relative(F, J, X).tobytes()
+
+
+def _count_accepted(monkeypatch):
+    """Newton endpoints that the census accepts, judged as _run_census
+    judges them"""
+    accepted = [0]
+    newton = solver._newton_m0_batch
+
+    def counting(n1, n2, bnum, X0, scales, cfg):
+        out = newton(n1, n2, bnum, X0, scales, cfg)
+        X, res, rel = out[:3]
+        box = scales[0]
+        with np.errstate(all="ignore"):
+            mag = np.max(np.abs(X) / [box, box, box ** 1.5], axis=1)
+        accepted[0] += int(np.sum(np.isfinite(res) & (mag < 5.0) & (rel <= cfg.accept_tol)))
+        return out
+
+    monkeypatch.setattr(solver, "_newton_m0_batch", counting)
+    return accepted
+
+
+def _assert_sigma_closed(rep):
+    """sigma maps the reported roots onto themselves, and fixes the even
+    ones only"""
+    X = np.array([[c.B, c.D0, c.D] for c in rep.clusters])
+    scales = np.array(solver._metric_scales(rep.box_radius))
+    dist = (np.abs(X[:, None, :] * solver._SIGMA - X[None, :, :]) / scales).max(axis=-1)
+    image = np.argmin(dist, axis=1)
+    assert np.all(dist[np.arange(len(X)), image] <= rep.config.merge_tol)
+    assert np.array_equal(image[image], np.arange(len(X)))
+    assert np.array_equal(image == np.arange(len(X)), [c.is_even for c in rep.clusters])
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 4), (3, 5), (2, 7), (1, 8)])
+def test_complete_census_is_sigma_closed(monkeypatch, n1, n2):
+    # non-even roots come in pairs {x, sigma x}, so a complete census is
+    # sigma-closed and the bound exceeds the even count by an even number;
+    # mirrors are clustered, but only Newton endpoints count as hits
+    accepted = _count_accepted(monkeypatch)
+    for tau in random_taus(3, seed=4242):
+        accepted[0] = 0
+        rep = solve_m0(problem_m0(tau, n1, n2))
+        assert rep.total == rep.bound
+        assert (rep.bound - rep.even_total) % 2 == 0
+        _assert_sigma_closed(rep)
+        assert sum(c.hits for c in rep.clusters) == accepted[0]
+
+
+def test_mirrors_survive_a_box_doubling(monkeypatch):
+    # the re-merge after a box doubling clusters mirrors and endpoints
+    # afresh, and the hits still count the endpoints alone
+    accepted = _count_accepted(monkeypatch)
+    merge = solver._cluster_points
+    merged = [0]
+
+    def counting(pts, res, clusters):
+        merged[0] = len(clusters.label) + len(pts)
+        return merge(pts, res, clusters)
+
+    monkeypatch.setattr(solver, "_cluster_points", counting)
+    rep = solve_m0(problem_m0(CENSUS_TAU, 2, 4), config=SolverConfig(box_radius=40.0))
+    assert rep.doublings == 1
+    assert rep.total == rep.bound == 20
+    _assert_sigma_closed(rep)
+    assert sum(c.hits for c in rep.clusters) == accepted[0]
+    assert merged[0] > accepted[0]  # mirrors were among the points re-merged
+
+
+def test_mirrors_cost_no_kernel_call(monkeypatch):
+    # a mirror's residual, polish tails and J are its root's up to signs:
+    # every kernel call is Newton's, and each reported residual and
+    # sigma_min is the kernel's at the reported root, mirrors included
+    seen, waves, other = _count_wave_kernels(monkeypatch)
+    ctx = compute_invariants(CENSUS_TAU)
+    rep = solve_m0(problem_m0(CENSUS_TAU, 3, 5), ctx)
+    assert seen["calls"] == other[0] and not waves
+    assert any(c.hits == 0 for c in rep.clusters)
+    X = np.array([[c.B, c.D0, c.D] for c in rep.clusters])
+    F, J = m0_residual_batch(3, 5, ctx._bn_ext, *X.T)
+    assert [c.residual for c in rep.clusters] == _relative(F, J, X).tolist()
+    assert [c.sigma_min for c in rep.clusters] == _sigma_min_at(3, 5, ctx._bn_ext, rep.clusters)
 
 
 def test_census_02_root_identity():
