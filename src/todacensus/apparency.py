@@ -270,16 +270,6 @@ class M0System:
     def polys(self):
         return (self.P1, self.P2, self.P3)
 
-    def to_json_dict(self):
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "bound": self.bound,
-            "P1": self.P1.to_json_dict(),
-            "P2": self.P2.to_json_dict(),
-            "P3": self.P3.to_json_dict(),
-        }
-
     def text(self):
         return "P1 = %s\nP2 = %s\nP3 = %s" % (
             self.P1.text(),
@@ -450,14 +440,6 @@ class EvenPoly:
     def coeffs_in_B(self):
         """[c_0, ..., c_Ne] with c_k the WeightedPoly coefficient of B^k."""
         return [self.poly.coefficient("B", k) for k in range(self.Ne + 1)]
-
-    def to_json_dict(self):
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "Ne": self.Ne,
-            "poly": self.poly.to_json_dict(),
-        }
 
 
 def even_count_Ne(n1, n2):

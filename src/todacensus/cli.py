@@ -33,7 +33,7 @@ from .errors import (
     PathClearanceError,
     StructuralError,
 )
-from .jsonio import dumps_canonical, rows_to_csv
+from .jsonio import dumps_canonical, rows_to_csv, to_jsonable
 from .monodromy import verify_roots
 from .solver import SolverConfig, scan_tau, solve_even, solve_m0, solve_m0_degenerate
 
@@ -75,31 +75,39 @@ def parse_tau(text):
 
 
 def _load_punctures(path):
-    """Puncture list (and optional parameter vector) from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    items = data["punctures"] if isinstance(data, dict) else data
-    punctures = []
-    for it in items:
-        p = it["p"]
-        punctures.append(
-            PunctureSpec(p=complex(p[0], p[1]), n1=int(it["n1"]), n2=int(it["n2"]))
-        )
-    params = None
-    if isinstance(data, dict) and "params" in data:
-        pr = data["params"]
+    """Puncture list (and optional parameter vector) from a JSON file.
 
-        def _cplx_list(key):
-            return tuple(complex(v[0], v[1]) for v in pr[key])
+    A file that cannot be read, is not JSON or lacks an entry raises
+    StructuralError, a usage error that names the file."""
+    def cplx(v):
+        return complex(v[0], v[1])
 
-        params = ParamVec(
-            A=_cplx_list("A"),
-            Bk=_cplx_list("Bk"),
-            B=complex(pr["B"][0], pr["B"][1]),
-            Dk=_cplx_list("Dk"),
-            D=complex(pr["D"][0], pr["D"][1]),
-        )
-    return punctures, params
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        items = data["punctures"] if isinstance(data, dict) else data
+        punctures = [PunctureSpec(p=cplx(it["p"]), n1=int(it["n1"]), n2=int(it["n2"]))
+                     for it in items]
+        params = None
+        if isinstance(data, dict) and "params" in data:
+            pr = data["params"]
+            params = ParamVec(
+                A=tuple(map(cplx, pr["A"])),
+                Bk=tuple(map(cplx, pr["Bk"])),
+                B=cplx(pr["B"]),
+                Dk=tuple(map(cplx, pr["Dk"])),
+                D=cplx(pr["D"]),
+            )
+        return punctures, params
+    except OSError as e:
+        problem = e.strerror or str(e)
+    except json.JSONDecodeError as e:
+        problem = "not valid JSON (%s)" % e
+    except KeyError as e:
+        problem = "missing key %s" % e
+    except (TypeError, ValueError, IndexError) as e:
+        problem = "malformed entry (%s)" % e
+    raise StructuralError("--punctures %s: %s" % (path, problem))
 
 
 def _problem_from_args(args):
@@ -127,15 +135,14 @@ def cmd_invariants(args):
     tau = args.tau
     if tau is None:
         raise StructuralError("--tau is required")
-    ctx = compute_invariants(tau)
-    return ctx.to_json_dict()
+    return compute_invariants(tau)
 
 
 def cmd_polys(args):
     if args.n1 is None or args.n2 is None:
         raise StructuralError("--n1 and --n2 are required")
     system = build_m0_system(args.n1, args.n2)
-    out = system.to_json_dict()
+    out = to_jsonable(system)
     out["text"] = system.text()
     return out
 
@@ -155,14 +162,12 @@ def cmd_even(args):
             "poly": ep.poly.text(),
         }
     problem, _ = _problem_from_args(args)
-    report = solve_even(problem, config=_solver_config(args))
-    return report.to_json_dict()
+    return solve_even(problem, config=_solver_config(args))
 
 
 def cmd_solve(args):
     problem, _ = _problem_from_args(args)
-    report = solve_m0(problem, config=_solver_config(args))
-    return report.to_json_dict()
+    return solve_m0(problem, config=_solver_config(args))
 
 
 def cmd_monodromy(args):
@@ -173,14 +178,10 @@ def cmd_monodromy(args):
         census = None
         roots = [params]
     else:
-        census = solve_m0(problem, ctx, config=_solver_config(args))
+        # --tol is the transport rtol here, not the census acceptance
+        census = solve_m0(problem, ctx, config=SolverConfig(seed=args.seed))
         roots = [ParamVec.m0(cl.B, cl.D0, cl.D) for cl in census.clusters]
-    reports = verify_roots(problem, ctx, roots, rtol=rtol)
-    out = {
-        "census": None if census is None else census.to_json_dict(),
-        "roots": [r.to_json_dict() for r in reports],
-    }
-    return out
+    return {"census": census, "roots": verify_roots(problem, ctx, roots, rtol=rtol)}
 
 
 def cmd_scan(args):
@@ -201,8 +202,7 @@ def cmd_scan(args):
 def cmd_probe_degenerate(args):
     if args.n1 is None or args.n2 is None:
         raise StructuralError("--n1 and --n2 are required")
-    report = solve_m0_degenerate(args.n1, args.n2, config=_solver_config(args))
-    return report.to_json_dict()
+    return solve_m0_degenerate(args.n1, args.n2, config=_solver_config(args))
 
 
 _DISPATCH = {

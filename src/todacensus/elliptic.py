@@ -125,10 +125,6 @@ class EllipticContext:
         n = math.floor(b + 0.5)
         return z - m - n * t, m, n
 
-    def distance_to_lattice(self, z):
-        zr, _, _ = self.reduce_point(z)
-        return abs(zr)
-
     # -- q-series workspace --------------------------------------------------
 
     def _terms_for(self, n):

@@ -4,9 +4,12 @@ The JSON layout is versioned ("toda-census/1") and byte-deterministic:
 floats are rendered with repr (17 significant digits round-trip), keys are
 sorted, and separators are fixed, so identical inputs give identical bytes.
 Complex numbers appear as [re, im] pairs, exact rationals as "num/den"
-strings, and matrices as row-major nested [re, im] lists.
+strings, and matrices as row-major nested [re, im] lists.  A report
+serializes from its dataclass fields, one key per field; a class whose JSON
+differs from its fields says so in a to_json_dict method, which wins.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -55,6 +58,8 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj.tolist()]
     if hasattr(obj, "to_json_dict"):
         return to_jsonable(obj.to_json_dict())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -36,7 +36,6 @@ from .errors import (
     PathClearanceError,
     StructuralError,
 )
-from .jsonio import complex_pair, matrix_to_json
 
 __all__ = [
     "MonodromyReport",
@@ -343,18 +342,6 @@ class UnitarizeResult:
     unitary_residual: float = None
     normal_residual: float = None
 
-    def to_json_dict(self):
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "H": None if self.H is None else matrix_to_json(self.H),
-            "P": None if self.P is None else matrix_to_json(self.P),
-            "N1_normal": None if self.N1_normal is None else matrix_to_json(self.N1_normal),
-            "N2_normal": None if self.N2_normal is None else matrix_to_json(self.N2_normal),
-            "unitary_residual": self.unitary_residual,
-            "normal_residual": self.normal_residual,
-        }
-
 
 @dataclass
 class MonodromyReport:
@@ -377,27 +364,6 @@ class MonodromyReport:
     pde_residual: float = None
     even_residual: float = None
     notes: tuple = ()
-
-    def to_json_dict(self):
-        return {
-            "tau": complex_pair(self.tau),
-            "epsilon": complex_pair(self.epsilon),
-            "N1": matrix_to_json(self.N1),
-            "N2": matrix_to_json(self.N2),
-            "local": [matrix_to_json(M) for M in self.local],
-            "local_scalars": [complex_pair(s) for s in self.local_scalars],
-            "local_scalar_residuals": list(self.local_scalar_residuals),
-            "eps_residual": self.eps_residual,
-            "det_drift": self.det_drift,
-            "base_point": complex_pair(self.base_point),
-            "loop_radius": self.loop_radius,
-            "rtol": self.rtol,
-            "unitarizable": self.unitarizable,
-            "H": None if self.H is None else matrix_to_json(self.H),
-            "pde_residual": self.pde_residual,
-            "even_residual": self.even_residual,
-            "notes": list(self.notes),
-        }
 
 
 # ---------------------------------------------------------------------------

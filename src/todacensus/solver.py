@@ -9,7 +9,7 @@ next step from there reuses, and only a line search's halved trials are
 evaluated without.  Newton drops a point as soon as its relative residual
 (see _relative) is <= 1e-13 in the damped loop or <= 1e-15 in the polish,
 and returns it for every point, so acceptance costs no further kernel call;
-max_iter and polish_iter only cap the two phases.  Starts run in chunks,
+_MAX_ITER and _POLISH_ITER only cap the two phases.  Starts run in chunks,
 and each chunk's accepted points are merged into the clusters kept from the
 chunks before; the points are clustered afresh only when a box doubling
 changes the metric.  The system is invariant under z -> -z, which maps a
@@ -32,7 +32,7 @@ anti-diagonal at a time, and the warm starts of a whole wave are one Newton
 batch: the kernels take a Laurent table per point, and Newton a metric
 scale per point, so each start is solved as in a batch of its own lattice
 and the rows are those of the cell-by-cell chain.  The census keeps
-Newton's Jacobians at the cluster representatives for sigma_min.
+Newton's Jacobian at every accepted point, for sigma_min.
 
 Scaling convention: under z -> lam * z the parameters transform with weights
 B: lam^-2, D0: lam^-1, D: lam^-3, so search boxes, step caps and the cluster
@@ -79,6 +79,18 @@ __all__ = [
 WORKERS_ENV = "TODA_CENSUS_WORKERS"
 
 
+# Fixed settings of the census: Newton's iteration caps in the damped loop
+# and the polish, the tolerances that judge a point even and merge two
+# points, the starts per Newton batch, and the box doublings of an underfull
+# census.  The config block of a report records them with the knobs.
+_MAX_ITER = 60
+_POLISH_ITER = 40
+_EVEN_TOL = 1e-8
+_MERGE_TOL = 1e-6
+_CHUNK = 512
+_MAX_DOUBLINGS = 3
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the multi-start census.
@@ -89,14 +101,8 @@ class SolverConfig:
 
     box_radius: float = None
     starts: int = None
-    max_iter: int = 60
-    polish_iter: int = 40
     accept_tol: float = 1e-10
-    even_tol: float = 1e-8
-    merge_tol: float = 1e-6
     seed: int = 0
-    chunk: int = 512
-    max_doublings: int = 3
 
     def resolved(self, g2, g3, bound):
         box = self.box_radius
@@ -109,16 +115,13 @@ class SolverConfig:
 
     def to_json_dict(self):
         return {
-            "box_radius": self.box_radius,
-            "starts": self.starts,
-            "max_iter": self.max_iter,
-            "polish_iter": self.polish_iter,
-            "accept_tol": self.accept_tol,
-            "even_tol": self.even_tol,
-            "merge_tol": self.merge_tol,
-            "seed": self.seed,
-            "chunk": self.chunk,
-            "max_doublings": self.max_doublings,
+            **vars(self),
+            "max_iter": _MAX_ITER,
+            "polish_iter": _POLISH_ITER,
+            "even_tol": _EVEN_TOL,
+            "merge_tol": _MERGE_TOL,
+            "chunk": _CHUNK,
+            "max_doublings": _MAX_DOUBLINGS,
         }
 
 
@@ -142,18 +145,6 @@ class RootCluster:
     hits: int
     sigma_min: float
 
-    def to_json_dict(self):
-        return {
-            "B": [self.B.real, self.B.imag],
-            "D0": [self.D0.real, self.D0.imag],
-            "D": [self.D.real, self.D.imag],
-            "residual": self.residual,
-            "is_even": self.is_even,
-            "degenerate": self.degenerate,
-            "hits": self.hits,
-            "sigma_min": self.sigma_min,
-        }
-
 
 @dataclass(frozen=True)
 class CensusReport:
@@ -174,37 +165,12 @@ class CensusReport:
     config: SolverConfig
     notes: tuple = ()
 
-    def to_json_dict(self):
-        return {
-            "tau": None if self.tau is None else [self.tau.real, self.tau.imag],
-            "n1": self.n1,
-            "n2": self.n2,
-            "g2": [self.g2.real, self.g2.imag],
-            "g3": [self.g3.real, self.g3.imag],
-            "bound": self.bound,
-            "total": self.total,
-            "even_total": self.even_total,
-            "clusters": [c.to_json_dict() for c in self.clusters],
-            "starts_used": self.starts_used,
-            "box_radius": self.box_radius,
-            "doublings": self.doublings,
-            "config": self.config.to_json_dict(),
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
 class EvenRoot:
     B: complex
     multiplicity: int
     residual: float
-
-    def to_json_dict(self):
-        return {
-            "B": [self.B.real, self.B.imag],
-            "multiplicity": self.multiplicity,
-            "residual": self.residual,
-        }
 
 
 @dataclass(frozen=True)
@@ -221,16 +187,9 @@ class EvenReport:
     roots: tuple
 
     def to_json_dict(self):
-        return {
-            "tau": None if self.tau is None else [self.tau.real, self.tau.imag],
-            "n1": self.n1,
-            "n2": self.n2,
-            "Ne": self.Ne,
-            "g2": [self.g2.real, self.g2.imag],
-            "g3": [self.g3.real, self.g3.imag],
-            "poly": self.poly_text,
-            "roots": [r.to_json_dict() for r in self.roots],
-        }
+        out = dict(vars(self))
+        out["poly"] = out.pop("poly_text")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +358,8 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     A point leaves each phase as soon as it has converged: when its relative
     residual is <= _DAMPED_STOP in the damped loop or <= _POLISH_STOP in the
     polish.  Its absolute residual bounds the relative one from above and
-    stops it at the same thresholds.  cfg.max_iter and cfg.polish_iter cap
-    the phases.
+    stops it at the same thresholds.  _MAX_ITER and _POLISH_ITER cap the
+    phases.
 
     bnum is the Laurent table of the lattice (L,), or one column per start
     (L, S), and scales the metric scales (sB, sD0, sD), or one row per start
@@ -452,7 +411,7 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
             evaluate(w, B[w], D0[w], D[w])
 
     res = evaluate(slice(None), B, D0, D)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         with np.errstate(all="ignore"):
             mag = _scaled_mag(B, D0, D, scales_at(slice(None)))
         act = np.isfinite(res) & (res > _DAMPED_STOP) & (mag < 1e8)
@@ -493,7 +452,7 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     tail_prev = np.full(S, np.inf)
     tail_last = np.full(S, np.inf)
     near = np.isfinite(res) & (res <= max(cfg.accept_tol * 1e4, 1e-6))
-    for _ in range(cfg.polish_iter):
+    for _ in range(_POLISH_ITER):
         idx = np.flatnonzero(near & np.isfinite(res) & (res > _POLISH_STOP)
                              & ~(rel <= _POLISH_STOP))
         if not len(idx):
@@ -537,16 +496,16 @@ class _Clusters:
     """Greedy clusters of accepted census points in the scaled max-metric.
 
     A point joins the first cluster, in order of creation, whose centre lies
-    within merge_tol of it, max_k |x_k - c_k| / scales_k <= merge_tol, and
+    within _MERGE_TOL of it, max_k |x_k - c_k| / scales_k <= _MERGE_TOL, and
     otherwise opens a new one.  A cluster's centre is its representative,
     the minimum-residual member.  Points come in by _cluster_points, a chunk
     at a time, each chunk in residual order: all points in one call give the
     from-scratch greedy merge, and chunk by chunk give the same clusters
-    wherever no point lies within merge_tol of two centres."""
+    wherever no point lies within _MERGE_TOL of two centres."""
 
-    def __init__(self, scales, merge_tol):
+    def __init__(self, scales):
         self.inv_scales = 1.0 / np.array(scales)
-        self.merge_tol = merge_tol
+        self.merge_tol = _MERGE_TOL
         self.centres = np.empty((0, 3), complex)  # scaled by 1 / scales
         self.rep = []                     # point index of each representative
         self.rep_res = []
@@ -579,8 +538,8 @@ def _cluster_points(pts, res, clusters):
     return c
 
 
-def _even_points(pts, even_tol):
-    lim = even_tol * (1.0 + np.abs(pts[:, 0]))
+def _even_points(pts):
+    lim = _EVEN_TOL * (1.0 + np.abs(pts[:, 0]))
     return (np.abs(pts[:, 1]) <= lim) & (np.abs(pts[:, 2]) <= lim)
 
 
@@ -614,14 +573,13 @@ def _mirror_signs(n1, n2):
 _SIGMA = np.array([1.0, -1.0, -1.0])
 
 
-def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
-    """Shared census engine; returns (clusters, starts_used, box, doublings,
-    notes, cfg, bound).
+def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
+    """Shared census engine; returns the CensusReport.
 
     warm is what _newton_m0_batch returned for a batch of warm starts,
     solved in the metric of the first box, _metric_scales of
-    cfg.resolved(g2, g3, bound).box_radius: its points are taken as a first
-    batch before any other start.  Theorem (i) bounds the number of
+    config.resolved(g2, g3, bound).box_radius: its points are taken as a
+    first batch before any other start.  Theorem (i) bounds the number of
     solutions by the weighted-Bezout bound, so if that batch alone reaches
     it the census is complete; otherwise it goes on as without warm starts.
 
@@ -633,59 +591,48 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     Mirrors are clustered like Newton endpoints, but only endpoints count
     as hits.
 
-    Only the Jacobians of the cluster representatives are kept from
-    Newton; they give sigma_min."""
+    Every accepted point keeps Newton's J there, so sigma_min at the
+    representatives costs no kernel call either."""
     bound = bezout_bound([(n1, n2)])
-    cfg = cfg.resolved(g2, g3, bound)
+    cfg = (config or SolverConfig()).resolved(g2, g3, bound)
     box = cfg.box_radius
     budget = cfg.starts
     offset = 101 + 7919 * (cfg.seed % 1000003)
     signs = _mirror_signs(n1, n2)[:, None] * _SIGMA
 
-    # accepted points, their relative residuals and polish tails (prev, last);
-    # endpoint marks Newton's points, paired those that are a mirror or have one
+    # accepted points, their relative residuals, polish tails (prev, last)
+    # and Jacobians; endpoint marks Newton's points, paired those that are a
+    # mirror or have one
     pts = np.empty((0, 3), complex)
     res = np.empty(0)
     tails = np.empty((0, 2))
+    Js = np.empty((0, 3, 3), complex)
     endpoint = np.empty(0, bool)
     paired = np.empty(0, bool)
-    rep_J = {}  # point index -> J there, for the cluster representatives
     starts_used = 0
     doublings = 0
     notes = []
 
-    def merge(X, r, J=None):
-        """Cluster the points X with residuals r, and keep a copy of J at
-        those that become representatives (J None: points merged afresh;
-        an entry None: J unknown there)."""
-        nonlocal rep_J
-        base = len(clusters.label)
-        _cluster_points(X, r, clusters)
-        if J is not None:
-            rep_J.update((i, J[i - base].copy()) for i in clusters.rep
-                         if i >= base and J[i - base] is not None)
-        rep_J = {i: rep_J[i] for i in clusters.rep if i in rep_J}
-
     def add(X, r, t, J, newton):
-        nonlocal pts, res, tails, endpoint, paired
+        nonlocal pts, res, tails, Js, endpoint, paired
         pts = np.concatenate([pts, X])
         res = np.concatenate([res, r])
         tails = np.concatenate([tails, t])
+        Js = np.concatenate([Js, J])
         endpoint = np.concatenate([endpoint, np.full(len(X), newton)])
         paired = np.concatenate([paired, np.full(len(X), not newton)])
-        merge(X, r, J)
+        _cluster_points(X, r, clusters)
 
     def mirror():
         has = np.zeros(len(clusters), bool)
         np.logical_or.at(has, clusters.label, paired)
         alone = np.array(clusters.rep, int)[~has]
-        alone = alone[~_even_points(pts[alone], cfg.even_tol)]
+        alone = alone[~_even_points(pts[alone])]
         if len(alone):
             paired[alone] = True
-            J = [rep_J[i] * signs if i in rep_J else None for i in alone]
             X = pts[alone]
             X[:, 1:] = -X[:, 1:]
-            add(X, res[alone], tails[alone], J, False)
+            add(X, res[alone], tails[alone], Js[alone] * signs, False)
 
     def accept(newton_out, sample_scales):
         nonlocal starts_used
@@ -706,15 +653,15 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
         # changes the metric, so the points so far are merged afresh
         metric_scales = _metric_scales(box)
         sample_scales = (box, box, box ** 1.5)
-        clusters = _Clusters(metric_scales, cfg.merge_tol)
+        clusters = _Clusters(metric_scales)
         if doublings == 0 and warm is not None:
             accept(warm, sample_scales)
         elif len(pts):
-            merge(pts, res)
+            _cluster_points(pts, res, clusters)
         consumed = 0
         first = True
         while consumed < budget and len(clusters) < bound:
-            take = min(cfg.chunk, budget - consumed)
+            take = min(_CHUNK, budget - consumed)
             u = _halton_block(offset, take)
             offset += take
             consumed += take
@@ -723,11 +670,11 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
                 X = np.vstack([_structured_starts(n1, n2, g2, g3), X])
                 first = False
             accept(_newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg), sample_scales)
-        if len(clusters) >= bound or doublings >= cfg.max_doublings:
+        if len(clusters) >= bound or doublings >= _MAX_DOUBLINGS:
             break
         doublings += 1
         box *= 2.0
-        budget = max(cfg.chunk, cfg.starts // 2)
+        budget = max(_CHUNK, cfg.starts // 2)
         notes.append("box doubled to %.3g after underfull census" % box)
 
     if not len(clusters):
@@ -741,16 +688,9 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
     rep = np.array(clusters.rep)
     hits = np.bincount(clusters.label[endpoint], minlength=len(rep))
     is_even = np.zeros(len(rep), bool)
-    np.logical_or.at(is_even, clusters.label, _even_points(pts, cfg.even_tol))
-    # a re-merge after a box doubling may make a point a representative
-    # whose J was not kept
-    missing = [i for i in clusters.rep if i not in rep_J]
-    if missing:
-        with np.errstate(all="ignore"):
-            _, J = m0_residual_batch(n1, n2, bnum, *pts[missing].T)
-        rep_J.update(zip(missing, J))
+    np.logical_or.at(is_even, clusters.label, _even_points(pts))
     with np.errstate(all="ignore"):
-        sig = np.linalg.svd(np.array([rep_J[i] for i in clusters.rep]), compute_uv=False)
+        sig = np.linalg.svd(Js[rep], compute_uv=False)
 
     out = []
     for gi, i in enumerate(rep):
@@ -781,7 +721,22 @@ def _run_census(n1, n2, bnum, g2, g3, cfg, warm=None):
             round(cl.D.real, 9), round(cl.D.imag, 9),
         )
     )
-    return tuple(out), starts_used, box, doublings, tuple(notes), cfg, bound
+    return CensusReport(
+        tau=tau,
+        n1=n1,
+        n2=n2,
+        g2=g2,
+        g3=g3,
+        bound=bound,
+        total=len(out),
+        even_total=sum(1 for c in out if c.is_even),
+        clusters=tuple(out),
+        starts_used=starts_used,
+        box_radius=box,
+        doublings=doublings,
+        config=cfg,
+        notes=tuple(notes),
+    )
 
 
 def _ordered_pair(n1, n2):
@@ -798,28 +753,6 @@ def _m0_pair(problem):
     pk = problem.punctures[0]
     _ordered_pair(pk.n1, pk.n2)
     return pk.n1, pk.n2
-
-
-def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
-    clusters, used, box, doublings, notes, cfg, bound = _run_census(
-        n1, n2, bnum, g2, g3, config or SolverConfig(), warm
-    )
-    return CensusReport(
-        tau=tau,
-        n1=n1,
-        n2=n2,
-        g2=g2,
-        g3=g3,
-        bound=bound,
-        total=len(clusters),
-        even_total=sum(1 for c in clusters if c.is_even),
-        clusters=clusters,
-        starts_used=used,
-        box_radius=box,
-        doublings=doublings,
-        config=cfg,
-        notes=notes,
-    )
 
 
 def solve_m0(problem, ctx=None, config=None):
@@ -839,10 +772,7 @@ def solve_m0_degenerate(n1, n2, config=None):
     n1, n2 = int(n1), int(n2)
     _ordered_pair(n1, n2)
     bnum = np.zeros(max(48, n1 + n2 + 5), complex)
-    cfg = config or SolverConfig()
-    if cfg.box_radius is None:
-        cfg = replace(cfg, box_radius=10.0)
-    return _census(n1, n2, None, bnum, 0j, 0j, cfg)
+    return _census(n1, n2, None, bnum, 0j, 0j, config)
 
 
 def solve_even(problem, ctx=None, config=None):

@@ -111,6 +111,16 @@ def test_monodromy_command(capsys):
     assert root["pde_residual"] <= 1e-4
 
 
+def test_monodromy_tol_is_transport_rtol_only(capsys):
+    # --tol is the transport rtol of monodromy; the census keeps its default
+    code, out, _ = run_cli(capsys, "monodromy", "--n1", "0", "--n2", "1",
+                           "--tau", "0.2,1.3", "--tol", "1e-9")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["census"]["config"]["accept_tol"] == 1e-10
+    assert doc["roots"][0]["rtol"] == 1e-9
+
+
 # ---------------------------------------------------------------------------
 # refusal exit codes
 
@@ -136,6 +146,23 @@ def test_numerical_give_up_is_exit_4(capsys, command):
     assert code == 4
     assert err == "inconclusive: tau too close to the real axis\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("content,problem", [
+    (None, "No such file or directory"),
+    ("{not json", "not valid JSON"),
+    ('{"punctures": [{"p": [0.0, 0.0], "n1": 0}]}', "missing key 'n2'"),
+    ('{"punctures": [{"p": [0.0, 0.0], "n1": 0, "n2": 2}],'
+     ' "params": {"A": [[0.0, 0.0]], "B": [1.0, 0.5], "Dk": [[0.3, 0.1]], "D": [0.2, 0.0]}}',
+     "missing key 'Bk'"),
+], ids=["missing", "not-json", "no-n2", "no-Bk"])
+def test_bad_punctures_file_is_usage_error(tmp_path, capsys, content, problem):
+    path = tmp_path / "punctures.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "monodromy", "--tau", "0.2,1.3", "--punctures", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("toda-census: error: --punctures %s: %s" % (path, problem))
 
 
 def test_csv_refused_outside_scan(capsys):

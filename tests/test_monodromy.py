@@ -10,6 +10,7 @@ from todacensus.apparency import ParamVec, problem_m0
 from todacensus import monodromy
 from todacensus.elliptic import EllipticContext, compute_invariants
 from todacensus.errors import EvaluationError, PathClearanceError, StructuralError
+from todacensus.jsonio import to_jsonable
 from todacensus.monodromy import (
     monodromy_pair,
     ode_coefficients,
@@ -263,7 +264,7 @@ def test_verify_root_01_full_report():
     assert max(rep.local_scalar_residuals) <= 1e-8
     assert rep.pde_residual is not None and rep.pde_residual <= 1e-6
     assert rep.even_residual is not None and rep.even_residual <= 1e-8
-    d = rep.to_json_dict()
+    d = to_jsonable(rep)
     assert d["unitarizable"] is True
     assert isinstance(d["N1"], list) and len(d["N1"]) == 3
 
@@ -308,7 +309,7 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
             assert np.max(np.abs(Ma - Mb)) <= 1e-9
     # a single vector is the one-root batch, bit for bit
     (one,) = monodromy_pair(prob, ctx, pvs[:1])
-    assert one.to_json_dict() == alone[0].to_json_dict()
+    assert to_jsonable(one) == to_jsonable(alone[0])
 
 
 def test_census_04_monodromy_to_high_accuracy():
@@ -470,7 +471,7 @@ def test_shared_transport_give_up_reruns_each_root_alone(monkeypatch):
     prob, ctx = _setup(0, 2)
     true = ParamVec.m0(cmath.sqrt(ctx.g2 / 3.0), 0, 0)
     nudged = ParamVec.m0(true.B + 0.1, 0, 0)
-    want = [verify_root(prob, ctx, pv).to_json_dict() for pv in (true, nudged)]
+    want = [to_jsonable(verify_root(prob, ctx, pv)) for pv in (true, nudged)]
     orig = monodromy.transport
 
     def solo_only(problem, ctx, params, *args, **kwargs):
@@ -480,6 +481,6 @@ def test_shared_transport_give_up_reruns_each_root_alone(monkeypatch):
 
     monkeypatch.setattr(monodromy, "transport", solo_only)
     got = verify_roots(prob, ctx, [true, nudged])
-    assert [r.to_json_dict() for r in got] == want
+    assert [to_jsonable(r) for r in got] == want
     with pytest.raises(EvaluationError):
         monodromy_pair(prob, ctx, [true, nudged])

@@ -1,5 +1,6 @@
 """Census counts, clustering, even-sector solving, and the scan driver."""
 
+import dataclasses
 import math
 import os
 
@@ -17,6 +18,7 @@ from todacensus.errors import (
     InconclusiveWarning,
     StructuralError,
 )
+from todacensus.jsonio import to_jsonable
 from todacensus.solver import (
     SolverConfig,
     _halton_block,
@@ -341,10 +343,10 @@ def _sigma_min_at(n1, n2, bnum, clusters):
 
 @pytest.mark.parametrize("promote", [False, True])
 def test_sigma_min_from_newton_jacobians(monkeypatch, promote):
-    # the census keeps Newton's J at each cluster representative, so
-    # sigma_min costs no kernel call; only a point that becomes a
-    # representative when a box doubling merges the points afresh (forced
-    # here by raising the residual that ranks the old one first) needs one
+    # the census keeps Newton's J at every accepted point, so sigma_min
+    # costs no kernel call, even at a point that becomes a representative
+    # when a box doubling merges the points afresh (forced here by raising
+    # the residual that ranks the old one first)
     calls = []
     kernel = solver.m0_residual_batch
     newton = solver._newton_m0_batch
@@ -378,7 +380,7 @@ def test_sigma_min_from_newton_jacobians(monkeypatch, promote):
     ctx = compute_invariants(1j)
     rep = solve_m0(problem_m0(1j, 0, 4), ctx)
     assert rep.doublings == len(fresh) - 1 == 3
-    assert calls.count(0) == (1 if promote else 0)
+    assert calls.count(0) == 0
     assert [c.sigma_min for c in rep.clusters] == _sigma_min_at(0, 4, ctx._bn_ext, rep.clusters)
 
 
@@ -410,8 +412,8 @@ def test_kernels_are_sigma_equivariant(n1, n2, tau):
 
 
 def _count_accepted(monkeypatch):
-    """Newton endpoints that the census accepts, judged as _run_census
-    judges them"""
+    """Newton endpoints that the census accepts, judged as _census judges
+    them"""
     accepted = [0]
     newton = solver._newton_m0_batch
 
@@ -435,7 +437,7 @@ def _assert_sigma_closed(rep):
     scales = np.array(solver._metric_scales(rep.box_radius))
     dist = (np.abs(X[:, None, :] * solver._SIGMA - X[None, :, :]) / scales).max(axis=-1)
     image = np.argmin(dist, axis=1)
-    assert np.all(dist[np.arange(len(X)), image] <= rep.config.merge_tol)
+    assert np.all(dist[np.arange(len(X)), image] <= solver._MERGE_TOL)
     assert np.array_equal(image[image], np.arange(len(X)))
     assert np.array_equal(image == np.arange(len(X)), [c.is_even for c in rep.clusters])
 
@@ -555,6 +557,7 @@ def test_census_critical_refusal():
 def test_degenerate_probe():
     rep = solve_m0_degenerate(0, 2)
     assert rep.tau is None
+    assert rep.config.box_radius == 10.0  # the first box, resolved at g2 = g3 = 0
     assert rep.total == 1
     c = rep.clusters[0]
     assert abs(c.B) + abs(c.D0) + abs(c.D) <= 1e-8
@@ -818,3 +821,16 @@ def test_config_resolution_scales_with_invariants():
     cfg2 = SolverConfig(box_radius=7.5, starts=123)
     r3 = cfg2.resolved(g2=1e6, g3=1e6, bound=3)
     assert r3.box_radius == 7.5 and r3.starts == 123
+
+
+def test_config_has_four_knobs_and_reports_ten():
+    # the census has four settings; the report's config block still records
+    # the six fixed ones it ran with
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "box_radius", "starts", "accept_tol", "seed"]
+    rep = solve_m0(problem_m0(GENERIC_TAU, 0, 2), config=SolverConfig(seed=3))
+    assert to_jsonable(rep)["config"] == {
+        "box_radius": rep.box_radius, "starts": 400, "accept_tol": 1e-10, "seed": 3,
+        "max_iter": 60, "polish_iter": 40, "even_tol": 1e-8, "merge_tol": 1e-6,
+        "chunk": 512, "max_doublings": 3,
+    }
