@@ -69,9 +69,22 @@ def parse_tau(text):
         re, im = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError("tau components must be numbers")
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise argparse.ArgumentTypeError("tau components must be finite")
     if im <= 0:
         raise argparse.ArgumentTypeError("tau must satisfy Im > 0")
     return complex(re, im)
+
+
+def parse_tol(text):
+    """A positive finite tolerance."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("tolerance must be a number")
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError("tolerance must be positive and finite")
+    return tol
 
 
 def _load_punctures(path):
@@ -234,7 +247,7 @@ def build_parser():
     parser.add_argument("--punctures", default=None, metavar="FILE",
                         help="JSON file with a puncture list (and optional params)")
     parser.add_argument("--seed", type=int, default=0, help="multi-start seed")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=parse_tol, default=None,
                         help="acceptance tolerance (solver) / rtol (monodromy)")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the artifact here instead of stdout")
@@ -263,8 +276,11 @@ def _emit(args, payload):
             payload = {"rows": payload}
         text = dumps_canonical(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise StructuralError("--out %s: %s" % (args.out, e.strerror or e))
     else:
         sys.stdout.write(text)
 

@@ -19,9 +19,14 @@ mirror, whose residual and Jacobian follow from the root's by signs alone,
 so the starts need to reach only one root of each pair.  Starting points
 combine a low-discrepancy Halton cloud (deterministic for a fixed seed) with
 structured seeds: the origin and the even-sector roots lifted to (B, 0, 0).
-The even sector is additionally solved on its own by an Aberth-Ehrlich
-iteration, so the two counts can be compared independently by callers and
-tests.
+The seeds run first, as a Newton batch of their own, whenever their
+endpoints and the mirrors of those could complete the census (bound - found
+<= 2 * seeds), and the smallest pairs need no Halton start at all;
+otherwise they join the first Halton chunk.  A start's endpoint does not
+depend on its batch, and the Halton starts are drawn in the same order
+either way.  The even sector is additionally solved on its own by an
+Aberth-Ehrlich iteration, so the two counts can be compared independently
+by callers and tests.
 
 scan_tau runs the census over a tau grid: each cell first runs Newton from
 the roots of its neighbour, and stops there if they reach the
@@ -591,6 +596,11 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     Mirrors are clustered like Newton endpoints, but only endpoints count
     as hits.
 
+    In the first box the structured seeds run as a batch of their own when
+    bound - found <= 2 * len(seeds), since each endpoint adds at most its
+    own cluster and its mirror's; otherwise they join the first Halton
+    chunk.
+
     Every accepted point keeps Newton's J there, so sigma_min at the
     representatives costs no kernel call either."""
     bound = bezout_bound([(n1, n2)])
@@ -658,17 +668,21 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
             accept(warm, sample_scales)
         elif len(pts):
             _cluster_points(pts, res, clusters)
+        seeds = np.empty((0, 3), complex)
+        if doublings == 0 and len(clusters) < bound:
+            seeds = _structured_starts(n1, n2, g2, g3)
+            if bound - len(clusters) <= 2 * len(seeds):
+                accept(_newton_m0_batch(n1, n2, bnum, seeds, metric_scales, cfg),
+                       sample_scales)
+                seeds = seeds[:0]
         consumed = 0
-        first = True
         while consumed < budget and len(clusters) < bound:
             take = min(_CHUNK, budget - consumed)
             u = _halton_block(offset, take)
             offset += take
             consumed += take
-            X = _starts_from_unit(u, sample_scales)
-            if first and doublings == 0:
-                X = np.vstack([_structured_starts(n1, n2, g2, g3), X])
-                first = False
+            X = np.vstack([seeds, _starts_from_unit(u, sample_scales)])
+            seeds = seeds[:0]
             accept(_newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg), sample_scales)
         if len(clusters) >= bound or doublings >= _MAX_DOUBLINGS:
             break

@@ -36,7 +36,6 @@ from todacensus.monodromy import (
     monodromy_pair,
     reconstruct_and_check,
     unitarize,
-    verify_root,
 )
 from todacensus.polyring import WeightedPoly
 from todacensus.solver import solve_even, solve_m0

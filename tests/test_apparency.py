@@ -9,7 +9,6 @@ from todacensus.apparency import (
     M0_VARS,
     M0_WEIGHTS,
     ParamVec,
-    PunctureSpec,
     bezout_bound,
     build_even_poly,
     build_m0_system,

@@ -27,7 +27,8 @@ def test_parse_tau_forms():
     assert abs(parse_tau("rho") - complex(0.5, 3 ** 0.5 / 2)) < 1e-15
     import argparse
 
-    for bad in ("1.0", "0.2;1.3", "0.5,-1.0", "0.5,0", "a,b"):
+    for bad in ("1.0", "0.2;1.3", "0.5,-1.0", "0.5,0", "a,b",
+                "nan,1", "inf,1", "0,inf", "0,nan"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_tau(bad)
 
@@ -163,6 +164,28 @@ def test_bad_punctures_file_is_usage_error(tmp_path, capsys, content, problem):
     code, out, err = run_cli(capsys, "monodromy", "--tau", "0.2,1.3", "--punctures", str(path))
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("toda-census: error: --punctures %s: %s" % (path, problem))
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["solve", "even", "monodromy", "scan"])
+def test_bad_tol_is_usage_error(capsys, command, tol):
+    # a tolerance that is not positive and finite is refused before any
+    # work, not spent on a search that cannot accept a point
+    args = {"scan": SCAN_ARGS[1:]}.get(command, ("--n1", "0", "--n2", "2", "--tau", "0.2,1.3"))
+    code, out, err = run_cli(capsys, command, *args, "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        "toda-census: error: argument --tol: tolerance must be positive and finite")
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "solve", "--n1", "0", "--n2", "1",
+                             "--tau", "0.2,1.3", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        "toda-census: error: --out %s: No such file or directory" % path)
+    assert not path.parent.exists()
 
 
 def test_csv_refused_outside_scan(capsys):

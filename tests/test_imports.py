@@ -1,12 +1,13 @@
-"""Every name a package module imports is used by that module, every
-private name the package defines is used somewhere in the package, every
-entry point the benchmark's tracer (bench/tracer.py) wraps exists, a
+"""Every name a package module or test file imports is used by that file,
+every private name the package defines is used somewhere in the package,
+every entry point the benchmark's tracer (bench/tracer.py) wraps exists, a
 traced scan counts each Newton start once, and the CLI starts without
 mpmath.
 
-Static scans: each module of the package is parsed with ast.  An imported
-name counts as used when it appears as a name anywhere in the module or is
-re-exported through ``__all__``.  A module-level ``_name`` or a ``_method``
+Static scans: each module of the package and each test file (but the
+frozen oracle_series.py) is parsed with ast.  An imported name counts as
+used when it appears as a name anywhere in the file or is re-exported
+through ``__all__``.  A module-level ``_name`` or a ``_method``
 of a module-level class counts as used when some module of the package
 reads it as a name or an attribute, or imports it.
 """
@@ -24,6 +25,9 @@ import pytest
 import todacensus
 
 MODULES = sorted(pathlib.Path(todacensus.__file__).parent.glob("*.py"))
+# the suite's own files, except the frozen series oracle
+TEST_FILES = sorted(p for p in pathlib.Path(__file__).parent.glob("*.py")
+                    if p.name != "oracle_series.py")
 
 
 def _unused_imports(source):
@@ -82,7 +86,8 @@ def test_scan_finds_an_unused_import():
     assert _unused_imports(src) == [(1, "math"), (2, "path")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p in MODULES else "tests/" + p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -15,8 +14,6 @@ from todacensus.errors import (
     EvaluationError,
     EvenNonexistenceError,
     InconclusiveError,
-    InconclusiveWarning,
-    StructuralError,
 )
 from todacensus.jsonio import to_jsonable
 from todacensus.solver import (
@@ -119,6 +116,55 @@ def test_census_reaches_bound_generic(n1, n2, bound):
         assert rep.bound == bound
         assert rep.total == bound
         assert max(c.residual for c in rep.clusters) <= 1e-8
+
+
+@pytest.mark.parametrize("n2,starts", [(1, 2), (2, 3), (4, 4)])
+def test_seeds_alone_complete_small_census(monkeypatch, n2, starts):
+    # the origin and the Ne even-sector roots reach every root of these
+    # pairs, with the mirrors: the census runs them as a batch of their own
+    # and spends no Halton start (a 512-start chunk before)
+    sizes = []
+    for name in ("m0_residual_batch", "m0_value_batch"):
+        def counting(n1, n2, bnum, B, D0, D, kernel=getattr(solver, name)):
+            sizes.append(len(B))
+            return kernel(n1, n2, bnum, B, D0, D)
+        monkeypatch.setattr(solver, name, counting)
+    prob = problem_m0(GENERIC_TAU, 0, n2)
+    rep = solve_m0(prob)
+    assert rep.total == rep.bound
+    assert rep.starts_used == starts == 1 + solver.build_even_poly(0, n2).Ne
+    assert sizes and max(sizes) <= 4
+
+
+def test_seeds_that_cannot_complete_join_the_first_chunk(monkeypatch):
+    # (0,4) at tau = i has 3 roots: the seeds alone could reach 5 with their
+    # mirrors, so they run first, and the search goes on with the Halton
+    # starts it drew before, the box doublings included
+    starts = []
+    newton = solver._newton_m0_batch
+
+    def recording(n1, n2, bnum, X0, scales, cfg):
+        starts.append(len(X0))
+        return newton(n1, n2, bnum, X0, scales, cfg)
+
+    monkeypatch.setattr(solver, "_newton_m0_batch", recording)
+    rep = solve_m0(problem_m0(1j, 0, 4))
+    assert (rep.total, rep.bound, rep.starts_used, rep.doublings) == (3, 5, 2540, 3)
+    assert starts[0] == 4 and sum(starts) == 2540
+
+
+@pytest.mark.parametrize("n2", [1, 2, 4, 5])
+def test_seeded_census_finds_the_even_sector(n2):
+    # wherever the seeds run first, alone or not, the census reaches its
+    # bound and every root of the even polynomial is an even cluster
+    for tau in random_taus(3, seed=7100 + n2):
+        prob = problem_m0(tau, 0, n2)
+        ctx = compute_invariants(prob.lattice)
+        rep = solve_m0(prob, ctx)
+        assert rep.total == rep.bound
+        even_B = [c.B for c in rep.clusters if c.is_even]
+        for r in solve_even(prob, ctx).roots:
+            assert min(abs(B - r.B) for B in even_B) <= 1e-8 * (1 + abs(r.B))
 
 
 def test_census_18_reaches_bound():
@@ -281,7 +327,7 @@ def _groups(clusters):
 
 @pytest.mark.parametrize("n1,n2,tau,calls,doublings,degenerate", [
     (3, 7, GENERIC_TAU, 7, 0, 0),  # five chunks in one box, mirrors after the first and last
-    (0, 4, 1j, 8, 3, 1),           # two chunks, then per doubling a re-merge and a chunk
+    (0, 4, 1j, 9, 3, 1),           # the seeds, two chunks, then per doubling a re-merge and a chunk
 ])
 def test_incremental_clusters_match_greedy(monkeypatch, n1, n2, tau, calls,
                                            doublings, degenerate):
@@ -743,13 +789,14 @@ def test_scan_failed_cell_ends_its_chain(monkeypatch):
 
 
 def test_scan_warm_cells_use_few_starts(monkeypatch):
-    # the neighbour's roots alone complete every cell after the first
+    # the structured seeds alone complete the first cell, and the
+    # neighbour's roots alone every cell after it
     cells = _record_cells(monkeypatch)
     rows = scan_tau(0, 4, GENERIC_GRID)
     assert all(r["total"] == r["bound"] == 5 for r in rows)
     assert len(cells) == 9
     first, _ = cells[complex(0.1, 1.1)]
-    assert first.starts_used > 512
+    assert first.starts_used == 4
     warm_cells = [(rep, warm) for rep, warm in cells.values() if warm is not None]
     assert len(warm_cells) == 8
     assert all(rep.starts_used == len(warm[0]) <= 2 * 5 for rep, warm in warm_cells)
