@@ -149,7 +149,10 @@ class ProblemSpec:
         }
 
 
-def derive_problem(lattice, punctures, min_separation=1e-9):
+_MIN_SEPARATION = 1e-9  # punctures closer than this modulo the lattice coincide
+
+
+def derive_problem(lattice, punctures):
     """Exact exponent data for a set of punctures on a lattice.
 
     punctures is a list of PunctureSpec (or (p, n1, n2) tuples).  Punctures
@@ -175,7 +178,7 @@ def derive_problem(lattice, punctures, min_separation=1e-9):
             b = d.imag / tau.imag
             a = d.real - b * tau.real
             dred = d - round(a) - round(b) * tau
-            if abs(dred) < min_separation:
+            if abs(dred) < _MIN_SEPARATION:
                 raise StructuralError(
                     "punctures %d and %d coincide modulo the lattice" % (i, j)
                 )

@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * math.pi
+_CTX_TOL = 1e-12  # identity-check target of a context; sqrt of it is the near-pole radius
+_B_ORDER = 28  # highest index of a context's exported Laurent table
+_LAURENT_ORDER = 46  # highest index of the numeric table evaluation uses
 
 # numerators N_n(u) of the rational part N_n/(1-u)^{n+2} of the n-th
 # derivative of P in the variable u; ascending coefficients, N_0 = u.
@@ -284,18 +287,12 @@ def _g_invariants(E2, E4, E6, pi, with_derivative=True):
     return g2, g3, dg2, dg3
 
 
-def compute_invariants(lattice, tol=1e-12, b_order=28):
-    """Build the elliptic context for a lattice.
+def compute_invariants(lattice):
+    """Build the elliptic context for a lattice (a LatticeTau or tau).
 
-    Parameters
-    ----------
-    lattice : LatticeTau
-    tol : float
-        Accuracy target for downstream identity checks; also sets the
-        near-pole refusal radius sqrt(tol).
-    b_order : int
-        Highest index of the exported Laurent table.  The internal numeric
-        table used for evaluation is extended past this regardless.
+    The context records its accuracy target _CTX_TOL as tol and the
+    highest index _B_ORDER of its exported Laurent table as order; the
+    numeric table used for evaluation runs to _LAURENT_ORDER.
     """
     if not isinstance(lattice, LatticeTau):
         lattice = LatticeTau(complex(lattice))
@@ -313,18 +310,18 @@ def compute_invariants(lattice, tol=1e-12, b_order=28):
     lam_min = np.hypot(vec.real, vec.imag).min()
 
     bn_ext = np.array(
-        weierstrass_laurent(g2, g3, max(b_order, 46), 0j, 1.0), dtype=complex
+        weierstrass_laurent(g2, g3, _LAURENT_ORDER, 0j, 1.0), dtype=complex
     )
     ctx = EllipticContext(
         tau=tau,
         g2=complex(g2),
         g3=complex(g3),
         e=(0j, 0j, 0j),
-        b_num=tuple(bn_ext[: b_order + 1]),
+        b_num=tuple(bn_ext[: _B_ORDER + 1]),
         eta1=complex(eta1),
         eta2=complex(eta2),
-        tol=float(tol),
-        order=int(b_order),
+        tol=_CTX_TOL,
+        order=_B_ORDER,
         lam_min=float(lam_min),
         _bn_ext=bn_ext,
     )
@@ -429,7 +426,10 @@ def form_value(form, tau, dps=None):
         return f
 
 
-def find_form_zero(form, seed, tol=1e-12):
+_FORM_ZERO_TOL = 1e-12  # certified |form| at a zero, relative to the form's scale
+
+
+def find_form_zero(form, seed):
     """Newton zero of a named form in tau, polished in high precision.
 
     Returns an mpmath.mpc in the standard fundamental domain (it duck-types
@@ -477,7 +477,7 @@ def find_form_zero(form, seed, tol=1e-12):
         g2, g3, _, _ = _g_invariants(*_eisenstein_mp(t), mpmath.pi, False)
         f, _ = _apply_form(form, g2, g3)
         scale = float(_form_scale(form, complex(g2), complex(g3)))
-        if abs(f) > tol * scale:
+        if abs(f) > _FORM_ZERO_TOL * scale:
             raise EvaluationError(
                 "form zero did not certify: |%s| = %.3g" % (form, float(abs(f)))
             )

@@ -82,14 +82,8 @@ def dumps_canonical(payload):
     return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def rows_to_csv(rows, columns=None):
-    """Render scan rows as CSV with a stable column order."""
-    if columns is None:
-        columns = []
-        for row in rows:
-            for k in row:
-                if k not in columns:
-                    columns.append(k)
+def rows_to_csv(rows, columns):
+    """Render scan rows as CSV, one column per name in columns, in order."""
     def cell(v):
         if v is None:
             return ""

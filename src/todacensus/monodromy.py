@@ -118,25 +118,17 @@ class _OdeCoeffs:
 
 
 def _coeffs(problem, ctx, params):
-    """(batch coefficients, whether params named a single root).
-
-    params is a ParamVec or flat parameter vector (one root), a list or
-    tuple of ParamVec (a batch), or an _OdeCoeffs already built."""
+    """The batch coefficients of params: a list of S parameter vectors
+    (ParamVec or flat), or an _OdeCoeffs already built."""
     if isinstance(params, _OdeCoeffs):
-        return params, False
-    if isinstance(params, (list, tuple)) and params and all(
-        isinstance(p, ParamVec) for p in params
-    ):
-        return _OdeCoeffs(problem, ctx, params), False
-    return _OdeCoeffs(problem, ctx, [params]), True
+        return params
+    return _OdeCoeffs(problem, ctx, params)
 
 
 def ode_coefficients(problem, ctx, params, z):
-    """(W2(z), W3(z)) of the equation attached to the given parameters;
-    length-S arrays for a batch of parameter vectors."""
-    coeffs, single = _coeffs(problem, ctx, params)
-    W2, W3 = coeffs.derivs(z, 0)
-    return (W2[0, 0], W3[0, 0]) if single else (W2[:, 0], W3[:, 0])
+    """(W2(z), W3(z)) as length-S arrays, one entry per parameter vector."""
+    W2, W3 = _coeffs(problem, ctx, params).derivs(z, 0)
+    return W2[:, 0], W3[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +211,14 @@ def plan_path(a, b, sing, clearance):
     raise PathClearanceError("no clear path found within the detour budget")
 
 
-def _polygon(center, radius, nsides=24):
-    """Closed positively oriented polygon around center."""
+_LOOP_SIDES = 24
+
+
+def _polygon(center, radius):
+    """Closed positively oriented _LOOP_SIDES-gon around center."""
     return [
-        center + radius * cmath.exp(2j * math.pi * k / nsides)
-        for k in range(nsides + 1)
+        center + radius * cmath.exp(2j * math.pi * k / _LOOP_SIDES)
+        for k in range(_LOOP_SIDES + 1)
     ]
 
 
@@ -251,8 +246,11 @@ def _taylor_frame(coeffs, z, Y):
     G = np.zeros((len(Y), _ORDER, _ORDER + 1), complex)
     G[:, :, :-1] = _BINOM * W2d[:, None]
     G[:, :, 1:] += _BINOM * W3d[:, None]
-    for k in range(_ORDER):
-        out[:, k + 3] = -(G[:, k, None, :k + 2] @ out[:, k + 1::-1])[:, 0]
+    # a frame that overflows turns to inf and NaN here; the step size
+    # control then gives up on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_ORDER):
+            out[:, k + 3] = -(G[:, k, None, :k + 2] @ out[:, k + 1::-1])[:, 0]
     return out
 
 
@@ -267,23 +265,23 @@ def _eval_taylor(stack, delta, rows):
 def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, stack=None):
     """Continue dY/dz = A(z) Y along the straight segment za -> zb.
 
-    Y is one (3, 3) frame or a stack (S, 3, 3), one per root of the batch
-    coeffs describes.  All roots share one sequence of Taylor steps of order
+    Y is a stack (S, 3, 3) of frames, one per root of the batch coeffs
+    describes.  All roots share one sequence of Taylor steps of order
     _ORDER.  A step is _SAFETY times the radius at which the last two terms
     of the worst root reach its own atol + rtol * max|Y|, and at most
     _POLE_CAP of the distance to the nearest singularity; no step is
-    rejected.  stack, if given, is _taylor_frame(coeffs, za, Y) for the first step.
+    rejected, and a step that is not finite gives up at once.  stack, if
+    given, is _taylor_frame(coeffs, za, Y) for the first step.
     """
     dz = zb - za
     L = abs(dz)
     if L == 0:
         return Y
-    shape, Y = Y.shape, Y.reshape(-1, 3, 3)
     K = _ORDER
     t = 0.0
     for _ in range(_MAX_STEPS):
         if t >= 1.0:
-            return Y.reshape(shape)
+            return Y
         z = za + t * dz
         if t > 0 or stack is None:
             stack = _taylor_frame(coeffs, z, Y)
@@ -297,7 +295,7 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, stack=None):
             )
         h = min(_SAFETY * float(radius.min()), _POLE_CAP * _min_dist(z, sing))
         dt = min(h / L, 1.0 - t)
-        if dt < 1e-14:
+        if not dt >= 1e-14:  # NaN too
             raise EvaluationError("transport step size underflow")
         Y = _eval_taylor(stack, dt * dz, 3)
         t += dt
@@ -305,26 +303,24 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, stack=None):
 
 
 def transport(problem, ctx, params, vertices, rtol=1e-11, sing=None, Y0=None):
-    """Fundamental transport along a polyline; columns carry initial data.
-
-    A single parameter vector gives one (3, 3) frame; a batch (see
-    _coeffs) gives the stack (S, 3, 3), transported in lockstep.  Y0, the
-    initial frame, may come as its _taylor_frame stacks at vertices[0],
+    """Fundamental transports (S, 3, 3) along a polyline, one per parameter
+    vector (see _coeffs), in lockstep; columns carry initial data.  Y0, the
+    initial frames, may come as their _taylor_frame stacks at vertices[0],
     which then serve the first step.
     """
-    coeffs, single = _coeffs(problem, ctx, params)
+    coeffs = _coeffs(problem, ctx, params)
     if sing is None:
         sing = _singular_translates(problem, ctx)
     if Y0 is None:
         Y0 = np.tile(np.eye(3, dtype=complex), (coeffs.size, 1, 1))
     Y0 = np.array(Y0, complex)
     stack = Y0 if Y0.shape[-2:] == (_ORDER + 3, 3) else None
-    Y = (Y0 if stack is None else Y0[:, :3]).reshape(coeffs.size, 3, 3)
+    Y = Y0 if stack is None else Y0[:, :3]
     atol = rtol * 1e-2
     for va, vb in zip(vertices, vertices[1:]):
         Y = _segment_transport(coeffs, complex(va), complex(vb), Y, sing, rtol, atol, stack)
         stack = None
-    return Y[0] if single else Y
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +398,11 @@ def _geometry(problem, ctx):
 
 
 def monodromy_pair(problem, ctx, params, rtol=1e-11):
-    """Period monodromies, local loop matrices, and their residuals.
-
-    A single parameter vector gives one report; a batch gives one report
-    per root, all roots transported in lockstep along the same paths.
+    """Period monodromies, local loop matrices, and their residuals: one
+    report per parameter vector, all roots transported in lockstep along
+    the same paths.
     """
-    coeffs, single = _coeffs(problem, ctx, params)
+    coeffs = _coeffs(problem, ctx, params)
     tau = ctx.tau
     q0, clearance, r_loc, sing = _geometry(problem, ctx)
 
@@ -450,39 +445,38 @@ def monodromy_pair(problem, ctx, params, rtol=1e-11):
             loop_radius=r_loc,
             rtol=rtol,
         ))
-    return reports[0] if single else reports
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # unitarization
 
-_HERM_BASIS = None
-
-
 def _herm_basis():
-    global _HERM_BASIS
-    if _HERM_BASIS is None:
-        basis = []
-        for i in range(3):
+    """Orthonormal basis of the real space of 3 x 3 Hermitian matrices."""
+    basis = []
+    for i in range(3):
+        E = np.zeros((3, 3), complex)
+        E[i, i] = 1.0
+        basis.append(E)
+    s = 1.0 / math.sqrt(2.0)
+    for i in range(3):
+        for j in range(i + 1, 3):
             E = np.zeros((3, 3), complex)
-            E[i, i] = 1.0
+            E[i, j] = s
+            E[j, i] = s
             basis.append(E)
-        s = 1.0 / math.sqrt(2.0)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                E = np.zeros((3, 3), complex)
-                E[i, j] = s
-                E[j, i] = s
-                basis.append(E)
-                E = np.zeros((3, 3), complex)
-                E[i, j] = 1j * s
-                E[j, i] = -1j * s
-                basis.append(E)
-        _HERM_BASIS = tuple(basis)
-    return _HERM_BASIS
+            E = np.zeros((3, 3), complex)
+            E[i, j] = 1j * s
+            E[j, i] = -1j * s
+            basis.append(E)
+    return tuple(basis)
 
 
-def unitarize(report, null_threshold=1e-8):
+_HERM_BASIS = _herm_basis()
+_NULL_THRESHOLD = 1e-8  # singular values below this share of the largest span the null space
+
+
+def unitarize(report):
     """Invariant positive Hermitian form for the two period monodromies.
 
     Solves H = Nj^H H Nj over the real 9-dimensional space of Hermitian
@@ -495,14 +489,13 @@ def unitarize(report, null_threshold=1e-8):
         raise StructuralError(
             "commutator residual too large; unitarization is meaningless"
         )
-    basis = _herm_basis()
-    U, S, Vt = np.linalg.svd(_stack_operator(basis, report))
-    null = S <= null_threshold * S[0]
+    U, S, Vt = np.linalg.svd(_stack_operator(report))
+    null = S <= _NULL_THRESHOLD * S[0]
     if not null.any():
         report.unitarizable = False
         return UnitarizeResult(ok=False, reason="no invariant Hermitian form")
     hvec = Vt[-1]
-    H = sum(float(x) * Eb for x, Eb in zip(hvec, basis))
+    H = sum(float(x) * Eb for x, Eb in zip(hvec, _HERM_BASIS))
     H = 0.5 * (H + H.conj().T)
     lam = np.linalg.eigvalsh(H)
     if lam[0] * lam[-1] <= 0 or min(abs(lam)) <= 1e-8 * max(abs(lam)):
@@ -567,15 +560,15 @@ def unitarize(report, null_threshold=1e-8):
     )
 
 
-def _stack_operator(basis, report):
+def _stack_operator(report):
     """Matrix of H -> (H - Nj^H H Nj)_j on Hermitian coordinates (18 x 9)."""
     cols = []
-    for Eb in basis:
+    for Eb in _HERM_BASIS:
         img_rows = []
         for N in (report.N1, report.N2):
             img = Eb - N.conj().T @ Eb @ N
             img_rows.extend(
-                float(np.real(np.trace(Fb.conj().T @ img))) for Fb in basis
+                float(np.real(np.trace(Fb.conj().T @ img))) for Fb in _HERM_BASIS
             )
         cols.append(img_rows)
     return np.array(cols).T
@@ -625,37 +618,21 @@ def _stencil(stacks, P, detP):
     return uv[:, 0, 0], res, ok
 
 
-def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11):
+def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
     """Reconstruct both field profiles on a grid and measure PDE residuals.
 
-    Uses the invariant form of a successful unitarization (run here when the
-    report lacks one).  Returns (pde_residual, even_residual); even_residual
-    is None when the kept grid is not symmetric under z -> -z.
-
-    A batch of parameter vectors (with report None or one report per root)
-    shares one hop chain, with the invariant form per root, and returns one
-    entry per root: the residual pair, or the error that failed that root
-    alone (not unitarizable, or a degenerate frame).  A single root raises
-    that error instead.
+    reports are the roots' unitarized monodromy reports (report.H set), one
+    per parameter vector.  All roots share one hop chain, each with the
+    frame of its invariant form.  Returns one entry per root: the pair
+    (pde_residual, even_residual), also written to its report, or the
+    EvaluationError of a frame that degenerated for that root alone.
+    even_residual is None when the kept grid is not symmetric under z -> -z.
     """
-    coeffs, single = _coeffs(problem, ctx, params)
-    if report is None:
-        reports = monodromy_pair(problem, ctx, coeffs, rtol=rtol)
-    else:
-        reports = [report] if single else report
-    results = [None] * coeffs.size  # residual pair or error, once settled
-    frames = {}  # root -> (P, det P) of its invariant form
-    for r, rep in enumerate(reports):
-        try:
-            if rep.H is None:
-                res = unitarize(rep)
-                if not res.ok:
-                    raise StructuralError("root is not unitarizable: " + res.reason)
-        except StructuralError as e:
-            results[r] = e
-            continue
-        Lc = np.linalg.cholesky(rep.H)
-        frames[r] = (Lc.conj().T, complex(np.prod(np.diag(Lc))))
+    hops = _coeffs(problem, ctx, params)
+    results = [None] * hops.size
+    Lc = np.linalg.cholesky(np.array([rep.H for rep in reports]))
+    P = Lc.conj().transpose(0, 2, 1)
+    detP = np.prod(np.diagonal(Lc, axis1=1, axis2=2), axis=1)
 
     tau = ctx.tau
     sing = _singular_translates(problem, ctx, pad=3)
@@ -675,14 +652,11 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11):
     q0 = reports[0].base_point
     clearance = min(0.05, 0.8 * reports[0].loop_radius)
 
-    live = list(frames)
-    hops = coeffs.take(live)
-    P = np.array([frames[r][0] for r in live])
-    detP = np.array([frames[r][1] for r in live])
+    live = list(range(hops.size))
     U = {r: {} for r in live}
     pde_res = dict.fromkeys(live, 0.0)
     # the frames at prev, past the first point as their Taylor stacks there
-    stacks = np.tile(np.eye(3, dtype=complex), (len(live), 1, 1))
+    stacks = np.tile(np.eye(3, dtype=complex), (hops.size, 1, 1))
     prev = q0
     for key, z in pts.items():
         if not live:
@@ -711,14 +685,10 @@ def reconstruct_and_check(problem, ctx, params, report=None, rtol=1e-11):
         reports[r].pde_residual = float(pde_res[r])
         reports[r].even_residual = even_res
         results[r] = (float(pde_res[r]), even_res)
-    if not single:
-        return results
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+    return results
 
 
-def _verify_batch(problem, ctx, coeffs, rtol, reconstruct):
+def _verify_batch(problem, ctx, coeffs, rtol):
     """verify_roots on one batch; a give-up of a transport shared by more
     than one root propagates."""
     reports = monodromy_pair(problem, ctx, coeffs, rtol=rtol)
@@ -730,10 +700,10 @@ def _verify_batch(problem, ctx, coeffs, rtol, reconstruct):
             rep.unitarizable = False
             nt.append(str(e))
     ok = [r for r, rep in enumerate(reports) if rep.unitarizable]
-    if reconstruct and ok:
+    if ok:
         try:
             results = reconstruct_and_check(problem, ctx, coeffs.take(ok),
-                                            report=[reports[r] for r in ok], rtol=rtol)
+                                            [reports[r] for r in ok], rtol=rtol)
         except StructuralError as e:
             results = [e] * len(ok)
         except (EvaluationError, PathClearanceError) as e:
@@ -748,7 +718,7 @@ def _verify_batch(problem, ctx, coeffs, rtol, reconstruct):
     return reports
 
 
-def verify_roots(problem, ctx, params, rtol=1e-11, reconstruct=True):
+def verify_roots(problem, ctx, params, rtol=1e-11):
     """Full monodromy validation of the roots of one census; returns one
     filled report per parameter vector, in order.
 
@@ -763,14 +733,14 @@ def verify_roots(problem, ctx, params, rtol=1e-11, reconstruct=True):
         return []
     coeffs = _OdeCoeffs(problem, ctx, params)
     try:
-        return _verify_batch(problem, ctx, coeffs, rtol, reconstruct)
+        return _verify_batch(problem, ctx, coeffs, rtol)
     except (EvaluationError, PathClearanceError):
         if coeffs.size == 1:
             raise
-    return [_verify_batch(problem, ctx, coeffs.take([r]), rtol, reconstruct)[0]
+    return [_verify_batch(problem, ctx, coeffs.take([r]), rtol)[0]
             for r in range(coeffs.size)]
 
 
-def verify_root(problem, ctx, params, rtol=1e-11, reconstruct=True):
-    """Full monodromy validation of one root; returns the filled report."""
-    return verify_roots(problem, ctx, [params], rtol=rtol, reconstruct=reconstruct)[0]
+def verify_root(problem, ctx, params):
+    """verify_roots on the one root params; returns its filled report."""
+    return verify_roots(problem, ctx, [params])[0]

@@ -101,7 +101,10 @@ class SolverConfig:
     """Knobs of the multi-start census.
 
     box_radius / starts default to None, meaning "derive from the lattice
-    invariants and the root bound".  seed offsets the Halton sequence.
+    invariants and the root bound".  starts is the Halton budget of the
+    first box (a later box gets max(_CHUNK, starts // 2)); the structured
+    seeds and a scan's warm starts run besides it, and the report's
+    starts_used counts every start.  seed offsets the Halton sequence.
     """
 
     box_radius: float = None
@@ -248,7 +251,10 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
-def roots_univariate(coeffs, tol=1e-12, max_iter=200):
+_ROOTS_MAX_ITER = 200  # Aberth iterations of roots_univariate
+
+
+def roots_univariate(coeffs, tol=1e-12):
     """All complex roots of a polynomial with multiplicities.
 
     coeffs is ascending (coeffs[k] multiplies z**k).  Exactly-zero leading
@@ -272,7 +278,7 @@ def roots_univariate(coeffs, tol=1e-12, max_iter=200):
     k = np.arange(n)
     z = 0.8 * radius * np.exp(2j * np.pi * (k / n + 0.1237))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_ROOTS_MAX_ITER):
         p, dp = _horner_pair(arr, z)
         nr = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), tol)
         diff = z[:, None] - z[None, :]
@@ -860,7 +866,8 @@ def scan_tau(n1, n2, grid, config=None):
     """Census over a rectangular lattice-parameter grid.
 
     grid = {re0, re1, nre, im0, im1, nim}; points with non-positive
-    imaginary part are dropped.  Rows come back in row-major order (imag
+    imaginary part are dropped, and a grid with none left is a
+    StructuralError.  Rows come back in row-major order (imag
     outer, real inner).
 
     The roots move continuously with tau, so each cell's census first runs
@@ -890,6 +897,8 @@ def scan_tau(n1, n2, grid, config=None):
         raise StructuralError("grid sizes must be positive")
     cfg = config or SolverConfig()
     ims = [im for im in np.linspace(im0, im1, nim) if im > 1e-9]
+    if not ims:
+        raise StructuralError("scan grid has no point with Im tau > 0")
     reals = np.linspace(re0, re1, nre)
     rows = {}
     roots = {}  # (i, j) -> cluster representatives (S, 3), None after an error

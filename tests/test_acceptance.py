@@ -34,8 +34,8 @@ from todacensus.elliptic import (
 from todacensus.errors import EvenNonexistenceError
 from todacensus.monodromy import (
     monodromy_pair,
-    reconstruct_and_check,
     unitarize,
+    verify_root,
 )
 from todacensus.polyring import WeightedPoly
 from todacensus.solver import solve_even, solve_m0
@@ -302,7 +302,7 @@ def test_criterion_07_monodromy_structure(census01, census02, census04):
     t0 = time.monotonic()
     n_checked = 0
     for prob, ctx, pv in _accepted_roots(census01, census02, census04):
-        rep = monodromy_pair(prob, ctx, pv)
+        (rep,) = monodromy_pair(prob, ctx, [pv])
         eps = prob.epsilon
         comm = rep.N1 @ rep.N2 @ np.linalg.inv(rep.N1) @ np.linalg.inv(rep.N2)
         assert np.max(np.abs(comm - eps * np.eye(3))) <= 1e-6
@@ -321,7 +321,7 @@ def test_criterion_07_monodromy_structure(census01, census02, census04):
     # scalar local-monodromy residual past 1e-2
     prob, ctx, rep2 = census02[TAUS10[0]]
     c = rep2.clusters[0]
-    bad = monodromy_pair(prob, ctx, ParamVec.m0(c.B + 0.1, c.D0, c.D))
+    (bad,) = monodromy_pair(prob, ctx, [ParamVec.m0(c.B + 0.1, c.D0, c.D)])
     assert max(bad.local_scalar_residuals) >= 1e-2
     assert time.monotonic() - t0 <= 180.0
 
@@ -333,21 +333,19 @@ def test_criterion_07_monodromy_structure(census01, census02, census04):
 def test_criterion_08_pde_and_parity(census01, census04):
     prob1, ctx1, rep1 = census01[TAUS10[0]]
     c1 = rep1.clusters[0]
-    pde, even = reconstruct_and_check(prob1, ctx1, ParamVec.m0(c1.B, c1.D0, c1.D))
+    rep = verify_root(prob1, ctx1, ParamVec.m0(c1.B, c1.D0, c1.D))
+    pde, even = rep.pde_residual, rep.even_residual
     assert pde <= 1e-4
     assert even is not None and even <= 1e-6
 
     prob4, ctx4, rep4 = census04[TAUS10[0]]
     c_even = next(c for c in rep4.clusters if c.is_even)
     c_odd = next(c for c in rep4.clusters if not c.is_even)
-    pde_e, even_e = reconstruct_and_check(
-        prob4, ctx4, ParamVec.m0(c_even.B, c_even.D0, c_even.D)
-    )
+    rep_e = verify_root(prob4, ctx4, ParamVec.m0(c_even.B, c_even.D0, c_even.D))
+    pde_e, even_e = rep_e.pde_residual, rep_e.even_residual
     assert pde_e <= 1e-4
     assert even_e is not None and even_e <= 1e-6
-    _, even_o = reconstruct_and_check(
-        prob4, ctx4, ParamVec.m0(c_odd.B, c_odd.D0, c_odd.D)
-    )
+    even_o = verify_root(prob4, ctx4, ParamVec.m0(c_odd.B, c_odd.D0, c_odd.D)).even_residual
     assert even_o is not None and even_o >= 1e-2
 
 

@@ -2,9 +2,11 @@
 
 import json
 import subprocess
+import warnings
 
 import pytest
 
+from todacensus import monodromy
 from todacensus.cli import main, parse_tau
 
 
@@ -200,6 +202,43 @@ def test_scan_missing_grid_is_usage_error(capsys):
                            "--re0", "0.0", "--re1", "0.1", "--nre", "2")
     assert code == 2
     assert "--im0" in err
+
+
+def test_scan_grid_below_the_real_axis_is_usage_error(capsys):
+    # as --tau with Im <= 0 is; a grid clipped to no row is no scan
+    code, out, err = run_cli(capsys, "scan", "--n1", "0", "--n2", "2",
+                             "--re0", "0", "--re1", "0.1", "--nre", "2",
+                             "--im0", "-1", "--im1", "-0.5", "--nim", "2")
+    assert code == 2
+    assert out == ""
+    assert "Im tau > 0" in err
+
+
+def test_overflowing_frame_gives_up_at_once(tmp_path, monkeypatch, capsys):
+    # B = 1e200 overflows the first Taylor frame to NaN: the transport gives
+    # up on that step instead of taking NaN steps until its budget runs out,
+    # and no numpy warning reaches stderr
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "punctures": [{"p": [0.0, 0.0], "n1": 0, "n2": 2}],
+        "params": {"A": [[0.0, 0.0]], "Bk": [[0.0, 0.0]], "B": [1e200, 0.0],
+                   "Dk": [[0.0, 0.0]], "D": [0.0, 0.0]},
+    }))
+    frames = [0]
+    orig = monodromy._taylor_frame
+
+    def counted(*args):
+        frames[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(monodromy, "_taylor_frame", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "monodromy", "--tau=0.21,1.13", "--punctures", str(path))
+    assert code == 4
+    assert out == ""
+    assert err == "inconclusive: transport step size underflow\n"
+    assert frames[0] <= 5
 
 
 # ---------------------------------------------------------------------------

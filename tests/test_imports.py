@@ -1,6 +1,7 @@
 """Every name a package module or test file imports is used by that file,
 every private name the package defines is used somewhere in the package,
-every entry point the benchmark's tracer (bench/tracer.py) wraps exists, a
+every defaulted parameter of the package is set by some call, every entry
+point the benchmark's tracer (bench/tracer.py) wraps exists, a
 traced scan counts each Newton start once, and the CLI starts without
 mpmath.
 
@@ -9,7 +10,10 @@ frozen oracle_series.py) is parsed with ast.  An imported name counts as
 used when it appears as a name anywhere in the file or is re-exported
 through ``__all__``.  A module-level ``_name`` or a ``_method``
 of a module-level class counts as used when some module of the package
-reads it as a name or an attribute, or imports it.
+reads it as a name or an attribute, or imports it.  A defaulted parameter
+of a package function counts as set when some call of that name (as a name
+or an attribute) in the package, the tests or the benchmark passes it by
+keyword or by position.
 """
 
 import ast
@@ -28,6 +32,7 @@ MODULES = sorted(pathlib.Path(todacensus.__file__).parent.glob("*.py"))
 # the suite's own files, except the frozen series oracle
 TEST_FILES = sorted(p for p in pathlib.Path(__file__).parent.glob("*.py")
                     if p.name != "oracle_series.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(source):
@@ -108,8 +113,70 @@ def test_no_dead_private_names():
     assert _dead_private_names(sources) == []
 
 
+def _unset_defaults(package, callers):
+    """(module, line, function, parameter) of the defaulted parameters of
+    the functions in package (a dict module name -> source text) that no
+    call in callers (source texts) passes.  A call passes a parameter when
+    it names it, has a ** argument, or has more positional arguments than
+    precede it (any, with a * argument); a method's first parameter is its
+    receiver.  Dunder methods are skipped: a class call does not name
+    __init__."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, index, arg):
+        return (any(k.arg in (arg, None) for k in call.keywords)
+                or (index is not None and len(call.args) > index)
+                or (index is not None and any(isinstance(a, ast.Starred) for a in call.args)))
+
+    unset = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            receiver = id(node) in methods
+            defaulted = [(i - receiver, p.arg) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            unset += [(module, node.lineno, node.name, arg) for index, arg in defaulted
+                      if not any(passes(c, index, arg) for c in calls.get(node.name, ()))]
+    return sorted(unset)
+
+
+def test_scan_finds_an_unset_default():
+    a = ("def f(x, y=1, z=2, *, w=3):\n    return g(x)\n"
+         "def g(x, flag=False):\n    return x\n"
+         "class K:\n    def m(self, n=0):\n        return n\n"
+         "    def __init__(self, size=4):\n        self.size = size\n")
+    b = "f(1, 2)\nK().m(5)\n"
+    c = "f(0, w=1)\nf(*[0, 1, 2])\n"
+    assert _unset_defaults({"a": a}, [a, b]) == [
+        ("a", 1, "f", "w"), ("a", 1, "f", "z"), ("a", 3, "g", "flag")]
+    assert _unset_defaults({"a": a}, [a, b, c]) == [("a", 3, "g", "flag")]
+    assert ("a", 6, "m", "n") in _unset_defaults({"a": a}, [a, "K().m()\n"])
+
+
+def test_no_unset_defaults():
+    # a default that no caller sets is a constant in disguise
+    package = {path.stem: path.read_text() for path in MODULES}
+    callers = [path.read_text() for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unset_defaults(package, callers) == []
+
+
 def _load_tracer():
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -117,7 +117,7 @@ def _expm(A):
 def test_segment_transport_matches_matrix_exponential():
     co = _ConstCoeffs(-0.7 + 0.1j, 0.2 - 0.3j)
     za, zb = 0.1 + 0.2j, 0.7 + 0.9j
-    got = _segment_transport(co, za, zb, np.eye(3, dtype=complex), FAR, 1e-12, 1e-14)
+    (got,) = _segment_transport(co, za, zb, np.eye(3, dtype=complex)[None], FAR, 1e-12, 1e-14)
     A = np.array([[0, 1, 0], [0, 0, 1], [-co.W3, -co.W2, 0]], complex)
     want = _expm(A * (zb - za))
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -146,22 +146,22 @@ def test_taylor_frame_matches_leibniz_loop():
 
 def test_transport_composes_and_inverts():
     prob, ctx = _setup(0, 1)
-    params = ParamVec.m0(0, 0, 0)
+    params = [ParamVec.m0(0, 0, 0)]
     a, mid, b = 0.31 + 0.45j, 0.52 + 0.61j, 0.68 + 0.77j
-    T_ab = transport(prob, ctx, params, [a, mid, b])
-    T_am = transport(prob, ctx, params, [a, mid])
-    T_mb = transport(prob, ctx, params, [mid, b])
+    (T_ab,) = transport(prob, ctx, params, [a, mid, b])
+    (T_am,) = transport(prob, ctx, params, [a, mid])
+    (T_mb,) = transport(prob, ctx, params, [mid, b])
     assert np.max(np.abs(T_ab - T_mb @ T_am)) <= 1e-9
-    T_back = transport(prob, ctx, params, [b, mid, a])
+    (T_back,) = transport(prob, ctx, params, [b, mid, a])
     assert np.max(np.abs(T_back @ T_ab - np.eye(3))) <= 1e-9
 
 
 def test_transport_contractible_loop_is_identity():
     prob, ctx = _setup(0, 2)
-    params = ParamVec.m0(0.1, 0.2j, -0.05)
+    params = [ParamVec.m0(0.1, 0.2j, -0.05)]
     c, r = 0.5 + 0.55j, 0.15  # well inside the cell, away from the pole at 0
     loop = [c + r * cmath.exp(2j * math.pi * k / 12) for k in range(13)]
-    T = transport(prob, ctx, params, loop)
+    (T,) = transport(prob, ctx, params, loop)
     assert np.max(np.abs(T - np.eye(3))) <= 1e-9
 
 
@@ -169,7 +169,7 @@ def test_ode_coefficients_against_direct_sum():
     prob, ctx = _setup(0, 2)
     params = ParamVec(A=(0j,), Bk=(0j,), B=1.3 - 0.4j, Dk=(0.7j,), D=-0.2 + 0.1j)
     z = 0.37 + 0.29j
-    W2, W3 = ode_coefficients(prob, ctx, params, z)
+    (W2,), (W3,) = ode_coefficients(prob, ctx, [params], z)
     pk = prob.punctures[0]
     (P, P1), Z = ctx.jet(z - pk.p, 1, 2)
     want2 = -(pk.alpha * P + params.Bk[0] * Z + params.B)
@@ -182,7 +182,7 @@ def test_param_arity_mismatch_rejected():
     prob, ctx = _setup(0, 1)
     bad = ParamVec(A=(0j, 0j), Bk=(0j, 0j), B=0j, Dk=(0j, 0j), D=0j)
     with pytest.raises(StructuralError):
-        ode_coefficients(prob, ctx, bad, 0.4 + 0.4j)
+        ode_coefficients(prob, ctx, [bad], 0.4 + 0.4j)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_param_arity_mismatch_rejected():
 
 def test_monodromy_pair_01():
     prob, ctx = _setup(0, 1)
-    rep = monodromy_pair(prob, ctx, ParamVec.m0(0, 0, 0))
+    (rep,) = monodromy_pair(prob, ctx, [ParamVec.m0(0, 0, 0)])
     eps = prob.epsilon
     assert abs(eps - cmath.exp(-2j * math.pi / 3)) <= 1e-12
     assert rep.eps_residual <= 1e-8
@@ -208,7 +208,7 @@ def test_monodromy_pair_01():
 
 def test_unitarize_01_normal_forms():
     prob, ctx = _setup(0, 1)
-    rep = monodromy_pair(prob, ctx, ParamVec.m0(0, 0, 0))
+    (rep,) = monodromy_pair(prob, ctx, [ParamVec.m0(0, 0, 0)])
     res = unitarize(rep)
     assert res.ok and rep.unitarizable
     assert res.unitary_residual <= 1e-9
@@ -235,7 +235,7 @@ def test_unitarize_01_normal_forms():
 def test_perturbed_params_fail_loudly():
     prob, ctx = _setup(0, 2)
     B_true = cmath.sqrt(ctx.g2 / 3.0)
-    rep = monodromy_pair(prob, ctx, ParamVec.m0(B_true + 0.1, 0, 0))
+    (rep,) = monodromy_pair(prob, ctx, [ParamVec.m0(B_true + 0.1, 0, 0)])
     assert max(rep.local_scalar_residuals) >= 1e-2
     with pytest.raises(StructuralError):
         unitarize(rep)
@@ -249,9 +249,18 @@ def test_perturbed_params_fail_loudly():
 # ---------------------------------------------------------------------------
 # reconstruction
 
+def _unitarized(prob, ctx, pvs):
+    """The monodromy reports of pvs, each unitarized."""
+    reports = monodromy_pair(prob, ctx, pvs)
+    for rep in reports:
+        assert unitarize(rep).ok
+    return reports
+
+
 def test_reconstruct_01_solves_the_system():
     prob, ctx = _setup(0, 1)
-    pde, even = reconstruct_and_check(prob, ctx, ParamVec.m0(0, 0, 0))
+    pvs = [ParamVec.m0(0, 0, 0)]
+    ((pde, even),) = reconstruct_and_check(prob, ctx, pvs, _unitarized(prob, ctx, pvs))
     assert pde <= 1e-6
     assert even is not None and even <= 1e-8
 
@@ -294,9 +303,9 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
     prob, ctx, pvs = _census_params(0, 2)
     assert len(pvs) == 2
     calls = _count_jet(monkeypatch)
-    alone = [monodromy_pair(prob, ctx, pvs[0])]
+    alone = monodromy_pair(prob, ctx, pvs[:1])
     calls_first = calls[0]
-    alone.append(monodromy_pair(prob, ctx, pvs[1]))
+    alone += monodromy_pair(prob, ctx, pvs[1:])
     calls[0] = 0
     batch = monodromy_pair(prob, ctx, pvs)
     # one step sequence and one coefficient evaluation per step serve both
@@ -307,9 +316,6 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
         assert np.max(np.abs(a.N2 - b.N2)) <= 1e-9
         for Ma, Mb in zip(a.local, b.local):
             assert np.max(np.abs(Ma - Mb)) <= 1e-9
-    # a single vector is the one-root batch, bit for bit
-    (one,) = monodromy_pair(prob, ctx, pvs[:1])
-    assert to_jsonable(one) == to_jsonable(alone[0])
 
 
 def test_census_04_monodromy_to_high_accuracy():
@@ -338,12 +344,12 @@ def test_verify_roots_attributes_failures_per_root():
 def test_degenerate_frame_fails_only_its_root(monkeypatch):
     prob, ctx = _setup(0, 1)
     pv = ParamVec.m0(0, 0, 0)
-    rep = monodromy_pair(prob, ctx, pv)
+    (rep,) = monodromy_pair(prob, ctx, [pv])
     assert unitarize(rep).ok
-    alone = reconstruct_and_check(prob, ctx, pv, report=rep)
+    (alone,) = reconstruct_and_check(prob, ctx, [pv], [rep])
     # a positive multiple of the invariant form is invariant too; only the
     # larger det P tells the second copy apart
-    twin = monodromy_pair(prob, ctx, pv)
+    (twin,) = monodromy_pair(prob, ctx, [pv])
     twin.H = 4.0 * rep.H
     big = abs(np.linalg.det(np.linalg.cholesky(rep.H)))
     orig = monodromy._stencil
@@ -353,7 +359,7 @@ def test_degenerate_frame_fails_only_its_root(monkeypatch):
         return u0, res, ok & (np.abs(detP) <= 2.0 * big)
 
     monkeypatch.setattr(monodromy, "_stencil", fragile)
-    first, second = reconstruct_and_check(prob, ctx, [pv, pv], report=[rep, twin])
+    first, second = reconstruct_and_check(prob, ctx, [pv, pv], [rep, twin])
     assert first == alone
     assert isinstance(second, EvaluationError)
     assert twin.pde_residual is None
@@ -416,8 +422,9 @@ def _record(monkeypatch, name):
 def test_stencil_matches_per_root_reference(monkeypatch, n1, n2, tau, size):
     prob, ctx, pvs = _census_params(n1, n2, tau)
     assert len(pvs) == size
+    reports = _unitarized(prob, ctx, pvs)
     calls = _record(monkeypatch, "_stencil")
-    reconstruct_and_check(prob, ctx, pvs)
+    reconstruct_and_check(prob, ctx, pvs, reports)
     assert len(calls) >= 50
     got, want = np.zeros(size), np.zeros(size)
     for (stacks, P, detP), (u0, res, ok) in calls:
@@ -442,12 +449,10 @@ def test_stencil_matches_per_root_reference(monkeypatch, n1, n2, tau, size):
 
 def test_hops_start_from_the_grid_stacks(monkeypatch):
     prob, ctx, pvs = _census_params(0, 4)
-    reports = monodromy_pair(prob, ctx, pvs)
-    for rep in reports:
-        assert unitarize(rep).ok
+    reports = _unitarized(prob, ctx, pvs)
     frames = _record(monkeypatch, "_taylor_frame")
     stencils = _record(monkeypatch, "_stencil")
-    reused = reconstruct_and_check(prob, ctx, pvs, report=reports)
+    reused = reconstruct_and_check(prob, ctx, pvs, reports)
     # one frame per grid point is saved against building every hop's first
     # stack afresh (245 frames)
     assert len(frames) <= 184
@@ -458,7 +463,7 @@ def test_hops_start_from_the_grid_stacks(monkeypatch):
     monkeypatch.setattr(monodromy, "_segment_transport", lambda *args: orig(*args[:7]))
     frames.clear()
     stencils.clear()
-    fresh = reconstruct_and_check(prob, ctx, pvs, report=reports)
+    fresh = reconstruct_and_check(prob, ctx, pvs, reports)
     assert len(frames) > 184
     assert len(stencils) == len(reused_stacks)
     for (args, _), stacks in zip(stencils, reused_stacks):

@@ -870,6 +870,14 @@ def test_config_resolution_scales_with_invariants():
     assert r3.box_radius == 7.5 and r3.starts == 123
 
 
+def test_zero_start_budget_still_runs_the_seeds():
+    # starts budgets the Halton starts only: the structured seeds run
+    # besides it, and starts_used counts them
+    rep = solve_m0(problem_m0(GENERIC_TAU, 0, 2), config=SolverConfig(starts=0))
+    assert rep.total == rep.bound == 2
+    assert rep.starts_used == 3
+
+
 def test_config_has_four_knobs_and_reports_ten():
     # the census has four settings; the report's config block still records
     # the six fixed ones it ran with
