@@ -10,12 +10,14 @@ mpmath).  Point evaluation is one evaluator, EllipticContext.jet, with
 wp, zeta, wp_bundle and wp_derivs as views: one lattice reduction and
 near-pole guard, then one pass of one regime gives P, P', ..., P^(n) and
 zeta together.  The regimes are a q-series in u = e^{2 pi i z}
-away from lattice points, and the Laurent expansion at the origin (a Horner
-sum in z^2 per order) once the reduced argument is within 35% of the
-shortest lattice vector.  The switch matters: near a pole the q-series
-computes the double pole through the cancellation 1-u -> 0 and loses
-relative accuracy like eps/|2 pi z|, while the Laurent tail is perfectly
-conditioned there.
+away from lattice points, and the Laurent expansion at the origin once the
+reduced argument is within 35% of the shortest lattice vector.  Each regime
+sums all orders at once, by products of coefficient tables cached on the
+context (the Laurent rows; the q-series weights and rational-part
+numerators) with the powers of z^2 or of u.  The switch matters: near a
+pole the q-series computes the double pole through the cancellation
+1-u -> 0 and loses relative accuracy like eps/|2 pi z|, while the Laurent
+tail is perfectly conditioned there.
 
 The zero finder for invariant forms (g2, g3 and the two weighted cubic
 combinations used by the census) runs double-precision Newton first and then
@@ -47,34 +49,30 @@ _CTX_TOL = 1e-12  # identity-check target of a context; sqrt of it is the near-p
 _B_ORDER = 28  # highest index of a context's exported Laurent table
 _LAURENT_ORDER = 46  # highest index of the numeric table evaluation uses
 
-# numerators N_n(u) of the rational part N_n/(1-u)^{n+2} of the n-th
-# derivative of P in the variable u; ascending coefficients, N_0 = u.
-# Lattice independent, so cached at module level.
-_NPOLY = [[0.0, 1.0]]
+
+def _numerators(n):
+    """Rows N_0..N_n, ascending coefficients, of an (n+1, n+2) matrix: the
+    numerators of the rational parts N_k(u)/(1-u)^{k+2} of the k-th
+    derivative of P in the variable u.  N_0 = u and
+    N_{k+1} = u ((k+2) N_k + (1-u) N_k')."""
+    N = np.zeros((n + 1, n + 2))
+    N[0, 1] = 1.0
+    for k in range(n):
+        c = N[k, : k + 2]
+        dN = c[1:] * np.arange(1, k + 2)
+        a = np.zeros(k + 2)
+        a[: k + 1] += dN
+        a[1:] -= dN
+        a += (k + 2) * c
+        N[k + 1, 1 : k + 3] = a
+    return N
 
 
-def _npoly(n):
-    while len(_NPOLY) <= n:
-        k = len(_NPOLY) - 1
-        N = np.array(_NPOLY[-1])
-        dN = N[1:] * np.arange(1, len(N))
-        # (1-u) * N'
-        a = np.zeros(len(N) + 1)
-        a[: len(dN)] += dN
-        a[1 : 1 + len(dN)] -= dN
-        a[: len(N)] += (k + 2) * N
-        out = np.zeros(len(N) + 2)
-        out[1 : 1 + len(a)] = a  # multiply by u
-        _NPOLY.append(out.tolist())
-    return _NPOLY[n]
-
-
-def _horner(coeffs, u):
-    """sum_i coeffs[i] u^i, coefficients ascending."""
-    val = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        val = val * u + c
-    return val
+def _powers(x, n):
+    """[1, x, x^2, ..., x^(n-1)] by repeated multiplication."""
+    p = np.full(n, x, dtype=complex)
+    p[0] = 1.0
+    return np.multiply.accumulate(p, out=p)
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,8 @@ class EllipticContext:
     _marr: np.ndarray = field(repr=False, default=None)
     _qw: np.ndarray = field(repr=False, default=None)
     _mterms: dict = field(repr=False, default_factory=dict)
-    _laurent_rows: list = field(repr=False, default_factory=list)
+    _laurent_tab: np.ndarray = field(repr=False, default=None)
+    _numer: np.ndarray = field(repr=False, default=None)
 
     @property
     def near_pole_radius(self):
@@ -186,30 +185,30 @@ class EllipticContext:
 
     def wp_derivs(self, z, nmax):
         """Array [P(z), P'(z), ..., P^{(nmax)}(z)]."""
-        return np.array(self.jet(z, nmax, 2)[0])
+        return self.jet(z, nmax, 2)[0]
 
     # -- regime implementations ----------------------------------------------
 
     def _laurent(self, zr, n):
         """Orders 0..n of P and zeta at a reduced point near the origin.
 
-        z^{k+2} P^(k)(z) and z zeta(z) are even series; each is summed by
-        Horner in w = z^2 from a row built once per order from the table b:
-        P^(k) has coefficients b_j (j-2)(j-3)...(j-1-k), zeta has 1 and
-        -b_j / (j-1)."""
-        rows = self._laurent_rows  # rows[0] is zeta, rows[k + 1] is P^(k)
-        while len(rows) < n + 2:
-            k = len(rows) - 1
-            b = [complex(c) for c in self._bn_ext[::2]]
-            if k < 0:
-                row = [1.0] + [-b[i] / (2 * i - 1) for i in range(1, len(b))]
-            else:
-                row = [(-1) ** k * math.factorial(k + 1)]
-                row += [b[i] * math.perm(2 * i - 2, k) for i in range(1, len(b))]
-            rows.append([complex(c) for c in row])
-        w = zr * zr
-        zinv = 1.0 / zr
-        out = [_horner(row, w) * zinv ** (i + 1) for i, row in enumerate(rows[: n + 2])]
+        z^{k+2} P^(k)(z) and z zeta(z) are even series in w = z^2 with
+        coefficients from the table b: P^(k) has b_j (j-2)(j-3)...(j-1-k),
+        zeta has 1 and -b_j / (j-1).  Their rows form one table, cached on
+        the context and grown when a higher order is asked for, and one
+        product with the powers of w sums every order at once."""
+        if self._laurent_tab is None or len(self._laurent_tab) < n + 2:
+            b = self._bn_ext[::2]
+            i = np.arange(1, len(b))
+            tab = np.empty((n + 2, len(b)), complex)  # row 0 zeta, row k + 1 P^(k)
+            tab[0, 0] = 1.0
+            tab[0, 1:] = -b[1:] / (2 * i - 1)
+            for k in range(n + 1):
+                tab[k + 1, 0] = (-1) ** k * math.factorial(k + 1)
+                tab[k + 1, 1:] = b[1:] * np.array([math.perm(2 * j - 2, k) for j in i], float)
+            self._laurent_tab = tab
+        out = self._laurent_tab[: n + 2] @ _powers(zr * zr, self._laurent_tab.shape[1])
+        out *= _powers(1.0 / zr, n + 3)[1:]
         return out[1:], out[0]
 
     def _qseries(self, zr, n):
@@ -218,7 +217,9 @@ class EllipticContext:
         u^m and u^-m are formed once; the tail of P^(k) is
         sum_m m^{k+1} alpha_m (u^m + (-1)^k u^-m), and zeta's is the k = -1
         row with the odd sign, so one product with the weight rows gives
-        every tail at once."""
+        every tail at once.  The rational parts N_k(u)/(1-u)^{k+2} of the
+        orders k >= 1 come from one product of the numerator matrix, cached
+        on the context, with the powers of u."""
         M = self._terms_for(n)
         if len(self._qw) < n + 2:  # rows m^k alpha_m, k = 0..n+1
             self._qw = self._marr ** np.arange(n + 2)[:, None] * self._qw[0]
@@ -227,18 +228,23 @@ class EllipticContext:
         un = (1.0 / u) ** self._marr[:M]
         even, odd = up + un, up - un
         W = self._qw[: n + 2, :M]
-        tails = (W @ even, W @ odd)
+        tails = W @ np.stack([even, odd], axis=1)
         # P itself keeps its own sum with the constant -2 folded in: it
         # fixes the half-period values e, which `invariants` prints
         s = np.sum(W[1] * (even - 2.0))
-        out = [_TWO_PI_I ** 2 * (1.0 / 12.0 + u / (1.0 - u) ** 2 + s)]
-        for k in range(1, n + 1):
-            rat = _horner(_npoly(k), u) / (1.0 - u) ** (k + 2)
-            out.append(_TWO_PI_I ** (k + 2) * (rat + tails[k % 2][k + 1]))
+        out = np.empty(n + 1, complex)
+        out[0] = _TWO_PI_I ** 2 * (1.0 / 12.0 + u / (1.0 - u) ** 2 + s)
+        if n:
+            if self._numer is None or len(self._numer) < n + 1:
+                self._numer = _numerators(n)
+            rat = self._numer[1 : n + 1, : n + 2] @ _powers(u, n + 2)
+            rat *= _powers(1.0 / (1.0 - u), n + 3)[3:]
+            k = np.arange(1, n + 1)
+            out[1:] = _powers(_TWO_PI_I, n + 3)[3:] * (rat + tails[k + 1, k % 2])
         zt = (
             self.eta1 * zr
             + 1j * math.pi * (1.0 + u) / (u - 1.0)
-            - _TWO_PI_I * tails[1][0]
+            - _TWO_PI_I * tails[0, 1]
         )
         return out, zt
 

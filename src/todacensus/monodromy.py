@@ -58,9 +58,17 @@ __all__ = [
 class _OdeCoeffs:
     """W2, W3 and their z-derivatives for a batch of S parameter vectors.
 
-    The root parameters are held as (S, 1) columns, so one ``ctx.jet`` call
-    per puncture gives the coefficient jets of every root at a point, and
-    they broadcast against the rows of stacked (S, 3, 3) frames.
+    With the jets of P and zeta at z - p_k for each puncture p_k,
+
+        W2 = -B - sum_k (alpha_k P + B_k zeta),
+        W3 = D + sum_k (D_k P + beta_k P' + A_k zeta),
+
+    and zeta^(j) = -P^(j-1) for j >= 1.  So the j-th derivatives of every
+    root at a point are one product of the coefficient matrix C, shape
+    (2, S, 1 + 3(m+1)) with rows (-B, -alpha_k, 0, -B_k) for W2 and
+    (D, D_k, beta_k, A_k) for W3, with the basis whose column j is
+    (delta_j0, P_k^(j), P_k^(j+1), zeta_k^(j)) over the punctures.  One
+    ``ctx.jet`` call per puncture builds the basis at a point.
     """
 
     def __init__(self, problem, ctx, params):
@@ -70,51 +78,43 @@ class _OdeCoeffs:
             if not (len(pv.A) == len(pv.Bk) == len(pv.Dk) == mp1):
                 raise StructuralError("parameter arity does not match puncture count")
 
-        def column(values):
-            return np.array(values, complex).reshape(-1, 1)
-
         self.ctx = ctx
-        self.B = column([pv.B for pv in pvs])
-        self.D = column([pv.D for pv in pvs])
-        self.data = [
-            (
-                complex(pk.p),
-                float(pk.alpha),
-                float(pk.beta),
-                column([pv.Bk[k] for pv in pvs]),
-                column([pv.Dk[k] for pv in pvs]),
-                column([pv.A[k] for pv in pvs]),
-            )
-            for k, pk in enumerate(problem.punctures)
-        ]
+        self.points = [complex(pk.p) for pk in problem.punctures]
+        C = np.zeros((2, len(pvs), 1 + 3 * mp1), complex)
+        C[0, :, 0] = [-pv.B for pv in pvs]
+        C[1, :, 0] = [pv.D for pv in pvs]
+        for k, pk in enumerate(problem.punctures):
+            c = 1 + 3 * k
+            C[0, :, c] = -float(pk.alpha)
+            C[0, :, c + 2] = [-pv.Bk[k] for pv in pvs]
+            C[1, :, c] = [pv.Dk[k] for pv in pvs]
+            C[1, :, c + 1] = float(pk.beta)
+            C[1, :, c + 2] = [pv.A[k] for pv in pvs]
+        self.C = C
 
     @property
     def size(self):
-        return len(self.B)
+        return self.C.shape[1]
 
     def take(self, idx):
         """The coefficients of the roots idx (positions in this batch)."""
         sub = copy.copy(self)
-        sub.B, sub.D = self.B[idx], self.D[idx]
-        sub.data = [(p, al, be, Bk[idx], Dk[idx], Ak[idx])
-                    for p, al, be, Bk, Dk, Ak in self.data]
+        sub.C = self.C[:, idx]
         return sub
 
     def derivs(self, z, n):
         """Arrays (W2^(j)), (W3^(j)) of shape (S, n+1), j = 0..n."""
-        W2d = np.zeros((self.size, n + 1), complex)
-        W3d = np.zeros((self.size, n + 1), complex)
-        W2d[:, :1] = -self.B
-        W3d[:, :1] = self.D
-        for p, al, be, Bk, Dk, Ak in self.data:
+        basis = np.zeros((self.C.shape[2], n + 1), complex)
+        basis[0, 0] = 1.0
+        for k, p in enumerate(self.points):
             wp, zv = self.ctx.jet(z - p, n + 1, 2)
-            wp = np.array(wp)
-            W2d[:, :1] -= al * wp[0] + Bk * zv
-            W3d[:, :1] += be * wp[1] + Dk * wp[0] + Ak * zv
-            # zeta^(j) = -wp^(j-1)
-            W2d[:, 1:] -= al * wp[1:n + 1] - Bk * wp[:n]
-            W3d[:, 1:] += be * wp[2:n + 2] + Dk * wp[1:n + 1] - Ak * wp[:n]
-        return W2d, W3d
+            c = 1 + 3 * k
+            basis[c] = wp[:-1]
+            basis[c + 1] = wp[1:]
+            basis[c + 2, 0] = zv
+            basis[c + 2, 1:] = -wp[:-2]
+        W = self.C @ basis
+        return W[0], W[1]
 
 
 def _coeffs(problem, ctx, params):
@@ -256,10 +256,15 @@ def _taylor_frame(coeffs, z, Y):
 
 def _eval_taylor(stack, delta, rows):
     """Rows 0..rows-1 of derivative stacks (..., n, 3) moved by delta: row i
-    is sum_k stack[..., k + i] delta^k / k! over k = 0..n-rows."""
-    n = stack.shape[-2] - rows + 1
-    w = delta ** np.arange(n) / _FACT[:n]
-    return np.stack([w @ stack[..., i:i + n, :] for i in range(rows)], axis=-2)
+    is sum_k stack[..., k + i] delta^k / k! over k = 0..n-rows, one product
+    with the banded (rows, n) matrix of the weights delta^k / k!."""
+    n = stack.shape[-2]
+    m = n - rows + 1
+    w = delta ** np.arange(m) / _FACT[:m]
+    band = np.zeros((rows, n), complex)
+    for i in range(rows):
+        band[i, i:i + m] = w
+    return band @ stack
 
 
 def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, stack=None):
@@ -452,7 +457,8 @@ def monodromy_pair(problem, ctx, params, rtol=1e-11):
 # unitarization
 
 def _herm_basis():
-    """Orthonormal basis of the real space of 3 x 3 Hermitian matrices."""
+    """Orthonormal basis of the real space of 3 x 3 Hermitian matrices,
+    stacked (9, 3, 3)."""
     basis = []
     for i in range(3):
         E = np.zeros((3, 3), complex)
@@ -469,7 +475,7 @@ def _herm_basis():
             E[i, j] = 1j * s
             E[j, i] = -1j * s
             basis.append(E)
-    return tuple(basis)
+    return np.array(basis)
 
 
 _HERM_BASIS = _herm_basis()
@@ -561,17 +567,12 @@ def unitarize(report):
 
 
 def _stack_operator(report):
-    """Matrix of H -> (H - Nj^H H Nj)_j on Hermitian coordinates (18 x 9)."""
-    cols = []
-    for Eb in _HERM_BASIS:
-        img_rows = []
-        for N in (report.N1, report.N2):
-            img = Eb - N.conj().T @ Eb @ N
-            img_rows.extend(
-                float(np.real(np.trace(Fb.conj().T @ img))) for Fb in _HERM_BASIS
-            )
-        cols.append(img_rows)
-    return np.array(cols).T
+    """Matrix of H -> (H - Nj^H H Nj)_j on Hermitian coordinates (18 x 9):
+    entry (9j + p, b) is Re tr(E_p^H (E_b - Nj^H E_b Nj)) for the basis
+    matrices E, all from one einsum over the stacked basis."""
+    N = np.stack([report.N1, report.N2])[:, None]  # (2, 1, 3, 3)
+    img = _HERM_BASIS - N.conj().swapaxes(2, 3) @ _HERM_BASIS @ N  # (2, 9, 3, 3)
+    return np.einsum("pik,jbik->jpb", _HERM_BASIS.conj(), img).real.reshape(18, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +588,14 @@ _EXCLUSION = 0.1  # grid points this close to a puncture are left out
 _OFFSETS = np.array([0, 1, -1, 2, -2, 1j, -1j, 2j, -2j])
 _SHIFT = (_FD_STEP * _OFFSETS[:, None]) ** np.arange(_ORDER + 2) / _FACT[:_ORDER + 2]
 _LAPLACIAN = np.array([-60, 16, 16, -1, -1, 16, 16, -1, -1], float)
+_NEXT = [1, 2, 0]  # component i + 1 mod 3
 
 
-def _stencil(stacks, P, detP):
+def _stencil(stacks, P, scale):
     """(u0, PDE residual, ok) at one grid point for each root, from the
     Taylor stacks (S, _ORDER+3, 3) there and the invariant frames P
-    (S, 3, 3) with determinants detP (S,).
+    (S, 3, 3) with the factors 0.25 |det P|^(-2/3), 0.25 |det P|^(-4/3)
+    as scale (S, 2).
 
     All roots are moved to all _OFFSETS at once.  ok is False for a root
     whose frame degenerates (eU or eV not > 0) at some offset; its u0 and
@@ -603,10 +606,9 @@ def _stencil(stacks, P, detP):
     Y = (P[:, None, None] @ Y[..., None])[..., 0]
     yt, ytd = Y[:, 0], Y[:, 1]
     # |P y|^2, and |P y ^ P y'|^2 from the Wronskians w01, w12, w20
-    w = yt * np.roll(ytd, -1, axis=2) - ytd * np.roll(yt, -1, axis=2)
+    w = yt * ytd[..., _NEXT] - ytd * yt[..., _NEXT]
     r = np.stack([np.sum(np.abs(yt) ** 2, axis=2), np.sum(np.abs(w) ** 2, axis=2)], axis=1)
-    e = np.array([[0.25 * abs(d) ** (-2.0 / 3.0), 0.25 * abs(d) ** (-4.0 / 3.0)]
-                  for d in detP.tolist()])[..., None] * r  # eU, eV (S, 2, 9)
+    e = scale[..., None] * r  # eU, eV (S, 2, 9)
     ok = np.all(e > 0, axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         uv = -np.log(e)
@@ -633,6 +635,8 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
     Lc = np.linalg.cholesky(np.array([rep.H for rep in reports]))
     P = Lc.conj().transpose(0, 2, 1)
     detP = np.prod(np.diagonal(Lc, axis1=1, axis2=2), axis=1)
+    scale = np.array([[0.25 * abs(d) ** (-2.0 / 3.0), 0.25 * abs(d) ** (-4.0 / 3.0)]
+                      for d in detP.tolist()])
 
     tau = ctx.tau
     sing = _singular_translates(problem, ctx, pad=3)
@@ -665,7 +669,7 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
         Y = transport(problem, ctx, hops, path, rtol=rtol, sing=sing, Y0=stacks)
         prev = z
         stacks = _taylor_frame(hops, z, Y)
-        u0, res, ok = _stencil(stacks, P, detP)
+        u0, res, ok = _stencil(stacks, P, scale)
         for pos, r in enumerate(live):
             if ok[pos]:
                 U[r][key] = u0[pos]
@@ -675,7 +679,7 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
         if not ok.all():
             live = [r for r, good in zip(live, ok) if good]
             hops = hops.take(np.flatnonzero(ok))
-            stacks, P, detP = stacks[ok], P[ok], detP[ok]
+            stacks, P, scale = stacks[ok], P[ok], scale[ok]
 
     sym = all((-1 - i, -1 - j) in pts for (i, j) in pts)
     for r in live:

@@ -8,6 +8,7 @@ the module's own series machinery.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -168,6 +169,115 @@ def test_jet_matches_its_views():
     assert abs(P - ctx.wp(z)) <= 1e-12 * (1 + abs(P))
     assert abs(P2 - ctx.wp(z, 2)) <= 1e-12 * (1 + abs(P2))
     assert abs(Z - ctx.zeta(z)) <= 1e-12 * (1 + abs(Z))
+
+
+# the Laurent and q-series formulas of the evaluator, summed in mpmath: each
+# returns the orders 0..n of P and zeta, and the same sums taken over the
+# absolute values of the terms, the scale of their rounding error
+
+
+def _numerators_exact(n):
+    """Integer numerators N_k(u) of the rational parts N_k/(1-u)^{k+2}."""
+    N = [[0, 1]]
+    for k in range(n):
+        c = N[-1]
+        a = [(k + 2) * x for x in c] + [0]
+        for i in range(1, len(c)):
+            a[i - 1] += i * c[i]
+            a[i] -= i * c[i]
+        N.append([0] + a)
+    return N
+
+
+def _mp_laurent(ctx, z, n):
+    b = [mpmath.mpc(c) for c in ctx._bn_ext[::2]]
+    z = mpmath.mpc(z)
+    w = z * z
+    rows = [[1] + [-b[i] / (2 * i - 1) for i in range(1, len(b))]]
+    rows += [[(-1) ** k * math.factorial(k + 1)]
+             + [b[i] * math.perm(2 * i - 2, k) for i in range(1, len(b))] for k in range(n + 1)]
+    val = [sum(c * w ** i for i, c in enumerate(r)) / z ** (j + 1) for j, r in enumerate(rows)]
+    size = [sum(abs(c) * abs(w) ** i for i, c in enumerate(r)) / abs(z) ** (j + 1)
+            for j, r in enumerate(rows)]
+    return val[1:], val[0], size[1:], size[0]
+
+
+def _mp_qseries(ctx, z, n):
+    tpi = 2j * mpmath.pi
+    q = mpmath.exp(tpi * mpmath.mpc(ctx.tau))
+    u = mpmath.exp(tpi * mpmath.mpc(z))
+    big = max(abs(u), 1 / abs(u))
+    M = 8
+    while abs(q) ** M * M ** (n + 2) * big ** M > mpmath.mpf(10) ** -30:
+        M += 1
+    alpha = [(m, q ** m / (1 - q ** m)) for m in range(1, M + 1)]
+    N = _numerators_exact(n)
+    val, size = [], []
+    for k in range(n + 1):
+        v = mpmath.polyval(N[k][::-1], u) / (1 - u) ** (k + 2)
+        g = sum(c * abs(u) ** i for i, c in enumerate(N[k])) / abs(1 - u) ** (k + 2)
+        for m, a in alpha:
+            v += m ** (k + 1) * a * (u ** m + (-1) ** k * u ** -m)
+            g += m ** (k + 1) * abs(a) * (abs(u) ** m + abs(u) ** -m)
+        if k == 0:
+            v += mpmath.mpf(1) / 12 - 2 * sum(m * a for m, a in alpha)
+            g += mpmath.mpf(1) / 12 + 2 * sum(m * abs(a) for m, a in alpha)
+        val.append(tpi ** (k + 2) * v)
+        size.append((2 * mpmath.pi) ** (k + 2) * g)
+    tail = sum(a * (u ** m - u ** -m) for m, a in alpha)
+    tail_size = sum(abs(a) * (abs(u) ** m + abs(u) ** -m) for m, a in alpha)
+    zeta = ctx.eta1 * z + 1j * mpmath.pi * (1 + u) / (u - 1) - tpi * tail
+    zeta_size = (abs(ctx.eta1 * z) + mpmath.pi * abs(1 + u) / abs(u - 1)
+                 + 2 * mpmath.pi * tail_size)
+    return val, zeta, size, zeta_size
+
+
+@pytest.mark.parametrize("tau", [0.21 + 1.13j, 1j, RHO], ids=str)
+def test_jet_matches_mpmath(tau):
+    # every order the Taylor transport uses, in both regimes, on both sides
+    # of Im z = 0 and on both sides of the switch radius: the error of
+    # order k stays within (k + 4) eps of the formula's absolute-value sum
+    # (worst seen: 18 eps at k = 27; the per-order Horner sums met it too)
+    ctx = _ctx(tau)
+    n = _ORDER + 1
+    eps = np.finfo(float).eps
+    r = 0.35 * ctx.lam_min
+    points = [0.1 + 0.05j, -0.12 - 0.08j, 0.02 - 0.2j, 0.3 + 0.4j, -0.471 - 0.132j,
+              0.45 - 0.3j, -0.2 + 0.45j]
+    points += [s * r * cmath.exp(1j * a) for s in (0.999, 1.001) for a in (2.5, -0.7)]
+    regimes = set()
+    for z in points:
+        zr = ctx.reduce_point(z)[0]
+        laurent = abs(zr) <= r
+        regimes.add((laurent, zr.imag > 0))
+        got, zeta = ctx.jet(zr, n, 2)
+        with mpmath.workdps(30):
+            want, want_zeta, size, zeta_size = (_mp_laurent if laurent else _mp_qseries)(ctx, zr, n)
+            for k in range(n + 1):
+                assert abs(got[k] - want[k]) <= (k + 4) * eps * size[k], (zr, k)
+            assert abs(zeta - want_zeta) <= 4 * eps * zeta_size, zr
+    assert len(regimes) == 4
+
+
+def test_qseries_order_zero_does_not_depend_on_the_order():
+    # P itself, which fixes the half-period values e that `invariants`
+    # prints, is the same double however many derivatives come with it
+    # (not at a zero of P, such as the centre of the square cell, where
+    # the value is rounding noise of the term count)
+    for tau in TAUS + [1j, RHO]:
+        ctx = _ctx(tau)
+        for z in (0.5, 0.5 * tau, 0.3 + 0.4j, -0.471 - 0.132j):
+            zr = ctx.reduce_point(z)[0]
+            alone = ctx._qseries(zr, 0)[0][0]
+            for n in (1, 12, _ORDER + 1):
+                assert ctx._qseries(zr, n)[0][0] == alone
+    # and e itself, bit for bit
+    e = _ctx(0.21 + 1.13j).e
+    assert [(v.real.hex(), v.imag.hex()) for v in e] == [
+        ("0x1.a72bbeaa20764p+2", "0x1.029130602d062p-3"),
+        ("-0x1.461669537702dp+2", "-0x1.75c7534acda9ap+0"),
+        ("-0x1.8455555aa5cd6p+0", "0x1.55752d3ec8090p+0"),
+    ]
 
 
 def test_reduce_fundamental():

@@ -2,11 +2,12 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from todacensus.apparency import ParamVec, problem_m0
+from todacensus.apparency import ParamVec, derive_problem, problem_m0
 from todacensus import monodromy
 from todacensus.elliptic import EllipticContext, compute_invariants
 from todacensus.errors import EvaluationError, PathClearanceError, StructuralError
@@ -144,6 +145,64 @@ def test_taylor_frame_matches_leibniz_loop():
             assert np.max(np.abs(got[r, k] - want[r, k])) <= 1e-12 * np.max(np.abs(want[r, k]))
 
 
+def test_eval_taylor_matches_the_row_loop():
+    # the banded product against the row-by-row sums it replaced, on stacks
+    # whose derivatives grow like k! as the transport's do
+    rng = np.random.default_rng(3)
+    shape = (2, monodromy._ORDER + 3, 3)
+    stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * monodromy._FACT[:, None]
+    for delta in (0.05 + 0.02j, -0.3j):
+        for rows in (2, 3):
+            m = shape[1] - rows + 1
+            w = delta ** np.arange(m) / monodromy._FACT[:m]
+            want = np.stack([w @ stack[:, i:i + m] for i in range(rows)], axis=1)
+            size = np.stack([np.abs(w) @ np.abs(stack[:, i:i + m]) for i in range(rows)], axis=1)
+            got = monodromy._eval_taylor(stack, delta, rows)
+            assert got.shape == (2, rows, 3)
+            assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+
+def _derivs_loop(problem, ctx, pvs, z, n):
+    """W2^(j), W3^(j) summed puncture by puncture and root by root, and the
+    same sums of absolute values: the loop the coefficient product replaced."""
+    W2 = np.zeros((len(pvs), n + 1), complex)
+    W3 = np.zeros_like(W2)
+    size = np.zeros((2, len(pvs), n + 1))
+    for r, pv in enumerate(pvs):
+        W2[r, 0], W3[r, 0] = -pv.B, pv.D
+        size[:, r, 0] = abs(pv.B), abs(pv.D)
+    for k, pk in enumerate(problem.punctures):
+        wp, zv = ctx.jet(z - pk.p, n + 1, 2)
+        zeta = np.concatenate([[zv], -wp[:n]])
+        alpha, beta = float(pk.alpha), float(pk.beta)
+        for r, pv in enumerate(pvs):
+            terms2 = (alpha * wp[:n + 1], pv.Bk[k] * zeta)
+            terms3 = (beta * wp[1:], pv.Dk[k] * wp[:n + 1], pv.A[k] * zeta)
+            W2[r] -= sum(terms2)
+            W3[r] += sum(terms3)
+            size[0, r] += sum(np.abs(t) for t in terms2)
+            size[1, r] += sum(np.abs(t) for t in terms3)
+    return W2, W3, size
+
+
+def test_ode_coefficient_jets_match_the_puncture_loop():
+    tau = TAU
+    prob = derive_problem(tau, [(0.0, 0, 1), (0.31 + 0.42j, 0, 2), (0.5 * tau, 1, 1)])
+    ctx = compute_invariants(prob.lattice)
+    rng = np.random.default_rng(11)
+    pvs = [ParamVec.from_vector(rng.normal(size=11) + 1j * rng.normal(size=11)) for _ in range(3)]
+    coeffs = monodromy._OdeCoeffs(prob, ctx, pvs)
+    n = monodromy._ORDER - 1
+    for z in (0.71 + 0.18j, -0.2 + 0.83j):
+        W2, W3 = coeffs.derivs(z, n)
+        want2, want3, size = _derivs_loop(prob, ctx, pvs, z, n)
+        assert np.all(np.abs(W2 - want2) <= 1e-14 * size[0])
+        assert np.all(np.abs(W3 - want3) <= 1e-14 * size[1])
+        # a sub-batch slices the coefficient matrix, not the jets
+        sub2, sub3 = coeffs.take([2, 0]).derivs(z, n)
+        assert np.array_equal(sub2, W2[[2, 0]]) and np.array_equal(sub3, W3[[2, 0]])
+
+
 def test_transport_composes_and_inverts():
     prob, ctx = _setup(0, 1)
     params = [ParamVec.m0(0, 0, 0)]
@@ -232,6 +291,37 @@ def test_unitarize_01_normal_forms():
         assert np.max(np.abs(M.conj().T @ M - np.eye(3))) <= 1e-8
 
 
+def _stack_operator_loop(report):
+    """The operator as 162 separate traces Re tr(F^H (E - N^H E N)), the
+    loop the einsum replaced."""
+    cols = []
+    for Eb in monodromy._HERM_BASIS:
+        img_rows = []
+        for N in (report.N1, report.N2):
+            img = Eb - N.conj().T @ Eb @ N
+            img_rows.extend(
+                float(np.real(np.trace(Fb.conj().T @ img))) for Fb in monodromy._HERM_BASIS
+            )
+        cols.append(img_rows)
+    return np.array(cols).T
+
+
+def test_stack_operator_matches_the_trace_loop():
+    prob, ctx = _setup(0, 4)
+    reports = monodromy_pair(prob, ctx, [ParamVec.m0(c.B, c.D0, c.D)
+                                         for c in solve_m0(prob, ctx).clusters])
+    rng = np.random.default_rng(5)
+    pairs = [(rep.N1, rep.N2) for rep in reports]
+    # and matrices with no invariant form
+    pairs += list(rng.normal(size=(3, 2, 3, 3)) + 1j * rng.normal(size=(3, 2, 3, 3)))
+    for N1, N2 in pairs:
+        rep = SimpleNamespace(N1=N1, N2=N2)
+        want = _stack_operator_loop(rep)
+        got = monodromy._stack_operator(rep)
+        assert got.shape == (18, 9)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_perturbed_params_fail_loudly():
     prob, ctx = _setup(0, 2)
     B_true = cmath.sqrt(ctx.g2 / 3.0)
@@ -318,6 +408,31 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
             assert np.max(np.abs(Ma - Mb)) <= 1e-9
 
 
+@pytest.mark.parametrize("n1, n2, frames, jets", [(0, 2, 231, 234), (0, 4, 250, 253)])
+def test_census_verification_work_is_bounded(monkeypatch, n1, n2, frames, jets):
+    # the Taylor frames and coefficient jets that verifying a whole census
+    # takes with this step control, the context's three half-period values
+    # included: a change that takes more steps fails here, not only in the
+    # benchmark
+    prob, ctx, pvs = _census_params(n1, n2)
+    calls = _count_jet(monkeypatch)
+    stacks = _record(monkeypatch, "_taylor_frame")
+    reports = verify_roots(prob, None, pvs)
+    assert all(rep.unitarizable and rep.pde_residual is not None for rep in reports)
+    assert len(stacks) <= frames
+    assert calls[0] <= jets
+
+
+def test_unitarizable_verdicts_of_the_census_and_the_nudged_control():
+    for n1, n2 in ((0, 2), (0, 4)):
+        prob, ctx, pvs = _census_params(n1, n2)
+        assert [rep.unitarizable for rep in verify_roots(prob, ctx, pvs)] == [True] * len(pvs)
+    # the benchmark's negative control: the first (0,4) root with B moved by 0.1
+    first = pvs[0]
+    nudged = verify_root(prob, ctx, ParamVec.m0(first.B + 0.1, first.Dk[0], first.D))
+    assert nudged.unitarizable is False and nudged.pde_residual is None
+
+
 def test_census_04_monodromy_to_high_accuracy():
     # at the default rtol the monodromy identities hold near rounding on
     # every root of the (0,4) census
@@ -354,9 +469,10 @@ def test_degenerate_frame_fails_only_its_root(monkeypatch):
     big = abs(np.linalg.det(np.linalg.cholesky(rep.H)))
     orig = monodromy._stencil
 
-    def fragile(stacks, P, detP):
-        u0, res, ok = orig(stacks, P, detP)
-        return u0, res, ok & (np.abs(detP) <= 2.0 * big)
+    def fragile(stacks, P, scale):
+        # |det P| <= 2 big, read from scale[:, 0] = 0.25 |det P|^(-2/3)
+        u0, res, ok = orig(stacks, P, scale)
+        return u0, res, ok & (scale[:, 0] >= 0.25 * (2.0 * big) ** (-2.0 / 3.0))
 
     monkeypatch.setattr(monodromy, "_stencil", fragile)
     first, second = reconstruct_and_check(prob, ctx, [pv, pv], [rep, twin])
@@ -370,7 +486,7 @@ def test_degenerate_frame_fails_only_its_root(monkeypatch):
 _REF_OFFSETS = (0.0, 1.0, -1.0, 2.0, -2.0, 1j, -1j, 2j, -2j)
 
 
-def _uv_from_frame(P, detP, Yval, Yder):
+def _uv_from_frame(P, scale, Yval, Yder):
     yt = P @ Yval
     ytd = P @ Yder
     r1 = float(np.sum(np.abs(yt) ** 2))
@@ -378,19 +494,18 @@ def _uv_from_frame(P, detP, Yval, Yder):
     w12 = yt[1] * ytd[2] - ytd[1] * yt[2]
     w20 = yt[2] * ytd[0] - ytd[2] * yt[0]
     r2 = float(abs(w01) ** 2 + abs(w12) ** 2 + abs(w20) ** 2)
-    a = abs(detP)
-    eU = 0.25 * a ** (-2.0 / 3.0) * r1
-    eV = 0.25 * a ** (-4.0 / 3.0) * r2
+    eU = scale[0] * r1
+    eV = scale[1] * r2
     if not (eU > 0 and eV > 0):
         raise EvaluationError("degenerate frame during reconstruction")
     return -math.log(eU), -math.log(eV)
 
 
-def _point_residual(P, detP, stack):
+def _point_residual(P, scale, stack):
     """(U, PDE residual) at a grid point from one root's Taylor stack, with
     fourth-order central-difference Laplacians of step _FD_STEP."""
     h = monodromy._FD_STEP
-    vals = {d: _uv_from_frame(P, detP, *monodromy._eval_taylor(stack, d * h, 2))
+    vals = {d: _uv_from_frame(P, scale, *monodromy._eval_taylor(stack, d * h, 2))
             for d in _REF_OFFSETS}
     u0, v0 = vals[0.0]
     lapU = (
@@ -427,10 +542,10 @@ def test_stencil_matches_per_root_reference(monkeypatch, n1, n2, tau, size):
     reconstruct_and_check(prob, ctx, pvs, reports)
     assert len(calls) >= 50
     got, want = np.zeros(size), np.zeros(size)
-    for (stacks, P, detP), (u0, res, ok) in calls:
+    for (stacks, P, scale), (u0, res, ok) in calls:
         assert len(stacks) == size and ok.all()
         for r in range(size):
-            want_u, want_res = _point_residual(P[r], detP[r], stacks[r])
+            want_u, want_res = _point_residual(P[r], scale[r], stacks[r])
             assert abs(u0[r] - want_u) <= 1e-13 * abs(want_u)
             got[r], want[r] = max(got[r], res[r]), max(want[r], want_res)
     # a point's residual is mostly finite-difference rounding noise, which
@@ -438,10 +553,10 @@ def test_stencil_matches_per_root_reference(monkeypatch, n1, n2, tau, size):
     # the grid, must agree
     assert np.all(np.abs(got - want) <= np.maximum(0.05 * want, 2e-9))
     # a root whose frame degenerates fails alone; the others keep their values
-    (stacks, P, detP), (u0, res, ok) = calls[0]
+    (stacks, P, scale), (u0, res, ok) = calls[0]
     P = P.copy()
     P[1] = 0
-    u0_bad, res_bad, ok_bad = monodromy._stencil(stacks, P, detP)
+    u0_bad, res_bad, ok_bad = monodromy._stencil(stacks, P, scale)
     assert not ok_bad[1] and np.delete(ok_bad, 1).all()
     assert np.array_equal(np.delete(u0_bad, 1), np.delete(u0, 1))
     assert np.array_equal(np.delete(res_bad, 1), np.delete(res, 1))
