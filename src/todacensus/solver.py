@@ -338,8 +338,17 @@ _DAMPED_STOP = 1e-13
 _POLISH_STOP = 1e-15
 
 
+def _det3(J):
+    """Determinants of a stack of 3x3 matrices, by cofactors along the
+    first row."""
+    a, b, c, d, e, f, g, h, i = J.reshape(-1, 9).T
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _solve_steps(J, F):
-    dets = np.abs(np.linalg.det(J))
+    # the determinant only flags (near-)singular or non-finite J, which get
+    # a small shift of the diagonal; the step itself comes from solve
+    dets = np.abs(_det3(J))
     bad = ~np.isfinite(dets) | (dets < 1e-250)
     if bad.any():
         J = J.copy()
@@ -441,16 +450,19 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
         D0n = D0a + step[:, 1]
         Dn = Da + step[:, 2]
         rn = evaluate(idx, Bn, D0n, Dn)
-        for _ in range(2):
-            # only the points whose step grew the residual take a halved one
-            w = np.flatnonzero(~(rn <= np.maximum(ra, cfg.accept_tol)))
-            if not len(w):
-                break
-            step[w] *= 0.5
-            Bn[w] = Ba[w] + step[w, 0]
-            D0n[w] = D0a[w] + step[w, 1]
-            Dn[w] = Da[w] + step[w, 2]
-            rn[w] = vres(idx[w], Bn[w], D0n[w], Dn[w])
+        # only the points whose step grew the residual take a shorter one:
+        # the half step if it does not grow it, else the quarter step, both
+        # judged in one value call
+        w = np.flatnonzero(~(rn <= np.maximum(ra, cfg.accept_tol)))
+        if len(w):
+            half = step[w] * 0.5
+            Xw = np.stack([Ba[w], D0a[w], Da[w]], axis=1)
+            T = np.concatenate([Xw + half, Xw + half * 0.5]).T.copy()
+            rt = vres(np.tile(idx[w], 2), *T)
+            pick = np.arange(len(w))
+            pick[~(rt[pick] <= np.maximum(ra[w], cfg.accept_tol))] += len(w)
+            Bn[w], D0n[w], Dn[w] = T[:, pick]
+            rn[w] = rt[pick]
             stale[idx[w]] = True
             rel[idx[w]] = np.inf
         B[idx], D0[idx], D[idx] = Bn, D0n, Dn
