@@ -5,14 +5,19 @@ parameters (B, D0, D), polishes every convergent trajectory with pure Newton
 steps, merges results into clusters in weight-scaled coordinates, and reports
 the count next to the weighted-Bezout bound.  Each Newton iterate costs one
 kernel call: the trial points are evaluated with their Jacobians, which the
-next step from there reuses, and only a line search's halved trials are
-evaluated without.  Newton drops a point as soon as its relative residual
-(see _relative) is <= 1e-13 in the damped loop or <= 1e-15 in the polish,
-and returns it for every point, so acceptance costs no further kernel call;
-_MAX_ITER and _POLISH_ITER only cap the two phases.  Starts run in chunks,
-and each chunk's accepted points are merged into the clusters kept from the
-chunks before; the points are clustered afresh only when a box doubling
-changes the metric.  The system is invariant under z -> -z, which maps a
+next step from there reuses, and a line search's shorter trials, the half
+and the quarter step together, are evaluated without in one more.  Newton
+drops a point as soon as its relative residual (see _relative) is <= 1e-13
+in the damped loop or <= 1e-15 in the polish, and returns it for every
+point, so acceptance costs no further kernel call; _MAX_ITER and
+_POLISH_ITER only cap the two phases.  Starts run in chunks, and each
+chunk's accepted points are merged into the clusters kept from the chunks
+before; the points are clustered afresh only when a box doubling changes
+the metric.  Theorem (i) bounds the number of solutions by the
+weighted-Bezout bound, so a Halton chunk stops its damped loop once its
+converged points, their mirrors (below) and the clusters so far hold that
+many distinct roots; the polish and the acceptance then run as for any
+batch.  The system is invariant under z -> -z, which maps a
 solution (B, D0, D) to (B, -D0, -D) and fixes the even ones: while a
 census is short of the bound, each non-even root found brings in its
 mirror, whose residual and Jacobian follow from the root's by signs alone,
@@ -140,9 +145,11 @@ class RootCluster:
     residual is the relative residual of the representative point (see
     _relative); the census accepts points with residual <=
     SolverConfig.accept_tol.  hits counts the Newton endpoints in the
-    cluster; the mirrors (B, -D0, -D) of other clusters' roots that the
-    census adds are members too, but not hits, so a cluster first reached
-    as a mirror has hits 0."""
+    cluster: the starts that Newton ran to acceptance before their chunk
+    completed the census (a chunk's other starts stop where they are, and
+    are not accepted unless the polish brings them there).  The mirrors
+    (B, -D0, -D) of other clusters' roots that the census adds are members
+    too, but not hits, so a cluster first reached as a mirror has hits 0."""
 
     B: complex
     D0: complex
@@ -365,21 +372,25 @@ def _solve_steps(J, F):
         return out
 
 
-def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
+def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
     """Damped Newton + pure-Newton polish on a batch of starts.
 
     Each iterate costs one kernel call: the trial points of a step are
     evaluated by m0_residual_batch, whose F, J and relative residual (see
-    _relative) then serve the next step from there.  Only the line search's
-    halved trials are judged by m0_value_batch alone; a point whose accepted
-    step was halved gets its F and J at the start of its next iterate, or
-    before the polish.
+    _relative) then serve the next step from there.  A point whose full
+    step grew its residual is judged at the half and the quarter step, all
+    such points in one m0_value_batch call, and takes the half step if that
+    does not grow the residual, else the quarter step; it gets its F and J
+    at the start of its next iterate, or before the polish.
 
     A point leaves each phase as soon as it has converged: when its relative
     residual is <= _DAMPED_STOP in the damped loop or <= _POLISH_STOP in the
     polish.  Its absolute residual bounds the relative one from above and
     stops it at the same thresholds.  _MAX_ITER and _POLISH_ITER cap the
-    phases.
+    phases.  complete, when given, ends the damped loop early: after each
+    iterate it gets the points (k, 3) that have just reached a relative
+    residual <= min(_DAMPED_STOP, cfg.accept_tol), and once it returns True
+    the remaining starts stop where they are and the polish runs.
 
     bnum is the Laurent table of the lattice (L,), or one column per start
     (L, S), and scales the metric scales (sB, sD0, sD), or one row per start
@@ -403,6 +414,9 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
     Jc = np.empty((S, 3, 3), complex)
     rel = np.full(S, np.inf)
     stale = np.zeros(S, bool)
+    # the points handed to complete, and the relative residual that does it
+    handed = np.zeros(S, bool)
+    done = min(_DAMPED_STOP, cfg.accept_tol)
 
     def table(idx):
         return bnum if tables is None else tables[:, idx]
@@ -467,6 +481,11 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg):
             rel[idx[w]] = np.inf
         B[idx], D0[idx], D[idx] = Bn, D0n, Dn
         res[idx] = rn
+        if complete is not None:
+            new = np.flatnonzero(~handed & (rel <= done))
+            handed[new] = True
+            if len(new) and complete(np.stack([B[new], D0[new], D[new]], axis=1)):
+                break
 
     # polish: pure Newton, keep the best visited point
     refresh(np.isfinite(res))
@@ -566,6 +585,30 @@ def _even_points(pts):
     return (np.abs(pts[:, 1]) <= lim) & (np.abs(pts[:, 2]) <= lim)
 
 
+def _completion_test(clusters, bound, sample_scales):
+    """The completeness test that a census hands to a Newton chunk.
+
+    complete(X) takes the points that have just converged and says whether
+    they, the points handed before, the mirrors of the non-even ones and the
+    centres of clusters hold bound distinct roots in the cluster metric
+    (greedy, within _MERGE_TOL).  Only points inside the sample box count,
+    as in the census's acceptance."""
+    centres = clusters.centres
+
+    def complete(X):
+        nonlocal centres
+        with np.errstate(all="ignore"):
+            X = X[_scaled_mag(X[:, 0], X[:, 1], X[:, 2], sample_scales) < 5.0]
+        new = np.concatenate([X, X[~_even_points(X)] * _SIGMA]) * clusters.inv_scales
+        new = new[~np.any(np.abs(centres[:, None] - new).max(axis=-1) <= _MERGE_TOL, axis=0)]
+        while len(new):
+            centres = np.vstack([centres, new[:1]])
+            new = new[np.abs(new - new[0]).max(axis=1) > _MERGE_TOL]
+        return len(centres) >= bound
+
+    return complete
+
+
 def _structured_starts(n1, n2, g2, g3):
     """The origin and the even-sector roots lifted to (B, 0, 0)."""
     out = [np.zeros(3, complex)]
@@ -618,6 +661,14 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     bound - found <= 2 * len(seeds), since each endpoint adds at most its
     own cluster and its mirror's; otherwise they join the first Halton
     chunk.
+
+    Every Halton chunk (not the seeds alone, nor warm starts) gets the
+    census's _completion_test: Newton stops the chunk's damped loop once its
+    converged points, their mirrors and the clusters so far hold bound
+    distinct roots.  The acceptance, the mirrors and the clustering then
+    judge the chunk's output as any other's: a stop changes which endpoints
+    the census sees, not how it judges them, and by theorem (i) the roots
+    counted at the stop are all there are.
 
     Every accepted point keeps Newton's J there, so sigma_min at the
     representatives costs no kernel call either."""
@@ -701,7 +752,9 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
             consumed += take
             X = np.vstack([seeds, _starts_from_unit(u, sample_scales)])
             seeds = seeds[:0]
-            accept(_newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg), sample_scales)
+            complete = _completion_test(clusters, bound, sample_scales)
+            accept(_newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg, complete),
+                   sample_scales)
         if len(clusters) >= bound or doublings >= _MAX_DOUBLINGS:
             break
         doublings += 1

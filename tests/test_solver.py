@@ -143,9 +143,9 @@ def test_seeds_that_cannot_complete_join_the_first_chunk(monkeypatch):
     starts = []
     newton = solver._newton_m0_batch
 
-    def recording(n1, n2, bnum, X0, scales, cfg):
+    def recording(n1, n2, bnum, X0, scales, cfg, complete=None):
         starts.append(len(X0))
-        return newton(n1, n2, bnum, X0, scales, cfg)
+        return newton(n1, n2, bnum, X0, scales, cfg, complete)
 
     monkeypatch.setattr(solver, "_newton_m0_batch", recording)
     rep = solve_m0(problem_m0(1j, 0, 4))
@@ -213,7 +213,7 @@ CENSUS_STARTS = (((3, 5), 40, 513), ((2, 7), 44, 517))
 
 def test_newton_stops_at_convergence(monkeypatch):
     # converged starts once iterated to the caps, max_iter + polish_iter =
-    # 100 Jacobians: 98.5 and 96.3 per start here, 18.0 now
+    # 100 Jacobians: 98.5 and 96.3 per start here, 16.7 and 16.6 now
     points = [0]
     kernel = solver.m0_residual_batch
 
@@ -232,7 +232,8 @@ def test_newton_stops_at_convergence(monkeypatch):
 def test_line_search_evaluates_only_halved_steps(monkeypatch):
     # each damped step once re-evaluated every point for each of its 3
     # trials, where only the halved steps had moved: 49.1 value points per
-    # start here, against 18.1 when only those are evaluated again (0.9 now)
+    # start here, against 18.1 when only those are evaluated again (1.2 now,
+    # the half and the quarter step of each such point)
     points = [0]
     kernel = solver.m0_value_batch
 
@@ -262,13 +263,118 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     # a trial point's F and J serve the next step and the acceptance test:
     # both kernels evaluated 36.6 and 37.1 points per start here when each
     # iterate judged its step by value, then re-evaluated the point with J
-    # (18.9 now)
+    # (17.9 and 17.9 now)
     seen = _count_kernels(monkeypatch)
     for (n1, n2), total, starts in CENSUS_STARTS:
         seen["points"] = 0
         rep = solve_m0(problem_m0(CENSUS_TAU, n1, n2))
         assert (rep.total, rep.bound, rep.starts_used) == (total, total, starts)
         assert seen["points"] <= 22 * rep.starts_used
+
+
+def test_line_search_makes_one_value_call_per_iterate(monkeypatch):
+    # the half and the quarter step of every point whose full step grew the
+    # residual are judged in one value call, so a full step's residual call
+    # lies between any two value calls (two in a row were one iterate before)
+    calls = []
+    for name in ("m0_residual_batch", "m0_value_batch"):
+        def recording(n1, n2, bnum, B, D0, D, name=name, kernel=getattr(solver, name)):
+            calls.append((name, len(B)))
+            return kernel(n1, n2, bnum, B, D0, D)
+        monkeypatch.setattr(solver, name, recording)
+    rep = solve_m0(problem_m0(CENSUS_TAU, 3, 5))
+    assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 513)
+    names = [name for name, _ in calls]
+    assert "m0_value_batch" in names
+    assert all(a != b for a, b in zip(names, names[1:]) if a == "m0_value_batch")
+    assert all(size % 2 == 0 for name, size in calls if name == "m0_value_batch")
+
+
+# the bench's census tasks at seed 1: (3,5) and (2,7) at CENSUS_TAU jittered
+# by the seed, (2,6) at CENSUS_TAU, (1,8) at 0.05+0.88i
+BENCH_CENSUS_TAU = -0.37295271350119896 + 0.9938018547853037j
+BENCH_CENSUS = (((3, 5), BENCH_CENSUS_TAU), ((2, 7), BENCH_CENSUS_TAU),
+                ((2, 6), CENSUS_TAU), ((1, 8), 0.05 + 0.88j))
+
+
+def test_bench_census_kernel_calls(monkeypatch):
+    # the census's work, counted without a timer: 213 residual and 170 value
+    # calls when the line search judged its two shorter steps in two calls
+    # and every start of a chunk ran to convergence; 144 and 68 since
+    calls = {"m0_residual_batch": 0, "m0_value_batch": 0}
+    for name in calls:
+        def counting(n1, n2, bnum, B, D0, D, name=name, kernel=getattr(solver, name)):
+            calls[name] += 1
+            return kernel(n1, n2, bnum, B, D0, D)
+        monkeypatch.setattr(solver, name, counting)
+    for (n1, n2), tau in BENCH_CENSUS:
+        rep = solve_m0(problem_m0(tau, n1, n2))
+        assert rep.total == rep.bound
+    assert calls["m0_residual_batch"] <= 150 and calls["m0_value_batch"] <= 72
+
+
+def test_completion_test_counts_kept_roots_points_and_mirrors():
+    # distinct roots among the clusters kept, the points handed so far
+    # inside the sample box, and the mirrors of the non-even ones
+    box = 10.0
+    clusters = solver._cluster_points(np.array([[1.0, 0, 0]], complex), np.zeros(1),
+                                      solver._Clusters(solver._metric_scales(box)))
+
+    def counted(*batches):
+        """the largest bound that the batches, handed in turn, complete"""
+        n = 0
+        while True:
+            complete = solver._completion_test(clusters, n + 1, (box, box, box ** 1.5))
+            if not [complete(np.array(X, complex)) for X in batches][-1]:
+                return n
+            n += 1
+
+    # an even point, a point of the kept cluster, one outside the box
+    even = [[2.0, 0, 0], [1.0 + 1e-9, 0, 0], [1e3, 0, 0]]
+    assert counted(even) == 2
+    # a non-even point, twice, and its mirror
+    assert counted(even, [[3.0, 1.0, 1.0], [3.0, 1.0, 1.0]]) == 4
+    # that mirror reached by Newton as well, then a new root
+    assert counted(even, [[3.0, 1.0, 1.0]], [[3.0, -1.0, -1.0]]) == 4
+    assert counted(even, [[3.0, 1.0, 1.0]], [[3.0, -1.0, -1.0]], [[4.0, 0, 0]]) == 5
+    assert len(clusters) == 1
+
+
+def _census_counts(rep):
+    return (rep.total, rep.bound, rep.even_total, rep.starts_used, rep.doublings,
+            sum(c.degenerate for c in rep.clusters))
+
+
+STOP_CASES = {
+    **{"%d,%d-random%d" % (*pair, k): (pair, tau, None)
+       for pair in ((0, 4), (2, 4), (3, 5), (2, 7), (1, 8))
+       for k, tau in enumerate(random_taus(3, seed=5150))},
+    "0,4-i": ((0, 4), 1j, None),  # 2,540 starts and 3 doublings, 3 of 5 roots
+    "3,7-five-chunks": ((3, 7), GENERIC_TAU, None),
+    "2,4-doubled": ((2, 4), CENSUS_TAU, SolverConfig(box_radius=40.0)),
+}
+
+
+@pytest.mark.parametrize("pair,tau,config", STOP_CASES.values(), ids=STOP_CASES.keys())
+def test_chunks_stopped_at_the_bound_keep_the_census(monkeypatch, pair, tau, config):
+    # a Halton chunk stops its damped loop once the converged points, their
+    # mirrors and the clusters so far hold the bound; by theorem (i) the
+    # census then completes in the same chunk: the same counts, starts and
+    # doublings as when every start runs to convergence, from no more
+    # Newton endpoints
+    prob = problem_m0(tau, *pair)
+    ctx = compute_invariants(tau)
+    stopped = solve_m0(prob, ctx, config)
+    newton = solver._newton_m0_batch
+    monkeypatch.setattr(solver, "_newton_m0_batch", lambda *args: newton(*args[:6]))
+    full = solve_m0(prob, ctx, config)
+    assert _census_counts(stopped) == _census_counts(full)
+    assert all(c.residual <= 1e-10 for c in stopped.clusters)
+    hits = [sum(c.hits for c in rep.clusters) for rep in (stopped, full)]
+    assert hits[0] <= hits[1]
+    if stopped.total == stopped.bound and stopped.starts_used >= solver._CHUNK:
+        # a Halton chunk completed the census, and stopped early
+        assert hits[0] < hits[1]
 
 
 def test_newton_batch_over_two_lattices_matches_separate_batches():
@@ -463,8 +569,8 @@ def _count_accepted(monkeypatch):
     accepted = [0]
     newton = solver._newton_m0_batch
 
-    def counting(n1, n2, bnum, X0, scales, cfg):
-        out = newton(n1, n2, bnum, X0, scales, cfg)
+    def counting(n1, n2, bnum, X0, scales, cfg, complete=None):
+        out = newton(n1, n2, bnum, X0, scales, cfg, complete)
         X, res, rel = out[:3]
         box = scales[0]
         with np.errstate(all="ignore"):
@@ -809,9 +915,9 @@ def _count_wave_kernels(monkeypatch):
     waves, other = [], [0]
     newton = solver._newton_m0_batch
 
-    def counting(n1, n2, bnum, X0, scales, cfg):
+    def counting(n1, n2, bnum, X0, scales, cfg, complete=None):
         before = seen["calls"]
-        out = newton(n1, n2, bnum, X0, scales, cfg)
+        out = newton(n1, n2, bnum, X0, scales, cfg, complete)
         if np.ndim(bnum) == 2:
             waves.append(seen["calls"] - before)
         else:
