@@ -414,7 +414,8 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
     Jc = np.empty((S, 3, 3), complex)
     rel = np.full(S, np.inf)
     stale = np.zeros(S, bool)
-    # the points handed to complete, and the relative residual that does it
+    # the points handed to complete so far, and the relative residual at
+    # which a point is handed
     handed = np.zeros(S, bool)
     done = min(_DAMPED_STOP, cfg.accept_tol)
 
@@ -585,20 +586,26 @@ def _even_points(pts):
     return (np.abs(pts[:, 1]) <= lim) & (np.abs(pts[:, 2]) <= lim)
 
 
+def _in_sample_box(X, sample_scales):
+    """Which points X (S, 3) lie close enough to the sample box to be
+    accepted: within five times its scales."""
+    with np.errstate(all="ignore"):
+        return _scaled_mag(X[:, 0], X[:, 1], X[:, 2], sample_scales) < 5.0
+
+
 def _completion_test(clusters, bound, sample_scales):
     """The completeness test that a census hands to a Newton chunk.
 
     complete(X) takes the points that have just converged and says whether
     they, the points handed before, the mirrors of the non-even ones and the
     centres of clusters hold bound distinct roots in the cluster metric
-    (greedy, within _MERGE_TOL).  Only points inside the sample box count,
-    as in the census's acceptance."""
+    (greedy, within _MERGE_TOL).  Only points that the census's acceptance
+    would take count (_in_sample_box)."""
     centres = clusters.centres
 
     def complete(X):
         nonlocal centres
-        with np.errstate(all="ignore"):
-            X = X[_scaled_mag(X[:, 0], X[:, 1], X[:, 2], sample_scales) < 5.0]
+        X = X[_in_sample_box(X, sample_scales)]
         new = np.concatenate([X, X[~_even_points(X)] * _SIGMA]) * clusters.inv_scales
         new = new[~np.any(np.abs(centres[:, None] - new).max(axis=-1) <= _MERGE_TOL, axis=0)]
         while len(new):
@@ -717,9 +724,7 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
         nonlocal starts_used
         Xb, rb, relb, Jb, tp, tl = newton_out
         starts_used += len(Xb)
-        with np.errstate(all="ignore"):
-            mag = _scaled_mag(Xb[:, 0], Xb[:, 1], Xb[:, 2], sample_scales)
-        rb = np.where(np.isfinite(rb) & (mag < 5.0), relb, np.inf)
+        rb = np.where(np.isfinite(rb) & _in_sample_box(Xb, sample_scales), relb, np.inf)
         keep = rb <= cfg.accept_tol
         add(Xb[keep], rb[keep], np.stack([tp[keep], tl[keep]], axis=1), Jb[keep], True)
         if len(clusters) < bound:
