@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .elliptic import LatticeTau
+from .elliptic import LatticeTau, lattice_distance
 from .errors import (
     CriticalParametersError,
     EvenNonexistenceError,
@@ -171,14 +171,9 @@ def derive_problem(lattice, punctures):
             specs.append(PunctureSpec(complex(p), int(n1), int(n2)))
     if not specs:
         raise StructuralError("need at least one puncture")
-    tau = lattice.tau
     for i in range(len(specs)):
         for j in range(i + 1, len(specs)):
-            d = specs[i].p - specs[j].p
-            b = d.imag / tau.imag
-            a = d.real - b * tau.real
-            dred = d - round(a) - round(b) * tau
-            if abs(dred) < _MIN_SEPARATION:
+            if lattice_distance(specs[i].p - specs[j].p, lattice.tau) < _MIN_SEPARATION:
                 raise StructuralError(
                     "punctures %d and %d coincide modulo the lattice" % (i, j)
                 )
@@ -325,34 +320,17 @@ def _frobenius(n1, n2, rhs, zero, one):
     return P1, top[..., 1, :], top[..., 0, :]
 
 
-def _live_terms(b, jtop):
-    """Which terms b_i c_{j-i} of the recurrence are present, for i <= jtop:
-    live[i] is False where b_i is zero, True where it is nonzero, and for a
-    table of per-point columns (L, S) whose row i is zero at some points
-    only, the mask (S,) of the points where it is nonzero.  Decided once per
-    kernel call, so that _m0_terms tests no table entry."""
-    if not isinstance(b, np.ndarray):
-        return [bool(bi != 0) for bi in b[:jtop + 1]]
-    nz = b[:jtop + 1] != 0
-    if nz.ndim == 1:
-        return nz.tolist()
-    return [full or (row if some else False)
-            for full, some, row in zip(nz.all(axis=1).tolist(), nz.any(axis=1).tolist(), nz)]
-
-
-def _m0_terms(j, c, rho, alpha, beta, b, live, mulB, mulD0, mulD):
+def _m0_terms(j, c, rho, alpha, beta, b, mulB, mulD0, mulD):
     """Right-hand side of the single-puncture recurrence at step j.
 
     The coefficients c and the Laurent table b may be exact polynomials or
-    batched jets; b is one table (L,) or a column per point (L, S), and live
-    (see _live_terms) says which of its terms are present.  rho, alpha, beta
-    are the matching scalars, and mulB, mulD0, mulD multiply a coefficient
-    by B, D0, D.  The operation order fixes the rounding of the batched
-    solver kernels; keep it.  The terms are added in place to r, an array
-    made here, which saves an allocation per term.  A term that is present
-    at some points only is added at those points alone (ufunc where=), and
-    the sum acc starts there from -0.0, the exact additive identity, so
-    each point gets the bits of the one-table call on its own column.
+    batched jets; b is one table (L,) or a column per point (L, S).  rho,
+    alpha, beta are the matching scalars, and mulB, mulD0, mulD multiply a
+    coefficient by B, D0, D.  Every term b_i c_{j-i}, 4 <= i <= j, is added,
+    a zero b_i included, so each point of a (L, S) table gets the bits of the
+    one-table call on its own column.  The operation order fixes the
+    rounding of the batched solver kernels; keep it.  The terms are added in
+    place to r, an array made here, which saves an allocation per term.
     """
     r = -mulD0(c[j - 1])
     if j >= 2:
@@ -360,28 +338,13 @@ def _m0_terms(j, c, rho, alpha, beta, b, live, mulB, mulD0, mulD):
     if j >= 3:
         r -= mulD(c[j - 3])
     acc = None
-    acc_live = False  # True, or the mask of the points acc holds a term for
     for i in range(4, j + 1, 2):
-        on = live[i]
-        if on is True:
-            bi = b[i]
-            r += ((j + rho - i) * alpha - (i - 2) * beta) * bi * c[j - i]
-            if i < j:
-                acc = bi * c[j - 1 - i] if acc is None else acc + bi * c[j - 1 - i]
-                acc_live = True
-        elif on is not False:
-            bi = b[i]
-            np.add(r, ((j + rho - i) * alpha - (i - 2) * beta) * bi * c[j - i],
-                   out=r, where=on)
-            if i < j:
-                if acc is None:
-                    acc = np.full_like(r, complex(-0.0, -0.0))
-                np.add(acc, bi * c[j - 1 - i], out=acc, where=on)
-                acc_live = True if acc_live is True else acc_live | on
-    if acc_live is True:
+        bi = b[i]
+        r += ((j + rho - i) * alpha - (i - 2) * beta) * bi * c[j - i]
+        if i < j:
+            acc = bi * c[j - 1 - i] if acc is None else acc + bi * c[j - 1 - i]
+    if acc is not None:
         r -= mulD0(acc)
-    elif acc_live is not False:
-        np.subtract(r, mulD0(acc), out=r, where=acc_live)
     return r
 
 
@@ -410,10 +373,9 @@ def build_m0_system(n1, n2=None):
     Dv = WeightedPoly.var(V, W, "D")
     _, _, alpha, beta, rho = _local_data(n1, n2)
     b = weierstrass_laurent_symbolic(n1 + n2 + 2, vars=V, weights=W)
-    live = _live_terms(b, n1 + n2 + 2)
 
     def rhs(j, c):
-        return _m0_terms(j, c, rho[0], alpha, beta, b, live,
+        return _m0_terms(j, c, rho[0], alpha, beta, b,
                          lambda x: Bv * x, lambda x: D0v * x, lambda x: Dv * x)
 
     P1, P2, P3 = _frobenius(
@@ -440,9 +402,10 @@ class EvenPoly:
     Ne: int
     poly: WeightedPoly
 
-    def coeffs_in_B(self):
-        """[c_0, ..., c_Ne] with c_k the WeightedPoly coefficient of B^k."""
-        return [self.poly.coefficient("B", k) for k in range(self.Ne + 1)]
+    def coeffs_at(self, g2, g3):
+        """[c_0, ..., c_Ne] with c_k the coefficient of B^k at (g2, g3)."""
+        asg = {"B": 0.0, "g2": complex(g2), "g3": complex(g3)}
+        return [self.poly.coefficient("B", k).eval(asg) for k in range(self.Ne + 1)]
 
 
 def even_count_Ne(n1, n2):
@@ -605,10 +568,9 @@ def _m0_jets(n1, n2, bnum, B, D0, D, one):
     rho, alpha, beta = _m0_scalars(n1, n2)
     rows = (None,) * 3 if one.ndim == 1 else (1, 2, 3)
     mulB, mulD0, mulD = (_times_var(x, r) for x, r in zip((B, D0, D), rows))
-    live = _live_terms(bnum, n1 + n2 + 2)
 
     def rhs(j, c):
-        return _m0_terms(j, c, rho, alpha, beta, bnum, live, mulB, mulD0, mulD)
+        return _m0_terms(j, c, rho, alpha, beta, bnum, mulB, mulD0, mulD)
 
     return _frobenius(n1, n2, rhs, np.zeros_like(one), one)
 
@@ -671,7 +633,6 @@ def residual_general(problem, ctx, params, with_jacobian=False):
     bnum = np.asarray(ctx._bn_ext)
     if len(bnum) < bmax + 3:
         raise StructuralError("elliptic context Laurent table is too short")
-    live = _live_terms(bnum, bmax)
 
     # jets with S = 1: row 0 the value, row 1 + i the partial in x_i
     X = np.zeros((n, n + 1, 1), complex)
@@ -715,7 +676,7 @@ def residual_general(problem, ctx, params, with_jacobian=False):
         def rhs(j, c):
             # the single-puncture terms with D0 = D_k, then the A_k, B_k and
             # neighbour terms on top
-            r = _m0_terms(j, c, rho, alpha, beta, bnum, live, mulB, mulDk, mulD)
+            r = _m0_terms(j, c, rho, alpha, beta, bnum, mulB, mulDk, mulD)
             r = r + (j + rho - 1) * mulBk(c[j - 1])
             if j >= 2:
                 r = r + (j + rho - 2) * _jet_mul(S1, c[j - 2]) - mulA(c[j - 2])

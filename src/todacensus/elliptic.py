@@ -40,6 +40,7 @@ __all__ = [
     "compute_invariants",
     "find_form_zero",
     "form_value",
+    "lattice_distance",
     "reduce_fundamental",
     "FORM_NAMES",
 ]
@@ -371,6 +372,14 @@ def _form_scale(form, g2, g3):
     if form == "g3":
         return 1.0 + a2 ** 1.5
     return 1.0 + a2 ** 3 + a3 ** 2
+
+
+def lattice_distance(d, tau):
+    """|d - m - n tau|, with m + n tau the lattice point whose coordinates
+    are those of d rounded to integers (round: ties to even)."""
+    b = d.imag / tau.imag
+    a = d.real - b * tau.real
+    return abs(d - round(a) - round(b) * tau)
 
 
 def reduce_fundamental(tau):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apparency import ParamVec
-from .elliptic import compute_invariants
+from .elliptic import compute_invariants, lattice_distance
 from .errors import (
     EvaluationError,
     PathClearanceError,
@@ -380,11 +380,7 @@ def _geometry(problem, ctx):
     # pairwise separation modulo the lattice
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = pts[i] - pts[j]
-            b = d.imag / tau.imag
-            a = d.real - b * tau.real
-            dred = d - round(a) - round(b) * tau
-            min_sep = min(min_sep, abs(dred))
+            min_sep = min(min_sep, lattice_distance(pts[i] - pts[j], tau))
     eps0 = 0.1 * min(1.0, ctx.lam_min, min_sep)
     # base the loops as far from every pole as the cell allows: transports
     # that hug a pole lose digits to the exponent spread of the solutions

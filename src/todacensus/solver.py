@@ -52,7 +52,7 @@ radius r.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,51 +91,36 @@ WORKERS_ENV = "TODA_CENSUS_WORKERS"
 
 # Fixed settings of the census: Newton's iteration caps in the damped loop
 # and the polish, the tolerances that judge a point even and merge two
-# points, the starts per Newton batch, and the box doublings of an underfull
-# census.  The config block of a report records them with the knobs.
+# points, the starts per Newton batch, the box doublings of an underfull
+# census, and the Halton starts of the first box per root of the bound.
+# The config block of a report records them with the knobs.
 _MAX_ITER = 60
 _POLISH_ITER = 40
 _EVEN_TOL = 1e-8
 _MERGE_TOL = 1e-6
 _CHUNK = 512
 _MAX_DOUBLINGS = 3
+_HALTON_PER_ROOT = 200
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the multi-start census.
+    """Knobs of the multi-start census: the relative residual at which a
+    point is accepted, and the offset of the Halton sequence.
 
-    box_radius / starts default to None, meaning "derive from the lattice
-    invariants and the root bound".  starts is the Halton budget of the
-    first box (a later box gets max(_CHUNK, starts // 2)); the structured
-    seeds and a scan's warm starts run besides it, and the report's
-    starts_used counts every start.  seed offsets the Halton sequence.
+    The first box is _first_box(g2, g3), and its Halton budget
+    _HALTON_PER_ROOT * bound (a later box gets max(_CHUNK, budget // 2));
+    the structured seeds and a scan's warm starts run besides it, and the
+    report's starts_used counts every start.
     """
 
-    box_radius: float = None
-    starts: int = None
     accept_tol: float = 1e-10
     seed: int = 0
 
-    def resolved(self, g2, g3, bound):
-        box = self.box_radius
-        if box is None:
-            box = 10.0 * (1.0 + abs(g2) ** 0.5 + abs(g3) ** (1.0 / 3.0))
-        n = self.starts
-        if n is None:
-            n = 200 * bound
-        return replace(self, box_radius=float(box), starts=int(n))
 
-    def to_json_dict(self):
-        return {
-            **vars(self),
-            "max_iter": _MAX_ITER,
-            "polish_iter": _POLISH_ITER,
-            "even_tol": _EVEN_TOL,
-            "merge_tol": _MERGE_TOL,
-            "chunk": _CHUNK,
-            "max_doublings": _MAX_DOUBLINGS,
-        }
+def _first_box(g2, g3):
+    """Radius of the first search box, from the size of the invariants."""
+    return 10.0 * (1.0 + abs(g2) ** 0.5 + abs(g3) ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -163,7 +148,11 @@ class RootCluster:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Census outcome for one lattice and multiplicity pair."""
+    """Census outcome for one lattice and multiplicity pair.
+
+    config holds the ten settings of the census: the knobs of SolverConfig,
+    the first box (box_radius) and its Halton budget (starts), and the
+    fixed settings of solver."""
 
     tau: complex
     n1: int
@@ -177,7 +166,7 @@ class CensusReport:
     starts_used: int
     box_radius: float
     doublings: int
-    config: SolverConfig
+    config: dict
     notes: tuple = ()
 
 
@@ -198,13 +187,8 @@ class EvenReport:
     Ne: int
     g2: complex
     g3: complex
-    poly_text: str
+    poly: str
     roots: tuple
-
-    def to_json_dict(self):
-        out = dict(vars(self))
-        out["poly"] = out.pop("poly_text")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +265,7 @@ def roots_univariate(coeffs, tol=1e-12):
     lead = c[-1]
     cn = [v / lead for v in c]
     arr = np.array(cn, complex)
-    radius = 1.0 + max(abs(v) for v in cn[:-1]) if n >= 1 else 1.0
+    radius = 1.0 + max(abs(v) for v in cn[:-1])
     k = np.arange(n)
     z = 0.8 * radius * np.exp(2j * np.pi * (k / n + 0.1237))
     converged = False
@@ -548,7 +532,6 @@ class _Clusters:
 
     def __init__(self, scales):
         self.inv_scales = 1.0 / np.array(scales)
-        self.merge_tol = _MERGE_TOL
         self.centres = np.empty((0, 3), complex)  # scaled by 1 / scales
         self.rep = []                     # point index of each representative
         self.rep_res = []
@@ -566,7 +549,7 @@ def _cluster_points(pts, res, clusters):
     label = np.empty(len(pts), int)
     scaled = pts * c.inv_scales
     for i in np.argsort(res, kind="stable"):
-        near = np.flatnonzero(np.abs(c.centres - scaled[i]).max(axis=1) <= c.merge_tol)
+        near = np.flatnonzero(np.abs(c.centres - scaled[i]).max(axis=1) <= _MERGE_TOL)
         if len(near):
             k = near[0]
             if res[i] < c.rep_res[k]:
@@ -620,9 +603,7 @@ def _structured_starts(n1, n2, g2, g3):
     """The origin and the even-sector roots lifted to (B, 0, 0)."""
     out = [np.zeros(3, complex)]
     try:
-        ep = build_even_poly(n1, n2)
-        asg = {"B": 0.0, "g2": complex(g2), "g3": complex(g3)}
-        coeffs = [c.eval(asg) for c in ep.coeffs_in_B()]
+        coeffs = build_even_poly(n1, n2).coeffs_at(g2, g3)
         for r, _ in roots_univariate(coeffs, tol=1e-12):
             out.append(np.array([r, 0.0, 0.0], complex))
     except EvenNonexistenceError:
@@ -650,11 +631,11 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     """Shared census engine; returns the CensusReport.
 
     warm is what _newton_m0_batch returned for a batch of warm starts,
-    solved in the metric of the first box, _metric_scales of
-    config.resolved(g2, g3, bound).box_radius: its points are taken as a
-    first batch before any other start.  Theorem (i) bounds the number of
-    solutions by the weighted-Bezout bound, so if that batch alone reaches
-    it the census is complete; otherwise it goes on as without warm starts.
+    solved in the metric of the first box, _first_box(g2, g3): its points
+    are taken as a first batch before any other start.  Theorem (i) bounds
+    the number of solutions by the weighted-Bezout bound, so if that batch
+    alone reaches it the census is complete; otherwise it goes on as
+    without warm starts.
 
     sigma(x) = (B, -D0, -D) is a solution with x, and the even ones are its
     fixed points.  A batch that leaves the census short of the bound is
@@ -680,9 +661,9 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     Every accepted point keeps Newton's J there, so sigma_min at the
     representatives costs no kernel call either."""
     bound = bezout_bound([(n1, n2)])
-    cfg = (config or SolverConfig()).resolved(g2, g3, bound)
-    box = cfg.box_radius
-    budget = cfg.starts
+    cfg = config or SolverConfig()
+    box = first_box = _first_box(g2, g3)
+    budget = starts = _HALTON_PER_ROOT * bound
     offset = 101 + 7919 * (cfg.seed % 1000003)
     signs = _mirror_signs(n1, n2)[:, None] * _SIGMA
 
@@ -764,7 +745,7 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
             break
         doublings += 1
         box *= 2.0
-        budget = max(_CHUNK, cfg.starts // 2)
+        budget = max(_CHUNK, starts // 2)
         notes.append("box doubled to %.3g after underfull census" % box)
 
     if not len(clusters):
@@ -824,7 +805,11 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
         starts_used=starts_used,
         box_radius=box,
         doublings=doublings,
-        config=cfg,
+        config={
+            **vars(cfg), "box_radius": first_box, "starts": starts,
+            "max_iter": _MAX_ITER, "polish_iter": _POLISH_ITER, "even_tol": _EVEN_TOL,
+            "merge_tol": _MERGE_TOL, "chunk": _CHUNK, "max_doublings": _MAX_DOUBLINGS,
+        },
         notes=tuple(notes),
     )
 
@@ -872,8 +857,7 @@ def solve_even(problem, ctx=None, config=None):
         ctx = compute_invariants(problem.lattice)
     cfg = config or SolverConfig()
     ep = build_even_poly(n1, n2)
-    asg = {"B": 0.0, "g2": ctx.g2, "g3": ctx.g3}
-    coeffs = [c.eval(asg) for c in ep.coeffs_in_B()]
+    coeffs = ep.coeffs_at(ctx.g2, ctx.g3)
     tol = min(1e-12, cfg.accept_tol)
     roots = []
     arr = np.array(coeffs, complex)
@@ -887,7 +871,7 @@ def solve_even(problem, ctx=None, config=None):
         Ne=ep.Ne,
         g2=ctx.g2,
         g3=ctx.g3,
-        poly_text=ep.poly.text(),
+        poly=ep.poly.text(),
         roots=tuple(roots),
     )
 
@@ -917,15 +901,15 @@ def _scan_row(tau, rep=None, error=None):
     return row
 
 
-def _warm_wave(n1, n2, bound, cells, cfg):
+def _warm_wave(n1, n2, cells, cfg):
     """Newton on the warm starts of every cell of one wave, as one batch:
     each start with its own lattice's Laurent table and first-box metric.
     cells holds (ctx, warm starts); returns each cell's share of the
     _newton_m0_batch output."""
     sizes = [len(w) for _, w in cells]
     tables = np.repeat(np.stack([ctx._bn_ext for ctx, _ in cells], axis=1), sizes, axis=1)
-    scales = np.repeat([_metric_scales(cfg.resolved(ctx.g2, ctx.g3, bound).box_radius)
-                        for ctx, _ in cells], sizes, axis=0)
+    scales = np.repeat([_metric_scales(_first_box(ctx.g2, ctx.g3)) for ctx, _ in cells],
+                       sizes, axis=0)
     X0 = np.concatenate([w for _, w in cells])
     out = _newton_m0_batch(n1, n2, tables, X0, scales, cfg)
     cuts = np.cumsum(sizes)[:-1]
@@ -985,7 +969,7 @@ def scan_tau(n1, n2, grid, config=None):
             warm = roots.get((i, j - 1) if j else (i - 1, 0))
             wave.append(((i, j), tau, ctx, warm))
         warm_cells = [(ctx, w) for _, _, ctx, w in wave if w is not None]
-        solved = iter(_warm_wave(n1, n2, bound, warm_cells, cfg) if warm_cells else ())
+        solved = iter(_warm_wave(n1, n2, warm_cells, cfg) if warm_cells else ())
         for cell, tau, ctx, warm in wave:
             try:
                 rep = _census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, config,

@@ -19,7 +19,7 @@ from todacensus.apparency import (
     problem_m0,
     residual_general,
 )
-from todacensus.apparency import _live_terms, _local_data, _m0_scalars, _m0_terms
+from todacensus.apparency import _local_data, _m0_scalars, _m0_terms
 from todacensus.elliptic import compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
@@ -255,10 +255,8 @@ def _two_pass_jets(n1, n2, bnum, B, D0, D, one):
             return out
         return mul
 
-    live = _live_terms(bnum, n1 + n2 + 2)
-
     def rhs(j, c):
-        return _m0_terms(j, c, rho, alpha, beta, bnum, live,
+        return _m0_terms(j, c, rho, alpha, beta, bnum,
                          times(B, 1), times(D0, 2), times(D, 3))
 
     return _two_pass_frobenius(n1, n2, rhs, np.zeros_like(one), one)
@@ -292,10 +290,9 @@ def test_exact_system_matches_two_passes(n1, n2):
     Bv, D0v, Dv = (WeightedPoly.var(V, W, x) for x in ("B", "D0", "D"))
     _, _, alpha, beta, rho = _local_data(n1, n2)
     b = weierstrass_laurent_symbolic(n1 + n2 + 2, vars=V, weights=W)
-    live = _live_terms(b, n1 + n2 + 2)
 
     def rhs(j, c):
-        return _m0_terms(j, c, rho[0], alpha, beta, b, live,
+        return _m0_terms(j, c, rho[0], alpha, beta, b,
                          lambda x: Bv * x, lambda x: D0v * x, lambda x: Dv * x)
 
     want = _two_pass_frobenius(n1, n2, rhs, WeightedPoly.zero(V, W),

@@ -351,23 +351,25 @@ STOP_CASES = {
        for k, tau in enumerate(random_taus(3, seed=5150))},
     "0,4-i": ((0, 4), 1j, None),  # 2,540 starts and 3 doublings, 3 of 5 roots
     "3,7-five-chunks": ((3, 7), GENERIC_TAU, None),
-    "2,4-doubled": ((2, 4), CENSUS_TAU, SolverConfig(box_radius=40.0)),
+    "2,4-doubled": ((2, 4), CENSUS_TAU, 40.0),  # first box 40: one doubling
 }
 
 
-@pytest.mark.parametrize("pair,tau,config", STOP_CASES.values(), ids=STOP_CASES.keys())
-def test_chunks_stopped_at_the_bound_keep_the_census(monkeypatch, pair, tau, config):
+@pytest.mark.parametrize("pair,tau,box", STOP_CASES.values(), ids=STOP_CASES.keys())
+def test_chunks_stopped_at_the_bound_keep_the_census(monkeypatch, pair, tau, box):
     # a Halton chunk stops its damped loop once the converged points, their
     # mirrors and the clusters so far hold the bound; by theorem (i) the
     # census then completes in the same chunk: the same counts, starts and
     # doublings as when every start runs to convergence, from no more
     # Newton endpoints
+    if box is not None:
+        monkeypatch.setattr(solver, "_first_box", lambda g2, g3: box)
     prob = problem_m0(tau, *pair)
     ctx = compute_invariants(tau)
-    stopped = solve_m0(prob, ctx, config)
+    stopped = solve_m0(prob, ctx)
     newton = solver._newton_m0_batch
     monkeypatch.setattr(solver, "_newton_m0_batch", lambda *args: newton(*args[:6]))
-    full = solve_m0(prob, ctx, config)
+    full = solve_m0(prob, ctx)
     assert _census_counts(stopped) == _census_counts(full)
     assert all(c.residual <= 1e-10 for c in stopped.clusters)
     hits = [sum(c.hits for c in rep.clusters) for rep in (stopped, full)]
@@ -381,23 +383,21 @@ def test_newton_batch_over_two_lattices_matches_separate_batches():
     # each start carries its lattice's Laurent column and metric scales, so
     # one batch over two lattices is two batches of their own, bit for bit
     n1, n2 = 3, 5
-    bound = solver.bezout_bound([(n1, n2)])
     parts = []
     for k, tau in enumerate((CENSUS_TAU, GENERIC_TAU)):
         ctx = compute_invariants(tau)
-        cfg = SolverConfig().resolved(ctx.g2, ctx.g3, bound)
-        box = cfg.box_radius
+        box = solver._first_box(ctx.g2, ctx.g3)
         u = _halton_block(101 + 37 * k, 64)
         u[-4:] *= 1e9  # far outside the box: never stepped
         X = np.vstack([solver._structured_starts(n1, n2, ctx.g2, ctx.g3),
                        solver._starts_from_unit(u, (box, box, box ** 1.5))])
-        parts.append((ctx._bn_ext, X, solver._metric_scales(box), cfg))
-    cfg = parts[0][3]
-    alone = [solver._newton_m0_batch(n1, n2, b, X, sc, cfg) for b, X, sc, _ in parts]
-    sizes = [len(X) for _, X, _, _ in parts]
-    tables = np.repeat(np.stack([b for b, _, _, _ in parts], axis=1), sizes, axis=1)
-    scales = np.repeat([sc for _, _, sc, _ in parts], sizes, axis=0)
-    mixed = solver._newton_m0_batch(n1, n2, tables, np.vstack([X for _, X, _, _ in parts]),
+        parts.append((ctx._bn_ext, X, solver._metric_scales(box)))
+    cfg = SolverConfig()
+    alone = [solver._newton_m0_batch(n1, n2, b, X, sc, cfg) for b, X, sc in parts]
+    sizes = [len(X) for _, X, _ in parts]
+    tables = np.repeat(np.stack([b for b, _, _ in parts], axis=1), sizes, axis=1)
+    scales = np.repeat([sc for _, _, sc in parts], sizes, axis=0)
+    mixed = solver._newton_m0_batch(n1, n2, tables, np.vstack([X for _, X, _ in parts]),
                                     scales, cfg)
     for got, want in zip(mixed, alone[0]):
         assert got[:sizes[0]].tobytes() == want.tobytes()
@@ -460,7 +460,7 @@ def test_incremental_clusters_match_greedy(monkeypatch, n1, n2, tau, calls,
         seen.append((pts.copy(), res.copy(), endpoint))
         out = merge(pts, res, clusters)
         P, R, E = (np.concatenate(a) for a in zip(*seen))
-        groups = _greedy_clusters(P, R, 1.0 / clusters.inv_scales, clusters.merge_tol)
+        groups = _greedy_clusters(P, R, 1.0 / clusters.inv_scales, solver._MERGE_TOL)
         assert _groups(clusters) == sorted((g[0], sorted(g)) for g in groups)
         checked[:] = [(P, R, E, groups)]
         return out
@@ -621,7 +621,8 @@ def test_mirrors_survive_a_box_doubling(monkeypatch):
         return merge(pts, res, clusters)
 
     monkeypatch.setattr(solver, "_cluster_points", counting)
-    rep = solve_m0(problem_m0(CENSUS_TAU, 2, 4), config=SolverConfig(box_radius=40.0))
+    monkeypatch.setattr(solver, "_first_box", lambda g2, g3: 40.0)
+    rep = solve_m0(problem_m0(CENSUS_TAU, 2, 4))
     assert rep.doublings == 1
     assert rep.total == rep.bound == 20
     _assert_sigma_closed(rep)
@@ -709,7 +710,7 @@ def test_census_critical_refusal():
 def test_degenerate_probe():
     rep = solve_m0_degenerate(0, 2)
     assert rep.tau is None
-    assert rep.config.box_radius == 10.0  # the first box, resolved at g2 = g3 = 0
+    assert rep.config["box_radius"] == 10.0  # the first box, at g2 = g3 = 0
     assert rep.total == 1
     c = rep.clusters[0]
     assert abs(c.B) + abs(c.D0) + abs(c.D) <= 1e-8
@@ -742,7 +743,8 @@ def test_solve_even_matches_census_labels():
 
 def test_solve_even_reports_poly_text():
     rep = solve_even(problem_m0(GENERIC_TAU, 0, 2))
-    assert "B" in rep.poly_text
+    assert "B" in rep.poly
+    assert to_jsonable(rep)["poly"] == rep.poly
     assert rep.Ne == 2
     assert all(r.residual <= 1e-8 for r in rep.roots)
 
@@ -802,7 +804,6 @@ def _serial_scan(n1, n2, grid):
     """The scan as a chain of cells in row-major order, each cell's warm
     starts solved as a Newton batch of its own: cell (i, j) from the roots
     of (i, j - 1), the first cell of a row from those of the row before's."""
-    bound = solver.bezout_bound([(n1, n2)])
     rows, row_start = [], None
     for im in np.linspace(grid["im0"], grid["im1"], grid["nim"]):
         if not im > 1e-9:
@@ -811,9 +812,9 @@ def _serial_scan(n1, n2, grid):
         for j, re in enumerate(np.linspace(grid["re0"], grid["re1"], grid["nre"])):
             tau = complex(re, im)
             ctx = compute_invariants(tau)
-            cfg = SolverConfig().resolved(ctx.g2, ctx.g3, bound)
             solved = None if warm is None else solver._newton_m0_batch(
-                n1, n2, ctx._bn_ext, warm, solver._metric_scales(cfg.box_radius), cfg)
+                n1, n2, ctx._bn_ext, warm,
+                solver._metric_scales(solver._first_box(ctx.g2, ctx.g3)), SolverConfig())
             rep = solver._census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, None, solved)
             rows.append(solver._scan_row(tau, rep))
             warm = np.array([[c.B, c.D0, c.D] for c in rep.clusters], complex)
@@ -966,29 +967,27 @@ def test_scan_worker_env(monkeypatch):
 # config plumbing
 
 def test_config_resolution_scales_with_invariants():
-    cfg = SolverConfig()
-    r1 = cfg.resolved(g2=0.0, g3=0.0, bound=5)
-    r2 = cfg.resolved(g2=1600.0, g3=0.0, bound=5)
-    assert r2.box_radius > r1.box_radius
-    assert r1.starts == 5 * 200
-    cfg2 = SolverConfig(box_radius=7.5, starts=123)
-    r3 = cfg2.resolved(g2=1e6, g3=1e6, bound=3)
-    assert r3.box_radius == 7.5 and r3.starts == 123
+    assert solver._first_box(0.0, 0.0) == 10.0
+    assert solver._first_box(1600.0, 0.0) > solver._first_box(0.0, 0.0)
+    assert solver._first_box(0.0, -1000.0) > solver._first_box(0.0, 0.0)
+    rep = solve_m0(problem_m0(GENERIC_TAU, 0, 4))
+    assert to_jsonable(rep)["config"]["starts"] == 5 * 200
 
 
-def test_zero_start_budget_still_runs_the_seeds():
-    # starts budgets the Halton starts only: the structured seeds run
+def test_zero_start_budget_still_runs_the_seeds(monkeypatch):
+    # the budget counts the Halton starts only: the structured seeds run
     # besides it, and starts_used counts them
-    rep = solve_m0(problem_m0(GENERIC_TAU, 0, 2), config=SolverConfig(starts=0))
+    monkeypatch.setattr(solver, "_HALTON_PER_ROOT", 0)
+    rep = solve_m0(problem_m0(GENERIC_TAU, 0, 2))
     assert rep.total == rep.bound == 2
     assert rep.starts_used == 3
 
 
-def test_config_has_four_knobs_and_reports_ten():
-    # the census has four settings; the report's config block still records
-    # the six fixed ones it ran with
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "box_radius", "starts", "accept_tol", "seed"]
+def test_config_has_two_knobs_and_reports_ten():
+    # the census has two settings; the report's config block still records
+    # the first box, its Halton budget and the six fixed settings it ran with
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["accept_tol", "seed"]
+    assert not hasattr(SolverConfig, "resolved") and not hasattr(SolverConfig, "to_json_dict")
     rep = solve_m0(problem_m0(GENERIC_TAU, 0, 2), config=SolverConfig(seed=3))
     assert to_jsonable(rep)["config"] == {
         "box_radius": rep.box_radius, "starts": 400, "accept_tol": 1e-10, "seed": 3,
