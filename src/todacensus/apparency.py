@@ -348,23 +348,16 @@ def _m0_terms(j, c, rho, alpha, beta, b, mulB, mulD0, mulD):
     return r
 
 
-def build_m0_system(n1, n2=None):
-    """Generate the m = 0 apparency polynomials exactly.
+def build_m0_system(n1, n2):
+    """Generate the m = 0 apparency polynomials of the pair (n1, n2) exactly.
 
-    Accepts either a ProblemSpec with one origin puncture or the pair
-    (n1, n2).  The Frobenius recursion at the exponent -g1 is run twice over
+    The Frobenius recursion at the exponent -g1 is run twice over
     Q[B, D0, D, g2, g3]: once from the top solution (c0 = 1) and once from
     the free coefficient injected at the first resonance j = n1+1.  The
     obstructions at j = n1+1 and j = n1+n2+2 give P1 and (P3, P2).  The
     coefficients are one-element object arrays of polynomials, so that the
     recursion is the one the numeric kernels run.
     """
-    if isinstance(n1, ProblemSpec):
-        prob = n1
-        if prob.m != 0:
-            raise StructuralError("build_m0_system needs a single-puncture problem")
-        pk = prob.punctures[0]
-        n1, n2 = pk.n1, pk.n2
     n1, n2 = _check_m0_pair(n1, n2)
 
     V, W = M0_VARS, M0_WEIGHTS
@@ -492,16 +485,12 @@ def build_even_poly(n1, n2):
 # counting
 
 
-def bezout_bound(arg):
-    """Weighted-Bezout root count bound.
-
-    arg is a ProblemSpec or a list of (n1, n2) pairs.  Requires noncritical
-    totals; the result is then an exact integer.
+def bezout_bound(pairs):
+    """Weighted-Bezout root count bound of a list of (n1, n2) pairs, one per
+    puncture.  Requires noncritical totals; the result is then an exact
+    integer.
     """
-    if isinstance(arg, ProblemSpec):
-        pairs = [(pk.n1, pk.n2) for pk in arg.punctures]
-    else:
-        pairs = [(int(a), int(b)) for a, b in arg]
+    pairs = [(int(a), int(b)) for a, b in pairs]
     if not pairs:
         raise StructuralError("need at least one puncture")
     N1 = sum(a for a, _ in pairs)

@@ -19,10 +19,14 @@ pole the q-series computes the double pole through the cancellation
 1-u -> 0 and loses relative accuracy like eps/|2 pi z|, while the Laurent
 tail is perfectly conditioned there.
 
-The zero finder for invariant forms (g2, g3 and the two weighted cubic
-combinations used by the census) runs double-precision Newton first and then
-polishes with mpmath, because a double-rounded tau already shifts a weight-12
-form by ~1e-7; callers that need |form| <= 1e-10 get an mpmath complex back.
+Invariant forms (g2, g3 and the two weight-12 combinations a g2^3 + b g3^2
+used by the census) are one table of weights and coefficients.  The
+Eisenstein series, the forms and the zero finder's damped Newton each run in
+doubles or, given the mpmath module, in its working precision.  The zero
+finder runs Newton in doubles first and then polishes in 40 digits, because a
+double-rounded tau already shifts a weight-12 form by ~1e-7; callers that
+need |form| <= 1e-10 get an mpmath complex back.  A stage that does not
+converge raises EvaluationError.
 """
 
 from dataclasses import dataclass, field
@@ -98,7 +102,6 @@ class EllipticContext:
     g2: complex
     g3: complex
     e: tuple
-    b_num: tuple
     eta1: complex
     eta2: complex
     tol: float
@@ -262,15 +265,23 @@ class EllipticContext:
         }
 
 
-def _eisenstein(tau):
-    """E2, E4, E6 at q = e^{2 pi i tau}, double precision."""
-    q = cmath.exp(_TWO_PI_I * tau)
+def _eisenstein(tau, mp=None):
+    """E2, E4, E6 at q = e^{2 pi i tau}: in doubles, or with mp (the mpmath
+    module) in its working precision.  Both sum the same M terms; doubles
+    take M = max(8, ceil(-46 / ln|q|)), mpmath the smallest M with
+    M^6 |q|^M < 10^-(dps+8)."""
+    q = cmath.exp(_TWO_PI_I * tau) if mp is None else mp.exp(2j * mp.pi * tau)
     if abs(q) >= 0.995:
         raise EvaluationError("tau too close to the real axis")
-    M = max(8, int(math.ceil(-46.0 / math.log(abs(q)))))
+    if mp is None:
+        M = max(8, int(math.ceil(-46.0 / math.log(abs(q)))))
+        m = np.arange(1, M + 1, dtype=float)
+    else:
+        lq, lim = float(mp.log(abs(q))), -(mp.mp.dps + 8) * math.log(10.0)
+        M = next((k for k in range(1, 4001) if 6.0 * math.log(k) + k * lq < lim), 4001)
+        m = np.arange(1, M + 1, dtype=object)
     if M > 4000:
         raise EvaluationError("Eisenstein series needs too many terms")
-    m = np.arange(1, M + 1, dtype=float)
     qm = q ** m
     am = qm / (1.0 - qm)
     S1 = np.sum(m * am)
@@ -279,14 +290,12 @@ def _eisenstein(tau):
     return 1.0 - 24.0 * S1, 1.0 + 240.0 * S3, 1.0 - 504.0 * S5
 
 
-def _g_invariants(E2, E4, E6, pi, with_derivative=True):
+def _g_invariants(E2, E4, E6, pi):
     """g2, g3 and their tau-derivatives (Ramanujan identities) from E2, E4,
     E6; the same arithmetic in double precision (pi = math.pi) and in mpmath
     (pi = mpmath.pi)."""
     g2 = (4.0 * pi ** 4 / 3.0) * E4
     g3 = (8.0 * pi ** 6 / 27.0) * E6
-    if not with_derivative:
-        return g2, g3, None, None
     dE4 = 2j * pi * (E2 * E4 - E6) / 3.0
     dE6 = 2j * pi * (E2 * E6 - E4 ** 2) / 2.0
     dg2 = (4.0 * pi ** 4 / 3.0) * dE4
@@ -305,7 +314,7 @@ def compute_invariants(lattice):
         lattice = LatticeTau(complex(lattice))
     tau = lattice.tau
     E2, E4, E6 = _eisenstein(tau)
-    g2, g3, _, _ = _g_invariants(E2, E4, E6, math.pi, with_derivative=False)
+    g2, g3, _, _ = _g_invariants(E2, E4, E6, math.pi)
     eta1 = (math.pi ** 2 / 3.0) * E2
     eta2 = eta1 * tau - _TWO_PI_I
 
@@ -324,7 +333,6 @@ def compute_invariants(lattice):
         g2=complex(g2),
         g3=complex(g3),
         e=(0j, 0j, 0j),
-        b_num=tuple(bn_ext[: _B_ORDER + 1]),
         eta1=complex(eta1),
         eta2=complex(eta2),
         tol=_CTX_TOL,
@@ -342,36 +350,31 @@ def compute_invariants(lattice):
 
 # ---- invariant forms and their zeros in tau ------------------------------
 
-FORM_NAMES = ("g2", "g3", "g2^3-27g3^2", "343g2^3-6561g3^2")
+# each form is a g2^(w/4) + b g3^(w/6), of weight w
+_FORMS = {
+    "g2": (4, 1.0, 0.0),
+    "g3": (6, 0.0, 1.0),
+    "g2^3-27g3^2": (12, 1.0, -27.0),
+    "343g2^3-6561g3^2": (12, 343.0, -6561.0),
+}
+FORM_NAMES = tuple(_FORMS)
 
 
-def _apply_form(form, g2, g3, dg2=None, dg3=None):
-    if form == "g2":
-        f = g2
-        fp = dg2
-    elif form == "g3":
-        f = g3
-        fp = dg3
-    elif form == "g2^3-27g3^2":
-        f = g2 ** 3 - 27.0 * g3 ** 2
-        fp = None if dg2 is None else 3.0 * g2 ** 2 * dg2 - 54.0 * g3 * dg3
-    elif form == "343g2^3-6561g3^2":
-        f = 343.0 * g2 ** 3 - 6561.0 * g3 ** 2
-        fp = None if dg2 is None else 1029.0 * g2 ** 2 * dg2 - 13122.0 * g3 * dg3
-    else:
+def _form_at(form, tau, mp=None):
+    """(f, df/dtau, scale) of a named form at tau, in doubles or with mp
+    (the mpmath module); scale = 1 + |g2|^(w/4) + |g3|^(w/6)."""
+    if form not in _FORMS:
         raise StructuralError(
             "unknown form %r; expected one of %s" % (form, ", ".join(FORM_NAMES))
         )
-    return f, fp
-
-
-def _form_scale(form, g2, g3):
-    a2, a3 = abs(g2), abs(g3)
-    if form == "g2":
-        return 1.0 + a3 ** (2.0 / 3.0)
-    if form == "g3":
-        return 1.0 + a2 ** 1.5
-    return 1.0 + a2 ** 3 + a3 ** 2
+    w, a, b = _FORMS[form]
+    g2, g3, dg2, dg3 = _g_invariants(*_eisenstein(tau, mp), math.pi if mp is None else mp.pi)
+    f = fp = 0.0
+    for c, g, dg, k in ((a, g2, dg2, w / 4), (b, g3, dg3, w / 6)):
+        if c:  # an absent term's k - 1 may be a negative power of a zero g
+            f += c * g ** k
+            fp += c * k * g ** (k - 1) * dg
+    return f, fp, 1.0 + abs(g2) ** (w / 4) + abs(g3) ** (w / 6)
 
 
 def lattice_distance(d, tau):
@@ -401,29 +404,6 @@ def reduce_fundamental(tau):
     return t
 
 
-def _eisenstein_mp(tau):
-    import mpmath
-    q = mpmath.exp(2j * mpmath.pi * tau)
-    if abs(q) >= mpmath.mpf("0.999"):
-        raise EvaluationError("tau too close to the real axis")
-    S1 = mpmath.mpc(0)
-    S3 = mpmath.mpc(0)
-    S5 = mpmath.mpc(0)
-    qm = mpmath.mpc(1)
-    eps = mpmath.mpf(10) ** (-(mpmath.mp.dps + 8))
-    for m in range(1, 3000):
-        qm = qm * q
-        a = qm / (1 - qm)
-        S1 += m * a
-        S3 += m ** 3 * a
-        S5 += m ** 5 * a
-        if abs(a) * m ** 6 < eps:
-            break
-    else:
-        raise EvaluationError("Eisenstein series needs too many terms")
-    return 1 - 24 * S1, 1 + 240 * S3, 1 - 504 * S5
-
-
 def form_value(form, tau, dps=None):
     """Value of a named invariant form at tau.
 
@@ -431,67 +411,55 @@ def form_value(form, tau, dps=None):
     the given working precision (needed to certify |form| below the double
     rounding floor of weight-12 quantities, which is around 1e-7)."""
     if dps is None:
-        g2, g3, _, _ = _g_invariants(*_eisenstein(complex(tau)), math.pi, False)
-        f, _ = _apply_form(form, g2, g3)
-        return f
+        return _form_at(form, complex(tau))[0]
     import mpmath
     with mpmath.workdps(dps):
-        g2, g3, _, _ = _g_invariants(*_eisenstein_mp(mpmath.mpc(tau)), mpmath.pi, False)
-        f, _ = _apply_form(form, g2, g3)
-        return f
+        return _form_at(form, mpmath.mpc(tau), mpmath)[0]
 
 
 _FORM_ZERO_TOL = 1e-12  # certified |form| at a zero, relative to the form's scale
+
+
+def _form_newton(form, tau, mp=None):
+    """Damped Newton on a named form from tau: in doubles until
+    |f| <= 1e-9 scale (80 steps at most), or with mp (the mpmath module) in
+    its working precision until |f| <= 1e-30 (60 steps at most).  A step is
+    halved, up to ten times, until it keeps Im tau > 0.02 and, after the
+    first, lowers |f|.  A stage that runs out of steps raises."""
+    for i in range(80 if mp is None else 60):
+        f, fp, scale = _form_at(form, tau, mp)
+        if abs(f) <= (1e-9 * scale if mp is None else 1e-30):
+            return tau
+        if fp == 0:
+            raise EvaluationError("stationary point in form iteration")
+        step = f / fp
+        s = 1.0
+        for _ in range(10):
+            cand = tau - s * step
+            if cand.imag > 0.02 and (i == 0 or abs(_form_at(form, cand, mp)[0]) < abs(f)):
+                break
+            s *= 0.5
+        tau = tau - s * step
+    raise EvaluationError(
+        "%s Newton stalled for %s" % ("double-precision" if mp is None else "mpmath", form)
+    )
 
 
 def find_form_zero(form, seed):
     """Newton zero of a named form in tau, polished in high precision.
 
     Returns an mpmath.mpc in the standard fundamental domain (it duck-types
-    as a Python complex via .real/.imag/complex()).  Raises
-    InconclusiveError-free: failures surface as EvaluationError since they
-    are convergence failures of the series/iteration."""
+    as a Python complex via .real/.imag/complex()).  Failures surface as
+    EvaluationError: a Newton stage that does not converge, or a zero whose
+    |form| exceeds _FORM_ZERO_TOL times its scale."""
     tau = complex(seed)
     if tau.imag <= 0:
         raise StructuralError("seed must be in the upper half plane")
-    f_prev = None
-    for _ in range(80):
-        g2, g3, dg2, dg3 = _g_invariants(*_eisenstein(tau), math.pi)
-        f, fp = _apply_form(form, g2, g3, dg2, dg3)
-        scale = _form_scale(form, g2, g3)
-        if abs(f) <= 1e-9 * scale:
-            break
-        if fp == 0:
-            raise EvaluationError("stationary point in form iteration")
-        step = f / fp
-        # damp: keep inside the upper half plane and demand progress
-        s = 1.0
-        for _ in range(10):
-            cand = tau - s * step
-            if cand.imag > 0.02:
-                g2c, g3c, _, _ = _g_invariants(*_eisenstein(cand), math.pi, False)
-                fc, _ = _apply_form(form, g2c, g3c)
-                if f_prev is None or abs(fc) < abs(f):
-                    break
-            s *= 0.5
-        tau = tau - s * step
-        f_prev = f
-    else:
-        raise EvaluationError("double-precision Newton stalled for %s" % form)
-
+    tau = _form_newton(form, tau)
     import mpmath
     with mpmath.workdps(40):
-        t = mpmath.mpc(tau)
-        for _ in range(60):
-            g2, g3, dg2, dg3 = _g_invariants(*_eisenstein_mp(t), mpmath.pi)
-            f, fp = _apply_form(form, g2, g3, dg2, dg3)
-            if abs(f) < mpmath.mpf(10) ** (-30):
-                break
-            t = t - f / fp
-        t = reduce_fundamental(t)
-        g2, g3, _, _ = _g_invariants(*_eisenstein_mp(t), mpmath.pi, False)
-        f, _ = _apply_form(form, g2, g3)
-        scale = float(_form_scale(form, complex(g2), complex(g3)))
+        t = reduce_fundamental(_form_newton(form, mpmath.mpc(tau), mpmath))
+        f, _, scale = _form_at(form, t, mpmath)
         if abs(f) > _FORM_ZERO_TOL * scale:
             raise EvaluationError(
                 "form zero did not certify: |%s| = %.3g" % (form, float(abs(f)))

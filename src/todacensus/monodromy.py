@@ -309,18 +309,17 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, stack=None):
 
 def transport(problem, ctx, params, vertices, rtol=1e-11, sing=None, Y0=None):
     """Fundamental transports (S, 3, 3) along a polyline, one per parameter
-    vector (see _coeffs), in lockstep; columns carry initial data.  Y0, the
-    initial frames, may come as their _taylor_frame stacks at vertices[0],
-    which then serve the first step.
+    vector (see _coeffs), in lockstep; columns carry initial data.  The
+    frames start as the identity; Y0, if given, holds the _taylor_frame
+    stacks of other initial frames at vertices[0] and serves the first step.
     """
     coeffs = _coeffs(problem, ctx, params)
     if sing is None:
         sing = _singular_translates(problem, ctx)
     if Y0 is None:
-        Y0 = np.tile(np.eye(3, dtype=complex), (coeffs.size, 1, 1))
-    Y0 = np.array(Y0, complex)
-    stack = Y0 if Y0.shape[-2:] == (_ORDER + 3, 3) else None
-    Y = Y0 if stack is None else Y0[:, :3]
+        Y, stack = np.tile(np.eye(3, dtype=complex), (coeffs.size, 1, 1)), None
+    else:
+        Y, stack = Y0[:, :3], Y0
     atol = rtol * 1e-2
     for va, vb in zip(vertices, vertices[1:]):
         Y = _segment_transport(coeffs, complex(va), complex(vb), Y, sing, rtol, atol, stack)
@@ -655,8 +654,8 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
     live = list(range(hops.size))
     U = {r: {} for r in live}
     pde_res = dict.fromkeys(live, 0.0)
-    # the frames at prev, past the first point as their Taylor stacks there
-    stacks = np.tile(np.eye(3, dtype=complex), (hops.size, 1, 1))
+    # the frames at prev as their Taylor stacks there
+    stacks = _taylor_frame(hops, q0, np.tile(np.eye(3, dtype=complex), (hops.size, 1, 1)))
     prev = q0
     for key, z in pts.items():
         if not live:

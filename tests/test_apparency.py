@@ -148,16 +148,16 @@ def test_value_routes_agree():
         complex(p.eval({"B": B, "D0": D0, "D": D, "g2": ctx.g2, "g3": ctx.g3}))
         for p in system.polys()
     ])
-    vals = m0_value_batch(2, 4, ctx.b_num, np.array([B]), np.array([D0]), np.array([D]))
+    vals = m0_value_batch(2, 4, ctx._bn_ext, np.array([B]), np.array([D0]), np.array([D]))
     assert np.max(np.abs(vals[0] - sym)) <= 1e-12 * (1 + np.max(np.abs(sym)))
     gen = residual_general(prob, ctx, ParamVec.m0(B, D0, D))
     assert np.max(np.abs(gen[2:] - sym)) <= 1e-10 * (1 + np.max(np.abs(sym)))
     assert abs(gen[0]) == 0.0 and abs(gen[1]) == 0.0
     # jacobian against finite differences
-    F, J = m0_residual_batch(2, 4, ctx.b_num, np.array([B]), np.array([D0]), np.array([D]))
+    F, J = m0_residual_batch(2, 4, ctx._bn_ext, np.array([B]), np.array([D0]), np.array([D]))
     h = 1e-7
     for i, (dB, dD0, dD) in enumerate(((h, 0, 0), (0, h, 0), (0, 0, h))):
-        Fp, _ = m0_residual_batch(2, 4, ctx.b_num,
+        Fp, _ = m0_residual_batch(2, 4, ctx._bn_ext,
                                   np.array([B + dB]), np.array([D0 + dD0]), np.array([D + dD]))
         fd = (Fp[0] - F[0]) / h
         assert np.max(np.abs(fd - J[0, :, i])) <= 1e-5 * (1 + np.max(np.abs(J)))
@@ -214,7 +214,7 @@ def test_kernels_take_a_laurent_column_per_point(n1, n2, S):
         sel = which == k
         if not sel.any():
             continue
-        # the table as an array, and as the tuple ctx.b_num is
+        # the table as an array, and as a tuple (a 1-D sequence works too)
         # (bit for bit: np.array_equal would let the sign of a zero differ)
         for bnum in (table, tuple(table)):
             Fk, Jk = m0_residual_batch(n1, n2, bnum, B[sel], D0[sel], D[sel])

@@ -15,12 +15,14 @@ import pytest
 from todacensus.elliptic import (
     FORM_NAMES,
     LatticeTau,
+    _eisenstein,
+    _g_invariants,
     compute_invariants,
     find_form_zero,
     form_value,
     reduce_fundamental,
 )
-from todacensus.errors import NearPoleError, StructuralError
+from todacensus.errors import EvaluationError, NearPoleError, StructuralError
 from todacensus.monodromy import _ORDER
 
 from conftest import random_taus
@@ -98,9 +100,9 @@ def test_parity():
 def test_laurent_table_heads():
     for tau in TAUS:
         ctx = _ctx(tau)
-        assert abs(ctx.b_num[4] - ctx.g2 / 20.0) <= 1e-12 * (1 + abs(ctx.g2))
-        assert abs(ctx.b_num[6] - ctx.g3 / 28.0) <= 1e-12 * (1 + abs(ctx.g3))
-        assert all(abs(ctx.b_num[j]) == 0.0 for j in (1, 2, 3, 5, 7))
+        assert abs(ctx._bn_ext[4] - ctx.g2 / 20.0) <= 1e-12 * (1 + abs(ctx.g2))
+        assert abs(ctx._bn_ext[6] - ctx.g3 / 28.0) <= 1e-12 * (1 + abs(ctx.g3))
+        assert all(abs(ctx._bn_ext[j]) == 0.0 for j in (1, 2, 3, 5, 7))
 
 
 def test_half_period_values_sum_to_zero():
@@ -306,6 +308,32 @@ def test_form_zeros():
     # moves this weight-12 form to the 1e-7 scale
     val = form_value("343g2^3-6561g3^2", tau0, dps=40)
     assert abs(complex(val)) <= 1e-10
+    # the discriminant has no zero in the upper half plane: Newton climbs
+    # towards Im tau = infinity, where it is only small, and must not certify
+    with pytest.raises(EvaluationError):
+        find_form_zero("g2^3-27g3^2", 0.3 + 1.5j)
+
+
+@pytest.mark.parametrize("tau", [0.21 + 1.13j, 1j, RHO, 0.1 + 0.2j], ids=str)
+def test_eisenstein_doubles_and_mpmath_agree(tau):
+    # one series serves both precisions; g2 and g3 are compared on their
+    # weight-homogeneous scale, since g3 vanishes at i and g2 at rho
+    g2, g3, _, _ = _g_invariants(*_eisenstein(tau), math.pi)
+    with mpmath.workdps(40):
+        m2, m3, _, _ = _g_invariants(*_eisenstein(mpmath.mpc(tau), mpmath), mpmath.pi)
+    m2, m3 = complex(m2), complex(m3)
+    s = max(abs(m2) ** 0.25, abs(m3) ** (1.0 / 6.0))
+    assert abs(g2 - m2) <= 1e-14 * s ** 4
+    assert abs(g3 - m3) <= 1e-14 * s ** 6
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1e-4j, 0.3 + 0.0015j], ids=str)
+def test_eisenstein_refusals_are_shared(tau):
+    # |q| >= 0.995 at Im tau = 1e-4; more than 4000 terms at 0.0015
+    with pytest.raises(EvaluationError):
+        _eisenstein(tau)
+    with mpmath.workdps(40), pytest.raises(EvaluationError):
+        _eisenstein(mpmath.mpc(tau), mpmath)
 
 
 def test_form_names_and_validation():
