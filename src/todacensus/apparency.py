@@ -37,12 +37,12 @@ from .errors import (
 from .polyring import WeightedPoly, weierstrass_laurent_symbolic
 
 __all__ = [
-    "PunctureSpec",
     "PunctureData",
     "ProblemSpec",
     "ParamVec",
     "derive_problem",
     "problem_m0",
+    "m0_pair",
     "build_m0_system",
     "M0System",
     "build_even_poly",
@@ -63,22 +63,6 @@ EVEN_WEIGHTS = (1, 2, 3)
 
 # ---------------------------------------------------------------------------
 # problem derivation
-
-
-@dataclass(frozen=True)
-class PunctureSpec:
-    """A puncture position with its multiplicity pair."""
-
-    p: complex
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0 or self.n1 != int(self.n1) or self.n2 != int(self.n2):
-            raise StructuralError("multiplicities must be non-negative integers")
-        object.__setattr__(self, "p", complex(self.p))
-        object.__setattr__(self, "n1", int(self.n1))
-        object.__setattr__(self, "n2", int(self.n2))
 
 
 def _local_data(n1, n2):
@@ -120,33 +104,26 @@ class ProblemSpec:
         return len(self.punctures) - 1
 
     def require_noncritical(self):
-        if not self.noncritical:
-            raise CriticalParametersError(
-                "total multiplicities satisfy N1 == N2 (mod 3); "
-                "the census is undefined on this critical locus"
-            )
+        _require_noncritical(self.N1, self.N2)
 
-    def to_json_dict(self):
-        return {
-            "tau": [self.lattice.tau.real, self.lattice.tau.imag],
-            "punctures": [
-                {
-                    "p": [pk.p.real, pk.p.imag],
-                    "n1": pk.n1,
-                    "n2": pk.n2,
-                    "gamma1": str(pk.gamma1),
-                    "gamma2": str(pk.gamma2),
-                    "alpha": str(pk.alpha),
-                    "beta": str(pk.beta),
-                    "rho": [str(r) for r in pk.rho],
-                }
-                for pk in self.punctures
-            ],
-            "N1": self.N1,
-            "N2": self.N2,
-            "noncritical": self.noncritical,
-            "epsilon": [self.epsilon.real, self.epsilon.imag],
-        }
+
+def _multiplicities(*ns):
+    """ns as ints; refuses any that is not a non-negative integer."""
+    try:
+        if all(int(n) == n >= 0 for n in ns):
+            return tuple(int(n) for n in ns)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise StructuralError("multiplicities must be non-negative integers")
+
+
+def _require_noncritical(N1, N2):
+    """Refuse totals on the critical locus N1 == N2 (mod 3)."""
+    if (N1 - N2) % 3 == 0:
+        raise CriticalParametersError(
+            "total multiplicities satisfy N1 == N2 (mod 3); "
+            "the census is undefined on this critical locus"
+        )
 
 
 _MIN_SEPARATION = 1e-9  # punctures closer than this modulo the lattice coincide
@@ -155,39 +132,30 @@ _MIN_SEPARATION = 1e-9  # punctures closer than this modulo the lattice coincide
 def derive_problem(lattice, punctures):
     """Exact exponent data for a set of punctures on a lattice.
 
-    punctures is a list of PunctureSpec (or (p, n1, n2) tuples).  Punctures
-    that coincide modulo the lattice are a structural error.  Critical totals
-    (N1 == N2 mod 3) are not an error here: the returned spec is marked and
-    the census operations downstream refuse it.
+    punctures is a list of (p, n1, n2) triples, the multiplicities
+    non-negative integers.  Punctures that coincide modulo the lattice are a
+    structural error.  Critical totals (N1 == N2 mod 3) are not an error
+    here: the returned spec is marked and the census operations downstream
+    refuse it.
     """
     if not isinstance(lattice, LatticeTau):
         lattice = LatticeTau(complex(lattice))
-    specs = []
-    for item in punctures:
-        if isinstance(item, PunctureSpec):
-            specs.append(item)
-        else:
-            p, n1, n2 = item
-            specs.append(PunctureSpec(complex(p), int(n1), int(n2)))
-    if not specs:
+    data = []
+    for p, n1, n2 in punctures:
+        n1, n2 = _multiplicities(n1, n2)
+        g1, g2, alpha, beta, rho = _local_data(n1, n2)
+        data.append(PunctureData(p=complex(p), n1=n1, n2=n2, gamma1=g1, gamma2=g2,
+                                 alpha=alpha, beta=beta, rho=rho))
+    if not data:
         raise StructuralError("need at least one puncture")
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            if lattice_distance(specs[i].p - specs[j].p, lattice.tau) < _MIN_SEPARATION:
+    for i in range(len(data)):
+        for j in range(i + 1, len(data)):
+            if lattice_distance(data[i].p - data[j].p, lattice.tau) < _MIN_SEPARATION:
                 raise StructuralError(
                     "punctures %d and %d coincide modulo the lattice" % (i, j)
                 )
-    data = []
-    for s in specs:
-        g1, g2, alpha, beta, rho = _local_data(s.n1, s.n2)
-        data.append(
-            PunctureData(
-                p=s.p, n1=s.n1, n2=s.n2,
-                gamma1=g1, gamma2=g2, alpha=alpha, beta=beta, rho=rho,
-            )
-        )
-    N1 = sum(s.n1 for s in specs)
-    N2 = sum(s.n2 for s in specs)
+    N1 = sum(pk.n1 for pk in data)
+    N2 = sum(pk.n2 for pk in data)
     eps = cmath.exp(-2j * math.pi * (2 * N1 + N2) / 3.0)
     return ProblemSpec(
         lattice=lattice,
@@ -276,17 +244,14 @@ class M0System:
         )
 
 
-def _check_m0_pair(n1, n2):
-    n1, n2 = int(n1), int(n2)
-    if n1 < 0 or n2 < 0:
-        raise StructuralError("multiplicities must be non-negative")
-    # criticality is symmetric in the pair, so report it before ordering
-    if (n1 - n2) % 3 == 0:
-        raise CriticalParametersError(
-            "multiplicities satisfy n1 == n2 (mod 3); critical pair refused"
-        )
-    if not (n1 < n2):
-        raise StructuralError("need 0 <= n1 < n2 for the single-puncture system")
+def m0_pair(n1, n2):
+    """The pair (n1, n2) of a single puncture, as ints, once it has passed
+    the checks of the single-puncture system, in this order: non-negative
+    integers, noncritical (n1 != n2 mod 3), then n1 < n2."""
+    n1, n2 = _multiplicities(n1, n2)
+    _require_noncritical(n1, n2)
+    if not n1 < n2:
+        raise StructuralError("need 0 <= n1 < n2")
     return n1, n2
 
 
@@ -358,7 +323,7 @@ def build_m0_system(n1, n2):
     coefficients are one-element object arrays of polynomials, so that the
     recursion is the one the numeric kernels run.
     """
-    n1, n2 = _check_m0_pair(n1, n2)
+    n1, n2 = m0_pair(n1, n2)
 
     V, W = M0_VARS, M0_WEIGHTS
     Bv = WeightedPoly.var(V, W, "B")
@@ -405,19 +370,14 @@ def even_count_Ne(n1, n2):
     """Size of the even sector: the degree of the even polynomial.
 
     Refuses both-odd pairs (empty even sector) and critical pairs."""
-    n1, n2 = int(n1), int(n2)
-    if n1 < 0 or n2 < 0:
-        raise StructuralError("multiplicities must be non-negative")
+    n1, n2 = _multiplicities(n1, n2)
     # the empty-sector refusal outranks the critical one: a request for the
     # even sector of an odd/odd pair is answered by nonexistence either way
     if n1 % 2 == 1 and n2 % 2 == 1:
         raise EvenNonexistenceError(
             "both multiplicities are odd, so the even sector is empty"
         )
-    if (n1 - n2) % 3 == 0:
-        raise CriticalParametersError(
-            "multiplicities satisfy n1 == n2 (mod 3); critical pair refused"
-        )
+    _require_noncritical(n1, n2)
     if n1 % 2 == 1:
         return (n1 + 1) // 2
     if n2 % 2 == 1:
@@ -487,18 +447,13 @@ def build_even_poly(n1, n2):
 
 def bezout_bound(pairs):
     """Weighted-Bezout root count bound of a list of (n1, n2) pairs, one per
-    puncture.  Requires noncritical totals; the result is then an exact
-    integer.
+    puncture.  Requires non-negative integer multiplicities and noncritical
+    totals; the result is then an exact integer.
     """
-    pairs = [(int(a), int(b)) for a, b in pairs]
+    pairs = [_multiplicities(a, b) for a, b in pairs]
     if not pairs:
         raise StructuralError("need at least one puncture")
-    N1 = sum(a for a, _ in pairs)
-    N2 = sum(b for _, b in pairs)
-    if (N1 - N2) % 3 == 0:
-        raise CriticalParametersError(
-            "total multiplicities satisfy N1 == N2 (mod 3); no finite count"
-        )
+    _require_noncritical(sum(a for a, _ in pairs), sum(b for _, b in pairs))
     m = len(pairs) - 1
     val = Fraction(1, 3 * 2 ** (m + 1))
     for a, b in pairs:
@@ -654,7 +609,7 @@ def residual_general(problem, ctx, params, with_jacobian=False):
                 continue
             pl = problem.punctures[l]
             al, bl = float(pl.alpha), float(pl.beta)
-            w, z = ctx.jet(pk.p - pl.p, jtop, 2)
+            w, z = ctx.jet(pk.p - pl.p, jtop)
             S1 = S1 + al * w[0] * one + z * Bk[l]
             S2a = S2a + al * w[1] * one - w[0] * Bk[l]
             S2b = S2b + bl * w[1] * one + w[0] * Dk[l] + z * A[l]

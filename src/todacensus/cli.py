@@ -16,7 +16,6 @@ import sys
 from . import __version__
 from .apparency import (
     ParamVec,
-    PunctureSpec,
     build_even_poly,
     build_m0_system,
     derive_problem,
@@ -88,10 +87,11 @@ def parse_tol(text):
 
 
 def _load_punctures(path):
-    """Puncture list (and optional parameter vector) from a JSON file.
+    """(p, n1, n2) triples (and optional parameter vector) from a JSON file.
 
     A file that cannot be read, is not JSON or lacks an entry raises
-    StructuralError, a usage error that names the file."""
+    StructuralError, a usage error that names the file; derive_problem
+    judges the multiplicities."""
     def cplx(v):
         return complex(v[0], v[1])
 
@@ -99,8 +99,7 @@ def _load_punctures(path):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         items = data["punctures"] if isinstance(data, dict) else data
-        punctures = [PunctureSpec(p=cplx(it["p"]), n1=int(it["n1"]), n2=int(it["n2"]))
-                     for it in items]
+        punctures = [(cplx(it["p"]), it["n1"], it["n2"]) for it in items]
         params = None
         if isinstance(data, dict) and "params" in data:
             pr = data["params"]
@@ -129,7 +128,10 @@ def _problem_from_args(args):
         raise StructuralError("--tau is required for this command")
     if args.punctures:
         punctures, params = _load_punctures(args.punctures)
-        problem = derive_problem(tau, punctures)
+        try:
+            problem = derive_problem(tau, punctures)
+        except StructuralError as e:
+            raise StructuralError("--punctures %s: %s" % (args.punctures, e))
         problem.require_noncritical()
         return problem, params
     if args.n1 is None or args.n2 is None:

@@ -155,19 +155,15 @@ class EllipticContext:
 
     # -- evaluation ----------------------------------------------------------
 
-    def jet(self, z, n, order):
+    def jet(self, z, n):
         """([P, P', ..., P^(n)], zeta) at z.
 
-        One lattice reduction, one near-pole guard (reporting the local pole
-        order `order`), one regime pass and one eta shift of zeta."""
+        One lattice reduction, one near-pole guard, one regime pass and one
+        eta shift of zeta."""
         zr, m, k = self.reduce_point(z)
         r = abs(zr)
         if r <= self.near_pole_radius:
-            raise NearPoleError(
-                "argument within %.3g of a lattice point" % r,
-                distance=r,
-                order=order,
-            )
+            raise NearPoleError("argument within %.3g of a lattice point" % r)
         if r <= 0.35 * self.lam_min:
             ps, zt = self._laurent(zr, n)
         else:
@@ -176,20 +172,20 @@ class EllipticContext:
 
     def wp(self, z, n=0):
         """n-th derivative of P at z (n = 0 is P itself)."""
-        return self.jet(z, n, n + 2)[0][n]
+        return self.jet(z, n)[0][n]
 
     def zeta(self, z):
         """Weierstrass zeta at z (quasi-periodic: corrected by eta shifts)."""
-        return self.jet(z, 0, 1)[1]
+        return self.jet(z, 0)[1]
 
     def wp_bundle(self, z):
         """(P, P', zeta) at z from one evaluation."""
-        (p, p1), zt = self.jet(z, 1, 2)
+        (p, p1), zt = self.jet(z, 1)
         return p, p1, zt
 
     def wp_derivs(self, z, nmax):
         """Array [P(z), P'(z), ..., P^{(nmax)}(z)]."""
-        return self.jet(z, nmax, 2)[0]
+        return self.jet(z, nmax)[0]
 
     # -- regime implementations ----------------------------------------------
 
@@ -451,7 +447,10 @@ def find_form_zero(form, seed):
     Returns an mpmath.mpc in the standard fundamental domain (it duck-types
     as a Python complex via .real/.imag/complex()).  Failures surface as
     EvaluationError: a Newton stage that does not converge, or a zero whose
-    |form| exceeds _FORM_ZERO_TOL times its scale."""
+    |form| exceeds _FORM_ZERO_TOL times its scale, or whose Newton step
+    |f/f'| exceeds _FORM_ZERO_TOL (1 + |tau|).  The step test refuses the
+    points high in the upper half plane where a form is only small: the
+    discriminant is (2 pi)^12 q + O(q^2) there, so |f/f'| tends to 1/(2 pi)."""
     tau = complex(seed)
     if tau.imag <= 0:
         raise StructuralError("seed must be in the upper half plane")
@@ -459,9 +458,10 @@ def find_form_zero(form, seed):
     import mpmath
     with mpmath.workdps(40):
         t = reduce_fundamental(_form_newton(form, mpmath.mpc(tau), mpmath))
-        f, _, scale = _form_at(form, t, mpmath)
-        if abs(f) > _FORM_ZERO_TOL * scale:
+        f, fp, scale = _form_at(form, t, mpmath)
+        if abs(f) > _FORM_ZERO_TOL * min(scale, (1 + abs(t)) * abs(fp)):
             raise EvaluationError(
-                "form zero did not certify: |%s| = %.3g" % (form, float(abs(f)))
+                "form zero did not certify: |%s| = %.3g, |d/dtau| = %.3g at tau = %s"
+                % (form, float(abs(f)), float(abs(fp)), mpmath.nstr(t, 8))
             )
         return +t

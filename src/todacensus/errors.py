@@ -35,11 +35,6 @@ class EvenNonexistenceError(ValueError):
 class NearPoleError(ValueError):
     """Evaluation point too close to a lattice translate of a pole."""
 
-    def __init__(self, message, distance=None, order=None):
-        super().__init__(message)
-        self.distance = distance
-        self.order = order
-
 
 class EvaluationError(RuntimeError):
     """A series failed to converge within its term budget."""

@@ -107,7 +107,7 @@ class _OdeCoeffs:
         basis = np.zeros((self.C.shape[2], n + 1), complex)
         basis[0, 0] = 1.0
         for k, p in enumerate(self.points):
-            wp, zv = self.ctx.jet(z - p, n + 1, 2)
+            wp, zv = self.ctx.jet(z - p, n + 1)
             c = 1 + 3 * k
             basis[c] = wp[:-1]
             basis[c + 1] = wp[1:]

@@ -60,6 +60,7 @@ from .apparency import (
     ProblemSpec,
     bezout_bound,
     build_even_poly,
+    m0_pair,
     m0_residual_batch,
     m0_value_batch,
 )
@@ -250,9 +251,10 @@ def roots_univariate(coeffs, tol=1e-12):
 
     coeffs is ascending (coeffs[k] multiplies z**k).  Exactly-zero leading
     entries are stripped.  Returns a list of (root, multiplicity) pairs,
-    sorted by (real, imag); nearby approximations within sqrt(tol)*(1+|z|)
-    are merged and their multiplicity is the merged count.  Non-convergence
-    emits InconclusiveWarning and returns the current (partial) state.
+    sorted by (real, imag); nearby approximations within
+    (sqrt(tol) + 1e-5)*(1+|z|) are merged and their multiplicity is the
+    merged count.  Non-convergence emits InconclusiveWarning and returns the
+    current (partial) state.
     """
     c = [complex(v) for v in coeffs]
     while c and c[-1] == 0:
@@ -814,20 +816,12 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     )
 
 
-def _ordered_pair(n1, n2):
-    if not (0 <= n1 < n2):
-        raise StructuralError("need 0 <= n1 < n2")
-
-
 def _m0_pair(problem):
     if not isinstance(problem, ProblemSpec):
         raise StructuralError("expected a ProblemSpec")
     if problem.m != 0:
         raise StructuralError("this census handles a single puncture")
-    problem.require_noncritical()
-    pk = problem.punctures[0]
-    _ordered_pair(pk.n1, pk.n2)
-    return pk.n1, pk.n2
+    return m0_pair(problem.punctures[0].n1, problem.punctures[0].n2)
 
 
 def solve_m0(problem, ctx=None, config=None):
@@ -844,8 +838,7 @@ def solve_m0_degenerate(n1, n2, config=None):
     The system becomes weight-homogeneous, so the origin is the only
     candidate; this probe demonstrates how multiplicity collapses there and
     exercises the degenerate-root diagnostics."""
-    n1, n2 = int(n1), int(n2)
-    _ordered_pair(n1, n2)
+    n1, n2 = m0_pair(n1, n2)
     bnum = np.zeros(max(48, n1 + n2 + 5), complex)
     return _census(n1, n2, None, bnum, 0j, 0j, config)
 
@@ -940,8 +933,7 @@ def scan_tau(n1, n2, grid, config=None):
     treats every start on its own, so the rows are those of the cell-by-cell
     chain, bit for bit.
     """
-    bound = bezout_bound([(n1, n2)])  # validates the pair once, incl. criticality
-    _ordered_pair(n1, n2)
+    n1, n2 = m0_pair(n1, n2)
     try:
         re0, re1, nre = grid["re0"], grid["re1"], int(grid["nre"])
         im0, im1, nim = grid["im0"], grid["im1"], int(grid["nim"])

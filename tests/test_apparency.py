@@ -26,6 +26,7 @@ from todacensus.errors import (
     EvenNonexistenceError,
     StructuralError,
 )
+from todacensus.jsonio import to_jsonable
 from todacensus.polyring import WeightedPoly, weierstrass_laurent, weierstrass_laurent_symbolic
 
 from oracle_series import oracle_residual
@@ -445,7 +446,7 @@ def test_residual_general_jacobian():
 
 def test_problem_json_round_trippable_fields():
     prob = problem_m0(0.2 + 1.1j, 0, 4)
-    d = prob.to_json_dict()
+    d = to_jsonable(prob)
     assert d["noncritical"] is True
     assert d["punctures"][0]["n1"] == 0
     assert d["punctures"][0]["n2"] == 4

@@ -158,7 +158,9 @@ def test_numerical_give_up_is_exit_4(capsys, command):
     ('{"punctures": [{"p": [0.0, 0.0], "n1": 0, "n2": 2}],'
      ' "params": {"A": [[0.0, 0.0]], "B": [1.0, 0.5], "Dk": [[0.3, 0.1]], "D": [0.2, 0.0]}}',
      "missing key 'Bk'"),
-], ids=["missing", "not-json", "no-n2", "no-Bk"])
+    ('{"punctures": [{"p": [0.0, 0.0], "n1": -1, "n2": 2}]}',
+     "multiplicities must be non-negative integers"),
+], ids=["missing", "not-json", "no-n2", "no-Bk", "negative-n1"])
 def test_bad_punctures_file_is_usage_error(tmp_path, capsys, content, problem):
     path = tmp_path / "punctures.json"
     if content is not None:

@@ -1,9 +1,9 @@
 """Every name a package module or test file imports is used by that file,
 every private name the package defines is used somewhere in the package,
-every defaulted parameter of the package is set by some call, every entry
-point the benchmark's tracer (bench/tracer.py) wraps exists, a
-traced scan counts each Newton start once, and the CLI starts without
-mpmath.
+every defaulted parameter of the package is set by some call, every
+attribute the package stores is read somewhere, every entry point the
+benchmark's tracer (bench/tracer.py) wraps exists, a traced scan counts
+each Newton start once, and the CLI starts without mpmath.
 
 Static scans: each module of the package and each test file (but the
 frozen oracle_series.py) is parsed with ast.  An imported name counts as
@@ -13,7 +13,9 @@ of a module-level class counts as used when some module of the package
 reads it as a name or an attribute, or imports it.  A defaulted parameter
 of a package function counts as set when some call of that name (as a name
 or an attribute) in the package, the tests or the benchmark passes it by
-keyword or by position.
+keyword or by position.  An attribute that the package stores, as
+``x.attr = ...``, counts as read when some file of the package, the tests
+or the benchmark reads an attribute of that name.
 """
 
 import ast
@@ -173,6 +175,35 @@ def test_no_unset_defaults():
     callers = [path.read_text() for folder in ("src", "tests", "bench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
     assert _unset_defaults(package, callers) == []
+
+
+def _unread_attributes(package, readers):
+    """(module, line, attribute) of every store x.attr = ... in package (a
+    dict module name -> source text) of an attribute that no source in
+    readers reads as an attribute.  An augmented assignment is a store."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((module, node.lineno, node.attr)
+                  for module, source in package.items() for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and node.attr not in read)
+
+
+def test_scan_finds_an_unread_attribute():
+    a = ("class K:\n    def __init__(self):\n        self.kept = 1\n        self.lost = 2\n"
+         "        self.total = 0\n    def add(self):\n        self.total += self.kept\n")
+    b = "print(K().lost)\n"
+    assert _unread_attributes({"a": a}, [a]) == [
+        ("a", 4, "lost"), ("a", 5, "total"), ("a", 7, "total")]
+    assert _unread_attributes({"a": a}, [a, b]) == [("a", 5, "total"), ("a", 7, "total")]
+
+
+def test_no_unread_attributes():
+    # a stored value that nothing reads is a payload kept for no one
+    package = {path.stem: path.read_text() for path in MODULES}
+    readers = [path.read_text() for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unread_attributes(package, readers) == []
 
 
 def _load_tracer():

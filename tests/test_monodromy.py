@@ -172,7 +172,7 @@ def _derivs_loop(problem, ctx, pvs, z, n):
         W2[r, 0], W3[r, 0] = -pv.B, pv.D
         size[:, r, 0] = abs(pv.B), abs(pv.D)
     for k, pk in enumerate(problem.punctures):
-        wp, zv = ctx.jet(z - pk.p, n + 1, 2)
+        wp, zv = ctx.jet(z - pk.p, n + 1)
         zeta = np.concatenate([[zv], -wp[:n]])
         alpha, beta = float(pk.alpha), float(pk.beta)
         for r, pv in enumerate(pvs):
@@ -230,7 +230,7 @@ def test_ode_coefficients_against_direct_sum():
     z = 0.37 + 0.29j
     (W2,), (W3,) = ode_coefficients(prob, ctx, [params], z)
     pk = prob.punctures[0]
-    (P, P1), Z = ctx.jet(z - pk.p, 1, 2)
+    (P, P1), Z = ctx.jet(z - pk.p, 1)
     want2 = -(pk.alpha * P + params.Bk[0] * Z + params.B)
     want3 = pk.beta * P1 + params.Dk[0] * P + params.A[0] * Z + params.D
     assert abs(W2 - want2) <= 1e-12 * (1 + abs(want2))
@@ -381,9 +381,9 @@ def _count_jet(monkeypatch):
     calls = [0]
     orig = EllipticContext.jet
 
-    def counted(self, z, n, order):
+    def counted(self, z, n):
         calls[0] += 1
-        return orig(self, z, n, order)
+        return orig(self, z, n)
 
     monkeypatch.setattr(EllipticContext, "jet", counted)
     return calls

@@ -7,13 +7,22 @@ import numpy as np
 import pytest
 
 import todacensus.solver as solver
-from todacensus.apparency import m0_residual_batch, m0_value_batch, problem_m0
+from todacensus.apparency import (
+    bezout_bound,
+    build_m0_system,
+    derive_problem,
+    even_count_Ne,
+    m0_residual_batch,
+    m0_value_batch,
+    problem_m0,
+)
 from todacensus.elliptic import compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
     EvaluationError,
     EvenNonexistenceError,
     InconclusiveError,
+    StructuralError,
 )
 from todacensus.jsonio import to_jsonable
 from todacensus.solver import (
@@ -705,6 +714,36 @@ def test_census_determinism():
 def test_census_critical_refusal():
     with pytest.raises(CriticalParametersError):
         solve_m0(problem_m0(GENERIC_TAU, 1, 4))
+
+
+# every entry point that takes one puncture's pair, as a call on (n1, n2)
+SINGLE_PUNCTURE_CALLS = {
+    "build_m0_system": build_m0_system,
+    "bezout_bound": lambda n1, n2: bezout_bound([(n1, n2)]),
+    "even_count_Ne": even_count_Ne,
+    "solve_m0": lambda n1, n2: solve_m0(problem_m0(GENERIC_TAU, n1, n2)),
+    "solve_even": lambda n1, n2: solve_even(problem_m0(GENERIC_TAU, n1, n2)),
+    "solve_m0_degenerate": solve_m0_degenerate,
+    "scan_tau": lambda n1, n2: scan_tau(
+        n1, n2, {"re0": 0.2, "re1": 0.2, "nre": 1, "im0": 1.1, "im1": 1.1, "nim": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_PUNCTURE_CALLS))
+def test_single_puncture_entry_points_refuse_alike(name):
+    call = SINGLE_PUNCTURE_CALLS[name]
+    # a critical pair gets the one text that a critical set of punctures gets
+    with pytest.raises(CriticalParametersError) as want:
+        derive_problem(GENERIC_TAU, [(0.0, 0, 1), (0.5, 1, 0)]).require_noncritical()
+    with pytest.raises(CriticalParametersError) as got:
+        call(0, 3)
+    assert str(got.value) == str(want.value)
+    # a negative multiplicity is refused before the (critical) totals
+    with pytest.raises(StructuralError):
+        call(-1, 2)
+    if name not in ("bezout_bound", "even_count_Ne"):  # these take either order
+        with pytest.raises(StructuralError):
+            call(2, 1)
 
 
 def test_degenerate_probe():
