@@ -96,7 +96,6 @@ class ProblemSpec:
     punctures: tuple
     N1: int
     N2: int
-    noncritical: bool
     epsilon: complex
 
     @property
@@ -135,8 +134,8 @@ def derive_problem(lattice, punctures):
     punctures is a list of (p, n1, n2) triples, the multiplicities
     non-negative integers.  Punctures that coincide modulo the lattice are a
     structural error.  Critical totals (N1 == N2 mod 3) are not an error
-    here: the returned spec is marked and the census operations downstream
-    refuse it.
+    here: the census operations downstream refuse them, through
+    ProblemSpec.require_noncritical.
     """
     if not isinstance(lattice, LatticeTau):
         lattice = LatticeTau(complex(lattice))
@@ -162,7 +161,6 @@ def derive_problem(lattice, punctures):
         punctures=tuple(data),
         N1=N1,
         N2=N2,
-        noncritical=(N1 - N2) % 3 != 0,
         epsilon=eps,
     )
 

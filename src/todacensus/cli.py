@@ -132,7 +132,6 @@ def _problem_from_args(args):
             problem = derive_problem(tau, punctures)
         except StructuralError as e:
             raise StructuralError("--punctures %s: %s" % (args.punctures, e))
-        problem.require_noncritical()
         return problem, params
     if args.n1 is None or args.n2 is None:
         raise StructuralError("either --punctures or --n1/--n2 is required")
@@ -163,12 +162,9 @@ def cmd_polys(args):
 
 
 def cmd_even(args):
-    if args.n1 is None or args.n2 is None:
-        raise StructuralError("--n1 and --n2 are required")
-    # run the sector-existence check first so odd/odd pairs get the
-    # dedicated signal even when they are also critical
-    even_count_Ne(args.n1, args.n2)
     if args.tau is None:
+        if args.n1 is None or args.n2 is None:
+            raise StructuralError("--n1 and --n2 are required")
         ep = build_even_poly(args.n1, args.n2)
         return {
             "n1": ep.n1,
@@ -177,16 +173,23 @@ def cmd_even(args):
             "poly": ep.poly.text(),
         }
     problem, _ = _problem_from_args(args)
+    # the sector-existence check comes first so odd/odd pairs get the
+    # dedicated signal even when they are also critical
+    if problem.m == 0:
+        even_count_Ne(problem.punctures[0].n1, problem.punctures[0].n2)
+    problem.require_noncritical()
     return solve_even(problem, config=_solver_config(args))
 
 
 def cmd_solve(args):
     problem, _ = _problem_from_args(args)
+    problem.require_noncritical()
     return solve_m0(problem, config=_solver_config(args))
 
 
 def cmd_monodromy(args):
     problem, params = _problem_from_args(args)
+    problem.require_noncritical()
     ctx = compute_invariants(problem.lattice)
     rtol = args.tol if args.tol is not None else 1e-11
     if params is not None:

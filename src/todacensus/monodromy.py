@@ -11,15 +11,17 @@ matrices, checks the scalar local condition and the commutator identity
 N1 N2 N1^-1 N2^-1 = eps I, searches for an invariant Hermitian form
 (unitarization), and reconstructs the two field profiles whose PDE residuals
 certify the root end to end.  The reconstruction hops one batch of frames
-from grid point to grid point, each hop starting from the Taylor stacks of
-the point it leaves, and evaluates the finite-difference stencil of every
-root at a point in one array pass.
+from grid point to grid point, from the grid corner nearest the base point,
+each hop starting from the Taylor stacks of the point it leaves, and
+evaluates the finite-difference stencil of every root at a point in one
+array pass.
 
 Conventions fixed here: a transport T along a path maps initial data
 (y, y', y'') at the start to data at the end, composing as T(q after p) =
 T(q) T(p); monodromy matrices act on the solution row basis, which makes
 them the transposes of the data transports.  Local loops are positively
-oriented 24-gons.
+oriented circles around the punctures, walked in chords as long as the step
+control allows.
 """
 
 import cmath
@@ -211,15 +213,17 @@ def plan_path(a, b, sing, clearance):
     raise PathClearanceError("no clear path found within the detour budget")
 
 
-_LOOP_SIDES = 24
+def _segment(za, zb):
+    """The segment za -> zb as a path: the point at arc length s, the length."""
+    dz = zb - za
+    L = abs(dz)
+    return (lambda s: za + (s / L) * dz), L
 
 
-def _polygon(center, radius):
-    """Closed positively oriented _LOOP_SIDES-gon around center."""
-    return [
-        center + radius * cmath.exp(2j * math.pi * k / _LOOP_SIDES)
-        for k in range(_LOOP_SIDES + 1)
-    ]
+def _circle(center, radius):
+    """The positively oriented circle |z - center| = radius from center +
+    radius, as a path: the point at arc length s, the length."""
+    return (lambda s: center + radius * cmath.exp(1j * (s / radius))), 2 * math.pi * radius
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +234,10 @@ _SAFETY = 0.8  # share of the radius at which the series tail reaches tol
 _POLE_CAP = 0.6  # largest step, as a share of the distance to a singularity
 _MAX_STEPS = 200000
 _FACT = np.array([math.factorial(k) for k in range(_ORDER + 3)], float)
-_BINOM = np.array([[math.comb(k, j) for j in range(_ORDER)] for k in range(_ORDER)], float)
+# the weights C(k, m) of W2^(m) and C(k, m - 1) of W3^(m - 1) in G[k, m]
+_G_BINOM = np.zeros((2, _ORDER, _ORDER + 1))
+_G_BINOM[0, :, :-1] = _G_BINOM[1, :, 1:] = [[math.comb(k, j) for j in range(_ORDER)]
+                                             for k in range(_ORDER)]
 
 
 def _taylor_frame(coeffs, z, Y):
@@ -243,9 +250,10 @@ def _taylor_frame(coeffs, z, Y):
     out = np.zeros((len(Y), _ORDER + 3, 3), complex)
     out[:, :3] = Y
     W2d, W3d = coeffs.derivs(z, _ORDER - 1)
-    G = np.zeros((len(Y), _ORDER, _ORDER + 1), complex)
-    G[:, :, :-1] = _BINOM * W2d[:, None]
-    G[:, :, 1:] += _BINOM * W3d[:, None]
+    W = np.zeros((len(Y), 2, 1, _ORDER + 1), complex)
+    W[:, 0, 0, :-1] = W2d
+    W[:, 1, 0, 1:] = W3d
+    G = W[:, 0] * _G_BINOM[0] + W[:, 1] * _G_BINOM[1]
     # a frame that overflows turns to inf and NaN here; the step size
     # control then gives up on it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,28 +275,26 @@ def _eval_taylor(stack, delta, rows):
     return band @ stack
 
 
-def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, stack=None):
-    """Continue dY/dz = A(z) Y along the straight segment za -> zb.
+def _path_transport(coeffs, at, length, Y, sing, rtol, atol, stack=None):
+    """Continue dY/dz = A(z) Y along the path at(s), s = 0..length the arc
+    length.
 
     Y is a stack (S, 3, 3) of frames, one per root of the batch coeffs
     describes.  All roots share one sequence of Taylor steps of order
-    _ORDER.  A step is _SAFETY times the radius at which the last two terms
-    of the worst root reach its own atol + rtol * max|Y|, and at most
-    _POLE_CAP of the distance to the nearest singularity; no step is
-    rejected, and a step that is not finite gives up at once.  stack, if
-    given, is _taylor_frame(coeffs, za, Y) for the first step.
+    _ORDER.  A step spans an arc h, _SAFETY times the radius at which the
+    last two terms of the worst root reach its own atol + rtol * max|Y|, and
+    at most _POLE_CAP of the distance to the nearest singularity; its chord
+    is no longer.  No step is rejected, and a step that is not finite gives
+    up at once.  stack, if given, is _taylor_frame(coeffs, at(0), Y) for the
+    first step.
     """
-    dz = zb - za
-    L = abs(dz)
-    if L == 0:
-        return Y
     K = _ORDER
-    t = 0.0
+    s = 0.0
     for _ in range(_MAX_STEPS):
-        if t >= 1.0:
+        if s >= length:
             return Y
-        z = za + t * dz
-        if t > 0 or stack is None:
+        z = at(s)
+        if s > 0 or stack is None:
             stack = _taylor_frame(coeffs, z, Y)
         tol = atol + rtol * np.abs(Y).reshape(len(Y), 9).max(axis=1)
         # |y^(j)| for j = K-1..K+2, the largest over each frame row
@@ -299,19 +305,19 @@ def _segment_transport(coeffs, za, zb, Y, sing, rtol, atol, stack=None):
                 (tol * _FACT[K - 1] / m[:, :3].max(axis=1)) ** (1.0 / (K - 1)),
             )
         h = min(_SAFETY * float(radius.min()), _POLE_CAP * _min_dist(z, sing))
-        dt = min(h / L, 1.0 - t)
-        if not dt >= 1e-14:  # NaN too
+        if not h >= 1e-14 * length:  # NaN too
             raise EvaluationError("transport step size underflow")
-        Y = _eval_taylor(stack, dt * dz, 3)
-        t += dt
+        s = min(s + h, length)
+        Y = _eval_taylor(stack, at(s) - z, 3)
     raise EvaluationError("transport exceeded the step budget")
 
 
-def transport(problem, ctx, params, vertices, rtol=1e-11, sing=None, Y0=None):
-    """Fundamental transports (S, 3, 3) along a polyline, one per parameter
-    vector (see _coeffs), in lockstep; columns carry initial data.  The
-    frames start as the identity; Y0, if given, holds the _taylor_frame
-    stacks of other initial frames at vertices[0] and serves the first step.
+def transport(problem, ctx, params, path, rtol=1e-11, sing=None, Y0=None):
+    """Fundamental transports (S, 3, 3) along path, the vertex list of a
+    polyline or one _circle, one per parameter vector (see _coeffs), in
+    lockstep; columns carry initial data.  The frames start as the
+    identity; Y0, if given, holds the _taylor_frame stacks of other initial
+    frames at the start and serves the first step.
     """
     coeffs = _coeffs(problem, ctx, params)
     if sing is None:
@@ -321,8 +327,10 @@ def transport(problem, ctx, params, vertices, rtol=1e-11, sing=None, Y0=None):
     else:
         Y, stack = Y0[:, :3], Y0
     atol = rtol * 1e-2
-    for va, vb in zip(vertices, vertices[1:]):
-        Y = _segment_transport(coeffs, complex(va), complex(vb), Y, sing, rtol, atol, stack)
+    pieces = ([path] if callable(path[0])
+              else [_segment(complex(a), complex(b)) for a, b in zip(path, path[1:])])
+    for at, length in pieces:
+        Y = _path_transport(coeffs, at, length, Y, sing, rtol, atol, stack)
         stack = None
     return Y
 
@@ -410,7 +418,7 @@ def monodromy_pair(problem, ctx, params, rtol=1e-11):
                    rtol=rtol, sing=sing)
     T2 = transport(problem, ctx, coeffs, plan_path(q0, q0 + tau, sing, clearance),
                    rtol=rtol, sing=sing)
-    loops = [transport(problem, ctx, coeffs, _polygon(pk.p, r_loc), rtol=rtol, sing=sing)
+    loops = [transport(problem, ctx, coeffs, _circle(pk.p, r_loc), rtol=rtol, sing=sing)
              for pk in problem.punctures]
     local_scalars = tuple(cmath.exp(-2j * math.pi * float(pk.gamma1))
                           for pk in problem.punctures)
@@ -620,7 +628,9 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
 
     reports are the roots' unitarized monodromy reports (report.H set), one
     per parameter vector.  All roots share one hop chain, each with the
-    frame of its invariant form.  Returns one entry per root: the pair
+    frame of its invariant form.  The chain runs from the base point to the
+    grid corner nearest it, then snakes through the grid rows.  Returns one
+    entry per root: the pair
     (pde_residual, even_residual), also written to its report, or the
     EvaluationError of a frame that degenerated for that root alone.
     even_residual is None when the kept grid is not symmetric under z -> -z.
@@ -635,21 +645,22 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
 
     tau = ctx.tau
     sing = _singular_translates(problem, ctx, pad=3)
-    n2 = _GRID_N // 2
-
-    pts = {}  # (i, j) -> grid point, in hop order: the rows snake
-    for j in range(-n2, n2):
-        row = range(-n2, n2) if (j + n2) % 2 == 0 else range(n2 - 1, -n2 - 1, -1)
-        for i in row:
-            z = ((i + 0.5) / _GRID_N) * 1.0 + ((j + 0.5) / _GRID_N) * tau
-            if _min_dist(z, sing) >= _EXCLUSION:
-                pts[(i, j)] = z
-    if not pts:
-        raise StructuralError("reconstruction grid is empty")
-
     # the base point and loop radius depend on the lattice only
     q0 = reports[0].base_point
     clearance = min(0.05, 0.8 * reports[0].loop_radius)
+
+    ks = range(-(_GRID_N // 2), _GRID_N // 2)
+    grid = {(i, j): ((i + 0.5) / _GRID_N) + ((j + 0.5) / _GRID_N) * tau for j in ks for i in ks}
+    kept = {key for key, z in grid.items() if _min_dist(z, sing) >= _EXCLUSION}
+    if not kept:
+        raise StructuralError("reconstruction grid is empty")
+    # the hop order: the rows snake, in the orientation whose first kept
+    # point lies nearest q0
+    snakes = [[(i, j) for n, j in enumerate(ks[::dj]) for i in ks[::di * (-1) ** n]]
+              for di in (1, -1) for dj in (1, -1)]
+    order = min(([key for key in snake if key in kept] for snake in snakes),
+                key=lambda keys: abs(grid[keys[0]] - q0))
+    pts = {key: grid[key] for key in order}
 
     live = list(range(hops.size))
     U = {r: {} for r in live}

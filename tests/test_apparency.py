@@ -376,9 +376,9 @@ def test_derive_problem_validation():
         derive_problem(tau, [(0.0, 0, 1), (1.0 + tau, 0, 1)])  # same point mod lattice
     prob = derive_problem(tau, [(0.0, 0, 1), (0.5, 1, 1)])
     assert prob.m == 1
-    # critical totals are marked, not raised, at derivation time
+    prob.require_noncritical()
+    # critical totals are not raised at derivation time, only when asked
     crit = derive_problem(tau, [(0.0, 1, 1)])
-    assert not crit.noncritical
     with pytest.raises(CriticalParametersError):
         crit.require_noncritical()
 
@@ -447,6 +447,7 @@ def test_residual_general_jacobian():
 def test_problem_json_round_trippable_fields():
     prob = problem_m0(0.2 + 1.1j, 0, 4)
     d = to_jsonable(prob)
-    assert d["noncritical"] is True
+    prob.require_noncritical()
+    assert (d["N1"], d["N2"]) == (0, 4)
     assert d["punctures"][0]["n1"] == 0
     assert d["punctures"][0]["n2"] == 4

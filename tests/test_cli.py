@@ -91,6 +91,37 @@ def test_even_with_tau_solves(capsys):
     assert all(r["residual"] <= 1e-8 for r in doc["roots"])
 
 
+def _punctures_file(tmp_path, punctures):
+    path = tmp_path / "punctures.json"
+    path.write_text(json.dumps({"punctures": [{"p": [p.real, p.imag], "n1": n1, "n2": n2}
+                                              for p, n1, n2 in punctures]}))
+    return str(path)
+
+
+def test_even_reads_a_punctures_file(tmp_path, capsys):
+    path = _punctures_file(tmp_path, [(0j, 0, 2)])
+    want = run_cli(capsys, "even", "--n1", "0", "--n2", "2", "--tau", "0.2,1.3")
+    got = run_cli(capsys, "even", "--tau", "0.2,1.3", "--punctures", path)
+    assert got == want and want[0] == 0
+
+
+def test_even_refuses_two_punctures_as_solve_does(tmp_path, capsys):
+    path = _punctures_file(tmp_path, [(0j, 0, 1), (0.5 + 0j, 0, 1)])
+    code, out, err = run_cli(capsys, "even", "--tau", "0.2,1.3", "--punctures", path)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "toda-census: error: this census handles a single puncture"
+    assert run_cli(capsys, "solve", "--tau", "0.2,1.3", "--punctures", path) == (code, out, err)
+
+
+def test_even_odd_odd_file_is_exit_3_before_critical(tmp_path, capsys):
+    # (1,7) is odd/odd and critical: the empty sector is the answer, from a
+    # file as from --n1/--n2
+    path = _punctures_file(tmp_path, [(0j, 1, 7)])
+    want = run_cli(capsys, "even", "--n1", "1", "--n2", "7", "--tau", "0.2,1.3")
+    assert want[0] == 3 and "even sector" in want[2]
+    assert run_cli(capsys, "even", "--tau", "0.2,1.3", "--punctures", path) == want
+
+
 def test_probe_degenerate_example(capsys):
     code, out, _ = run_cli(capsys, "probe-degenerate", "--n1", "0", "--n2", "2")
     assert code == 0

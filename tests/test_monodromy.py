@@ -23,7 +23,7 @@ from todacensus.monodromy import (
     verify_roots,
 )
 from todacensus.solver import solve_m0
-from todacensus.monodromy import _segment_transport  # tested directly below
+from todacensus.monodromy import _circle, _path_transport, _segment  # tested directly below
 
 TAU = 0.21 + 1.13j
 FAR = np.array([1000.0 + 1000.0j])  # singularity list that never interferes
@@ -118,10 +118,29 @@ def _expm(A):
 def test_segment_transport_matches_matrix_exponential():
     co = _ConstCoeffs(-0.7 + 0.1j, 0.2 - 0.3j)
     za, zb = 0.1 + 0.2j, 0.7 + 0.9j
-    (got,) = _segment_transport(co, za, zb, np.eye(3, dtype=complex)[None], FAR, 1e-12, 1e-14)
+    (got,) = _path_transport(co, *_segment(za, zb), np.eye(3, dtype=complex)[None], FAR, 1e-12, 1e-14)
     A = np.array([[0, 1, 0], [0, 0, 1], [-co.W3, -co.W2, 0]], complex)
     want = _expm(A * (zb - za))
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_circle_transport_with_constant_coefficients_is_identity(monkeypatch):
+    # entire coefficients: the circle is contractible, its transport the
+    # identity.  A singularity listed at the center caps each step at
+    # _POLE_CAP of the radius, so the step control, not a fixed polygon,
+    # sets the chords
+    co = _ConstCoeffs(-0.7 + 0.1j, 0.2 - 0.3j)
+    center = 0.3 - 0.2j
+    at, length = _circle(center, 0.4)
+    assert abs(at(0.0) - (0.7 - 0.2j)) <= 1e-15 and abs(at(length) - at(0.0)) <= 1e-15
+    assert abs(at(0.5 * length) - (-0.1 - 0.2j)) <= 1e-15
+    frames = _record(monkeypatch, "_taylor_frame")
+    (got,) = _path_transport(co, at, length, np.eye(3, dtype=complex)[None],
+                             np.array([center]), 1e-12, 1e-14)
+    assert np.max(np.abs(got - np.eye(3))) <= 1e-10
+    assert len(frames) == math.ceil(2 * math.pi / monodromy._POLE_CAP)
+    # the steps walk the circle: every frame sits on it
+    assert all(abs(abs(args[1] - center) - 0.4) <= 1e-15 for args, _ in frames)
 
 
 def test_taylor_frame_matches_leibniz_loop():
@@ -408,7 +427,7 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
             assert np.max(np.abs(Ma - Mb)) <= 1e-9
 
 
-@pytest.mark.parametrize("n1, n2, frames, jets", [(0, 2, 231, 234), (0, 4, 250, 253)])
+@pytest.mark.parametrize("n1, n2, frames, jets", [(0, 2, 184, 187), (0, 4, 203, 206)])
 def test_census_verification_work_is_bounded(monkeypatch, n1, n2, frames, jets):
     # the Taylor frames and coefficient jets that verifying a whole census
     # takes with this step control, the context's three half-period values
@@ -421,6 +440,30 @@ def test_census_verification_work_is_bounded(monkeypatch, n1, n2, frames, jets):
     assert all(rep.unitarizable and rep.pde_residual is not None for rep in reports)
     assert len(stacks) <= frames
     assert calls[0] <= jets
+
+
+def test_loops_and_the_first_hop_take_few_frames(monkeypatch):
+    # a local loop is a circle whose chords the step control picks, not a
+    # polygon whose every side restarts the step (48 frames), and the
+    # reconstruction chain starts at the grid corner next to the base
+    # point, not across the cell from it (28 frames)
+    prob, ctx, pvs = _census_params(0, 4)
+    frames = _record(monkeypatch, "_taylor_frame")
+    orig = monodromy.transport
+    spent = []
+
+    def counted(problem, ctx, params, path, *args, **kwargs):
+        before = len(frames)
+        out = orig(problem, ctx, params, path, *args, **kwargs)
+        spent.append((path, kwargs.get("Y0") is not None, len(frames) - before))
+        return out
+
+    monkeypatch.setattr(monodromy, "transport", counted)
+    verify_roots(prob, ctx, pvs)
+    loops = [n for path, _, n in spent if callable(path[0])]
+    hops = [n for _, handed, n in spent if handed]
+    assert len(loops) == 1 and loops[0] <= 32
+    assert len(hops) >= 50 and hops[0] <= 2
 
 
 def test_unitarizable_verdicts_of_the_census_and_the_nudged_control():
@@ -569,17 +612,17 @@ def test_hops_start_from_the_grid_stacks(monkeypatch):
     stencils = _record(monkeypatch, "_stencil")
     reused = reconstruct_and_check(prob, ctx, pvs, reports)
     # one frame per grid point is saved against building every hop's first
-    # stack afresh (245 frames)
-    assert len(frames) <= 184
+    # stack afresh (218 frames)
+    assert len(frames) <= 156
     reused_stacks = [args[0] for args, _ in stencils]
 
     # without the handed-over stack the first step rebuilds it: same frames
-    orig = monodromy._segment_transport
-    monkeypatch.setattr(monodromy, "_segment_transport", lambda *args: orig(*args[:7]))
+    orig = monodromy._path_transport
+    monkeypatch.setattr(monodromy, "_path_transport", lambda *args: orig(*args[:7]))
     frames.clear()
     stencils.clear()
     fresh = reconstruct_and_check(prob, ctx, pvs, reports)
-    assert len(frames) > 184
+    assert len(frames) > 156
     assert len(stencils) == len(reused_stacks)
     for (args, _), stacks in zip(stencils, reused_stacks):
         assert np.array_equal(args[0], stacks)
