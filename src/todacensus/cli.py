@@ -138,6 +138,13 @@ def _problem_from_args(args):
     return problem_m0(tau, args.n1, args.n2), None
 
 
+def _pair(args):
+    """(n1, n2) of a command that takes the pair from --n1 and --n2 only."""
+    if args.n1 is None or args.n2 is None:
+        raise StructuralError("--n1 and --n2 are required")
+    return args.n1, args.n2
+
+
 def _solver_config(args):
     kw = {"seed": args.seed}
     if args.tol is not None:
@@ -153,9 +160,7 @@ def cmd_invariants(args):
 
 
 def cmd_polys(args):
-    if args.n1 is None or args.n2 is None:
-        raise StructuralError("--n1 and --n2 are required")
-    system = build_m0_system(args.n1, args.n2)
+    system = build_m0_system(*_pair(args))
     out = to_jsonable(system)
     out["text"] = system.text()
     return out
@@ -163,9 +168,7 @@ def cmd_polys(args):
 
 def cmd_even(args):
     if args.tau is None:
-        if args.n1 is None or args.n2 is None:
-            raise StructuralError("--n1 and --n2 are required")
-        ep = build_even_poly(args.n1, args.n2)
+        ep = build_even_poly(*_pair(args))
         return {
             "n1": ep.n1,
             "n2": ep.n2,
@@ -203,8 +206,7 @@ def cmd_monodromy(args):
 
 
 def cmd_scan(args):
-    if args.n1 is None or args.n2 is None:
-        raise StructuralError("--n1 and --n2 are required")
+    n1, n2 = _pair(args)
     grid = {
         "re0": args.re0,
         "re1": args.re1,
@@ -213,14 +215,12 @@ def cmd_scan(args):
         "im1": args.im1,
         "nim": args.nim,
     }
-    rows = scan_tau(args.n1, args.n2, grid, config=_solver_config(args))
+    rows = scan_tau(n1, n2, grid, config=_solver_config(args))
     return rows
 
 
 def cmd_probe_degenerate(args):
-    if args.n1 is None or args.n2 is None:
-        raise StructuralError("--n1 and --n2 are required")
-    return solve_m0_degenerate(args.n1, args.n2, config=_solver_config(args))
+    return solve_m0_degenerate(*_pair(args), config=_solver_config(args))
 
 
 _DISPATCH = {

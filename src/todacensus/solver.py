@@ -10,14 +10,18 @@ and the quarter step together, are evaluated without in one more.  Newton
 drops a point as soon as its relative residual (see _relative) is <= 1e-13
 in the damped loop or <= 1e-15 in the polish, and returns it for every
 point, so acceptance costs no further kernel call; _MAX_ITER and
-_POLISH_ITER only cap the two phases.  Starts run in chunks, and each
-chunk's accepted points are merged into the clusters kept from the chunks
-before; the points are clustered afresh only when a box doubling changes
-the metric.  Theorem (i) bounds the number of solutions by the
-weighted-Bezout bound, so a Halton chunk stops its damped loop once its
-converged points, their mirrors (below) and the clusters so far hold that
-many distinct roots; the polish and the acceptance then run as for any
-batch.  The system is invariant under z -> -z, which maps a
+_POLISH_ITER only cap the two phases.  The census keeps its accepted
+points in one store, a record array with one record per point (its
+residual, polish tails and Jacobian, and whether it is a Newton endpoint
+and whether it is or has a mirror), and runs its search boxes, the first
+and up to _MAX_DOUBLINGS doublings of it, in one loop.  Starts run in
+chunks, and each chunk's accepted points join the store and are merged
+into the clusters kept from the chunks before; a new box changes the
+metric, so it clusters the store afresh.  Theorem (i) bounds the number
+of solutions by the weighted-Bezout bound, so a Halton chunk stops its
+damped loop once its converged points, their mirrors (below) and the
+clusters so far hold that many distinct roots; the polish and the
+acceptance then run as for any batch.  The system is invariant under z -> -z, which maps a
 solution (B, D0, D) to (B, -D0, -D) and fixes the even ones: while a
 census is short of the bound, each non-even root found brings in its
 mirror, whose residual and Jacobian follow from the root's by signs alone,
@@ -628,16 +632,52 @@ def _mirror_signs(n1, n2):
 
 _SIGMA = np.array([1.0, -1.0, -1.0])
 
+# A census's accepted points, one record each: the point, its relative
+# residual, polish tails (prev, last) and Jacobian; endpoint marks Newton's
+# points, paired those that are a mirror or have one.
+_POINT = np.dtype([("x", complex, 3), ("res", float), ("tails", float, 2),
+                   ("J", complex, (3, 3)), ("endpoint", bool), ("paired", bool)])
+
+
+def _add(store, rows, clusters):
+    """The store with rows appended, after merging them into clusters."""
+    _cluster_points(rows["x"], rows["res"], clusters)
+    return np.concatenate([store, rows])
+
+
+def _mirror_rows(store, clusters, signs):
+    """The mirrors sigma(r) of the non-even representatives r whose cluster
+    holds no mirror yet, each a copy of r's record with D0 and D negated and
+    J times signs; marks those r paired."""
+    has = np.zeros(len(clusters), bool)
+    np.logical_or.at(has, clusters.label, store["paired"])
+    alone = np.array(clusters.rep, int)[~has]
+    alone = alone[~_even_points(store["x"][alone])]
+    store["paired"][alone] = True
+    rows = store[alone]
+    rows["x"][:, 1:] = -rows["x"][:, 1:]
+    rows["J"] *= signs
+    rows["endpoint"] = False
+    return rows
+
 
 def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     """Shared census engine; returns the CensusReport.
 
-    warm is what _newton_m0_batch returned for a batch of warm starts,
-    solved in the metric of the first box, _first_box(g2, g3): its points
-    are taken as a first batch before any other start.  Theorem (i) bounds
-    the number of solutions by the weighted-Bezout bound, so if that batch
-    alone reaches it the census is complete; otherwise it goes on as
-    without warm starts.
+    The accepted points live in one store, a record array of _POINT that
+    _add alone grows.  Box k of the one box loop has radius
+    _first_box(g2, g3) * 2**k, k <= _MAX_DOUBLINGS, and the loop ends at the
+    first box whose clusters reach the weighted-Bezout bound, which by
+    theorem (i) no census exceeds.  A later box changes the cluster metric,
+    so it merges the store afresh before its Halton chunks.
+
+    The first box runs two stages of its own first.  warm is what
+    _newton_m0_batch returned for a batch of warm starts, solved in the
+    metric of the first box: its points are taken before any other start,
+    and if they reach the bound the census is complete.  Then the structured
+    seeds run as a batch of their own when bound - found <= 2 * len(seeds),
+    since each endpoint adds at most its own cluster and its mirror's;
+    otherwise they join the first Halton chunk.
 
     sigma(x) = (B, -D0, -D) is a solution with x, and the even ones are its
     fixed points.  A batch that leaves the census short of the bound is
@@ -646,11 +686,6 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     polish tails are those of r up to signs, so it costs no kernel call.
     Mirrors are clustered like Newton endpoints, but only endpoints count
     as hits.
-
-    In the first box the structured seeds run as a batch of their own when
-    bound - found <= 2 * len(seeds), since each endpoint adds at most its
-    own cluster and its mirror's; otherwise they join the first Halton
-    chunk.
 
     Every Halton chunk (not the seeds alone, nor warm starts) gets the
     census's _completion_test: Newton stops the chunk's damped loop once its
@@ -664,91 +699,69 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     representatives costs no kernel call either."""
     bound = bezout_bound([(n1, n2)])
     cfg = config or SolverConfig()
-    box = first_box = _first_box(g2, g3)
-    budget = starts = _HALTON_PER_ROOT * bound
+    first_box = _first_box(g2, g3)
+    starts = _HALTON_PER_ROOT * bound
     offset = 101 + 7919 * (cfg.seed % 1000003)
     signs = _mirror_signs(n1, n2)[:, None] * _SIGMA
-
-    # accepted points, their relative residuals, polish tails (prev, last)
-    # and Jacobians; endpoint marks Newton's points, paired those that are a
-    # mirror or have one
-    pts = np.empty((0, 3), complex)
-    res = np.empty(0)
-    tails = np.empty((0, 2))
-    Js = np.empty((0, 3, 3), complex)
-    endpoint = np.empty(0, bool)
-    paired = np.empty(0, bool)
+    store = np.empty(0, _POINT)
     starts_used = 0
-    doublings = 0
     notes = []
 
-    def add(X, r, t, J, newton):
-        nonlocal pts, res, tails, Js, endpoint, paired
-        pts = np.concatenate([pts, X])
-        res = np.concatenate([res, r])
-        tails = np.concatenate([tails, t])
-        Js = np.concatenate([Js, J])
-        endpoint = np.concatenate([endpoint, np.full(len(X), newton)])
-        paired = np.concatenate([paired, np.full(len(X), not newton)])
-        _cluster_points(X, r, clusters)
-
-    def mirror():
-        has = np.zeros(len(clusters), bool)
-        np.logical_or.at(has, clusters.label, paired)
-        alone = np.array(clusters.rep, int)[~has]
-        alone = alone[~_even_points(pts[alone])]
-        if len(alone):
-            paired[alone] = True
-            X = pts[alone]
-            X[:, 1:] = -X[:, 1:]
-            add(X, res[alone], tails[alone], Js[alone] * signs, False)
-
-    def accept(newton_out, sample_scales):
-        nonlocal starts_used
-        Xb, rb, relb, Jb, tp, tl = newton_out
-        starts_used += len(Xb)
-        rb = np.where(np.isfinite(rb) & _in_sample_box(Xb, sample_scales), relb, np.inf)
-        keep = rb <= cfg.accept_tol
-        add(Xb[keep], rb[keep], np.stack([tp[keep], tl[keep]], axis=1), Jb[keep], True)
+    def accept(store, batch):
+        """The store with a Newton batch's accepted points and, while the
+        census is short of the bound, the mirrors they bring."""
+        X, res, rel, J, tail_prev, tail_last = batch
+        keep = np.isfinite(res) & _in_sample_box(X, sample_scales) & (rel <= cfg.accept_tol)
+        rows = np.zeros(np.count_nonzero(keep), _POINT)
+        rows["x"], rows["res"], rows["J"] = X[keep], rel[keep], J[keep]
+        rows["tails"] = np.stack([tail_prev[keep], tail_last[keep]], axis=1)
+        rows["endpoint"] = True
+        store = _add(store, rows, clusters)
         if len(clusters) < bound:
-            mirror()
+            rows = _mirror_rows(store, clusters, signs)
+            if len(rows):
+                store = _add(store, rows, clusters)
+        return store
 
-    while True:
+    for doublings in range(_MAX_DOUBLINGS + 1):
+        box = first_box * 2.0 ** doublings
+        if doublings:
+            notes.append("box doubled to %.3g after underfull census" % box)
         # the cluster metric respects the scaling weights of the parameters;
         # the sampling box for D0 is deliberately wider (empirically the
-        # largest |D0| among roots runs near |B|, not sqrt(|B|)); a new box
-        # changes the metric, so the points so far are merged afresh
+        # largest |D0| among roots runs near |B|, not sqrt(|B|))
         metric_scales = _metric_scales(box)
         sample_scales = (box, box, box ** 1.5)
         clusters = _Clusters(metric_scales)
-        if doublings == 0 and warm is not None:
-            accept(warm, sample_scales)
-        elif len(pts):
-            _cluster_points(pts, res, clusters)
-        seeds = np.empty((0, 3), complex)
-        if doublings == 0 and len(clusters) < bound:
-            seeds = _structured_starts(n1, n2, g2, g3)
-            if bound - len(clusters) <= 2 * len(seeds):
-                accept(_newton_m0_batch(n1, n2, bnum, seeds, metric_scales, cfg),
-                       sample_scales)
-                seeds = seeds[:0]
-        consumed = 0
-        while consumed < budget and len(clusters) < bound:
+        if len(store):
+            _cluster_points(store["x"], store["res"], clusters)
+        seeds = np.empty((0, 3), complex)  # the seeds that join the first chunk
+        if not doublings:
+            if warm is not None:
+                starts_used += len(warm[0])
+                store = accept(store, warm)
+            if len(clusters) < bound:
+                seeds = _structured_starts(n1, n2, g2, g3)
+                if bound - len(clusters) <= 2 * len(seeds):
+                    starts_used += len(seeds)
+                    store = accept(store, _newton_m0_batch(n1, n2, bnum, seeds,
+                                                           metric_scales, cfg))
+                    seeds = seeds[:0]
+        budget = max(_CHUNK, starts // 2) if doublings else starts
+        for consumed in range(0, budget, _CHUNK):
+            if len(clusters) >= bound:
+                break
             take = min(_CHUNK, budget - consumed)
             u = _halton_block(offset, take)
             offset += take
-            consumed += take
             X = np.vstack([seeds, _starts_from_unit(u, sample_scales)])
             seeds = seeds[:0]
+            starts_used += len(X)
             complete = _completion_test(clusters, bound, sample_scales)
-            accept(_newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg, complete),
-                   sample_scales)
-        if len(clusters) >= bound or doublings >= _MAX_DOUBLINGS:
+            store = accept(store, _newton_m0_batch(n1, n2, bnum, X, metric_scales, cfg,
+                                                   complete))
+        if len(clusters) >= bound:
             break
-        doublings += 1
-        box *= 2.0
-        budget = max(_CHUNK, starts // 2)
-        notes.append("box doubled to %.3g after underfull census" % box)
 
     if not len(clusters):
         raise InconclusiveError(
@@ -757,36 +770,22 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     if len(clusters) > bound:
         notes.append("cluster count exceeds the bound; spurious splits likely")
 
-    # final diagnostics on cluster centers
-    rep = np.array(clusters.rep)
-    hits = np.bincount(clusters.label[endpoint], minlength=len(rep))
-    is_even = np.zeros(len(rep), bool)
-    np.logical_or.at(is_even, clusters.label, _even_points(pts))
+    # final diagnostics on the representatives: a root is degenerate where
+    # J is near singular or the polish steps stopped shrinking
+    top = store[np.array(clusters.rep)]
+    hits = np.bincount(clusters.label[store["endpoint"]], minlength=len(top))
+    is_even = np.zeros(len(top), bool)
+    np.logical_or.at(is_even, clusters.label, _even_points(store["x"]))
     with np.errstate(all="ignore"):
-        sig = np.linalg.svd(Js[rep], compute_uv=False)
-
-    out = []
-    for gi, i in enumerate(rep):
-        c = pts[i]
-        tail_prev, tail_last = tails[i]
-        smin, smax = sig[gi, -1], sig[gi, 0]
-        tail_bad = bool(
-            np.isfinite(tail_last) and tail_last > 1e-9
-            and np.isfinite(tail_prev) and tail_last > 0.2 * tail_prev
-        )
-        degenerate = bool(smin <= 1e-8 * (1.0 + smax)) or tail_bad
-        out.append(
-            RootCluster(
-                B=complex(c[0]),
-                D0=complex(c[1]),
-                D=complex(c[2]),
-                residual=float(res[i]),
-                is_even=bool(is_even[gi]),
-                degenerate=degenerate,
-                hits=int(hits[gi]),
-                sigma_min=float(smin),
-            )
-        )
+        sig = np.linalg.svd(top["J"], compute_uv=False)
+    prev, last = top["tails"].T
+    degenerate = (sig[:, -1] <= 1e-8 * (1.0 + sig[:, 0])) | (
+        np.isfinite(prev) & np.isfinite(last) & (last > 1e-9) & (last > 0.2 * prev))
+    out = [RootCluster(B=complex(x[0]), D0=complex(x[1]), D=complex(x[2]), residual=float(res),
+                       is_even=bool(even), degenerate=bool(degen), hits=int(h),
+                       sigma_min=float(smin))
+           for x, res, even, degen, h, smin
+           in zip(top["x"], top["res"], is_even, degenerate, hits, sig[:, -1])]
     out.sort(
         key=lambda cl: (
             round(cl.B.real, 9), round(cl.B.imag, 9),

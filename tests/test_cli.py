@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from todacensus import monodromy
+from todacensus import monodromy, solver
 from todacensus.cli import main, parse_tau
 
 
@@ -145,6 +145,16 @@ def test_monodromy_command(capsys):
     assert root["pde_residual"] <= 1e-4
 
 
+def test_solve_tol_is_the_acceptance_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--n1", "0", "--n2", "2",
+                           "--tau", "0.2,1.1", "--tol", "1e-9")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["accept_tol"] == 1e-9
+    assert doc["total"] == doc["bound"] == 2
+    assert all(cl["residual"] <= 1e-9 for cl in doc["clusters"])
+
+
 def test_monodromy_tol_is_transport_rtol_only(capsys):
     # --tol is the transport rtol of monodromy; the census keeps its default
     code, out, _ = run_cli(capsys, "monodromy", "--n1", "0", "--n2", "1",
@@ -170,6 +180,24 @@ def test_solve_critical_is_exit_2(capsys):
     assert code == 2
     assert "critical" in err
     assert "(mod 3)" in err
+
+
+GRID = ("--re0", "0", "--re1", "0.1", "--nre", "2", "--im0", "1", "--im1", "1.1", "--nim", "2")
+
+
+@pytest.mark.parametrize("argv,problem", [
+    (("polys", "--n1", "0"), "--n1 and --n2 are required"),
+    (("even", "--n1", "0"), "--n1 and --n2 are required"),
+    (("scan", "--n1", "0", *GRID), "--n1 and --n2 are required"),
+    (("probe-degenerate", "--n1", "0"), "--n1 and --n2 are required"),
+    (("solve", "--n1", "0", "--tau", "0.2,1.3"), "either --punctures or --n1/--n2 is required"),
+    (("scan", "--n1", "0", "--n2", "2", *GRID[:5], "0", *GRID[6:]),
+     "grid sizes must be positive"),
+], ids=["polys", "even", "scan", "probe-degenerate", "solve", "scan-nre-0"])
+def test_incomplete_input_is_usage_error(capsys, argv, problem):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "toda-census: error: " + problem
 
 
 @pytest.mark.parametrize("command", ["invariants", "solve"])
@@ -291,6 +319,30 @@ def test_scan_csv_default(capsys):
     # row-major: imag varies slowest
     ims = [float(l.split(",")[1]) for l in lines[1:]]
     assert ims == sorted(ims)
+
+
+def test_scan_error_rows_in_csv(monkeypatch, capsys):
+    # the cells at Im tau = 0.0005 have no invariants: their rows hold the
+    # error and empty numeric cells, and the first cell above them, whose
+    # warm-start neighbour failed, runs the full census
+    warm = []
+    census = solver._census
+
+    def recording(*args):
+        warm.append(args[-1] is not None)
+        return census(*args)
+
+    monkeypatch.setattr(solver, "_census", recording)
+    code, out, _ = run_cli(capsys, "scan", "--n1", "0", "--n2", "2",
+                           "--re0", "0.1", "--re1", "0.2", "--nre", "2",
+                           "--im0", "0.0005", "--im1", "1.0", "--nim", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:3] == ["0.1,0.0005,,,,,,tau too close to the real axis",
+                          "0.2,0.0005,,,,,,tau too close to the real axis"]
+    cells = [line.split(",") for line in lines[3:]]
+    assert [c[1:4] + c[-1:] for c in cells] == [["1.0", "2", "2", ""]] * 2
+    assert warm == [False, True]
 
 
 def test_scan_json_wraps_rows(capsys):

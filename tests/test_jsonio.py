@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from todacensus.jsonio import dumps_canonical, to_jsonable
+from todacensus.jsonio import dumps_canonical, rows_to_csv, to_jsonable
 
 
 @dataclass(frozen=True)
@@ -37,3 +37,8 @@ def test_dataclass_serializes_from_its_fields():
 def test_to_json_dict_wins_over_fields():
     assert to_jsonable(_Custom(7)) == {"renamed": 7}
     assert dumps_canonical(_Custom(7)) == '{"renamed":7,"schema":"toda-census/1"}\n'
+
+
+def test_csv_quotes_string_cells_that_need_it():
+    rows = [{"error": 'a, "b"\nc', "x": 0.5}, {"error": "plain", "x": None}]
+    assert rows_to_csv(rows, ["x", "error"]) == 'x,error\n0.5,"a, ""b""\nc"\n,plain\n'
