@@ -213,6 +213,16 @@ class ParamVec:
         return self.Dk[0]
 
 
+def _param_vec(problem, params):
+    """params, a ParamVec or a flat vector in its order, as a ParamVec with
+    one A_k, B_k and D_k per puncture of problem."""
+    if not isinstance(params, ParamVec):
+        params = ParamVec.from_vector(params)
+    if not (len(params.A) == len(params.Bk) == len(params.Dk) == len(problem.punctures)):
+        raise StructuralError("parameter arity does not match puncture count")
+    return params
+
+
 # ---------------------------------------------------------------------------
 # symbolic m = 0 system
 
@@ -364,23 +374,29 @@ class EvenPoly:
         return [self.poly.coefficient("B", k).eval(asg) for k in range(self.Ne + 1)]
 
 
+def _weights(n1, n2):
+    """Weights of (P1, P2, P3) under B:2, D0:1, D:3, g2:4, g3:6.  z -> -z,
+    which maps (B, D0, D) to (B, -D0, -D), multiplies P_i by (-1)^w_i."""
+    return (n1 + 1, n2 + 1, n1 + n2 + 2)
+
+
 def even_count_Ne(n1, n2):
-    """Size of the even sector: the degree of the even polynomial.
+    """Size of the even sector: the degree of the even polynomial, half the
+    one even weight.  In the even sector D0 = D = 0 only the P_i of even
+    weight survive; where all three are even (both multiplicities odd) the
+    sector is empty.
 
     Refuses both-odd pairs (empty even sector) and critical pairs."""
     n1, n2 = _multiplicities(n1, n2)
+    even = [w for w in _weights(n1, n2) if w % 2 == 0]
     # the empty-sector refusal outranks the critical one: a request for the
     # even sector of an odd/odd pair is answered by nonexistence either way
-    if n1 % 2 == 1 and n2 % 2 == 1:
+    if len(even) != 1:
         raise EvenNonexistenceError(
             "both multiplicities are odd, so the even sector is empty"
         )
     _require_noncritical(n1, n2)
-    if n1 % 2 == 1:
-        return (n1 + 1) // 2
-    if n2 % 2 == 1:
-        return (n2 + 1) // 2
-    return (n1 + n2 + 2) // 2
+    return even[0] // 2
 
 
 def build_even_poly(n1, n2):
@@ -393,17 +409,10 @@ def build_even_poly(n1, n2):
     Ne = even_count_Ne(n1, n2)
     n1, n2 = int(n1), int(n2)
     _, _, _, _, rho = _local_data(n1, n2)
-    # which exponent carries the even series:
-    if n1 % 2 == 1:          # n1 odd, n2 even
-        k = 0
-    elif n2 % 2 == 1:        # n1 even, n2 odd
-        k = 1
-    else:                    # both even
-        k = 0
-    s = rho[k] / 2
+    # the even series starts at rho[1] when the even weight is P2's
+    s = rho[1 if _weights(n1, n2)[1] == 2 * Ne else 0] / 2
 
     V, W = EVEN_VARS, EVEN_WEIGHTS
-    zero = WeightedPoly.zero(V, W)
     one = WeightedPoly.const(V, W, 1)
     Bv = WeightedPoly.var(V, W, "B")
     g2v = WeightedPoly.var(V, W, "g2")
@@ -562,13 +571,10 @@ def residual_general(problem, ctx, params, with_jacobian=False):
     Parameters may be a ParamVec or a plain vector in the above order.
     """
     problem.require_noncritical()
-    if not isinstance(params, ParamVec):
-        params = ParamVec.from_vector(params)
+    params = _param_vec(problem, params)
     if abs(ctx.tau - problem.lattice.tau) > 1e-12:
         raise StructuralError("context and problem use different lattices")
     mp1 = len(problem.punctures)
-    if not (len(params.A) == len(params.Bk) == len(params.Dk) == mp1):
-        raise StructuralError("parameter arity does not match puncture count")
     n = 3 * mp1 + 2
 
     bmax = max(pk.n1 + pk.n2 + 2 for pk in problem.punctures)

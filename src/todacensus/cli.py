@@ -34,7 +34,14 @@ from .errors import (
 )
 from .jsonio import dumps_canonical, rows_to_csv, to_jsonable
 from .monodromy import verify_roots
-from .solver import SolverConfig, scan_tau, solve_even, solve_m0, solve_m0_degenerate
+from .solver import (
+    SCAN_COLUMNS,
+    SolverConfig,
+    scan_tau,
+    solve_even,
+    solve_m0,
+    solve_m0_degenerate,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -42,17 +49,6 @@ _SPECIAL_TAU = {
     "i": complex(0.0, 1.0),
     "rho": complex(0.5, math.sqrt(3.0) / 2.0),
 }
-
-_SCAN_COLUMNS = [
-    "tau_re",
-    "tau_im",
-    "bound",
-    "total",
-    "even_total",
-    "max_residual",
-    "degenerate",
-    "error",
-]
 
 
 def parse_tau(text):
@@ -275,7 +271,7 @@ def _emit(args, payload):
     elif fmt == "csv":
         raise StructuralError("csv output is only available for scan")
     if fmt == "csv":
-        text = rows_to_csv(payload, columns=_SCAN_COLUMNS)
+        text = rows_to_csv(payload, columns=SCAN_COLUMNS)
     else:
         if isinstance(payload, list):
             payload = {"rows": payload}

@@ -13,7 +13,6 @@ __all__ = [
     "EvaluationError",
     "PathClearanceError",
     "InconclusiveError",
-    "InconclusiveWarning",
 ]
 
 
@@ -46,7 +45,3 @@ class PathClearanceError(RuntimeError):
 
 class InconclusiveError(RuntimeError):
     """A numerical search exhausted its budget without a usable answer."""
-
-
-class InconclusiveWarning(RuntimeWarning):
-    """A numerical search returned a partial or unpolished answer."""

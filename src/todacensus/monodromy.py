@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apparency import ParamVec
+from .apparency import _param_vec
 from .elliptic import compute_invariants, lattice_distance
 from .errors import (
     EvaluationError,
@@ -74,11 +74,8 @@ class _OdeCoeffs:
     """
 
     def __init__(self, problem, ctx, params):
-        pvs = [p if isinstance(p, ParamVec) else ParamVec.from_vector(p) for p in params]
+        pvs = [_param_vec(problem, p) for p in params]
         mp1 = len(problem.punctures)
-        for pv in pvs:
-            if not (len(pv.A) == len(pv.Bk) == len(pv.Dk) == mp1):
-                raise StructuralError("parameter arity does not match puncture count")
 
         self.ctx = ctx
         self.points = [complex(pk.p) for pk in problem.punctures]

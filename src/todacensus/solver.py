@@ -33,9 +33,9 @@ endpoints and the mirrors of those could complete the census (bound - found
 <= 2 * seeds), and the smallest pairs need no Halton start at all;
 otherwise they join the first Halton chunk.  A start's endpoint does not
 depend on its batch, and the Halton starts are drawn in the same order
-either way.  The even sector is additionally solved on its own by an
-Aberth-Ehrlich iteration, so the two counts can be compared independently
-by callers and tests.
+either way.  The even sector is additionally solved on its own, from the
+eigenvalues of the companion matrix of its polynomial, so the two counts
+can be compared independently by callers and tests.
 
 scan_tau runs the census over a tau grid: each cell first runs Newton from
 the roots of its neighbour, and stops there if they reach the
@@ -55,13 +55,13 @@ radius r.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .apparency import (
     ProblemSpec,
+    _weights,
     bezout_bound,
     build_even_poly,
     m0_pair,
@@ -73,7 +73,6 @@ from .errors import (
     EvaluationError,
     EvenNonexistenceError,
     InconclusiveError,
-    InconclusiveWarning,
     StructuralError,
 )
 
@@ -88,6 +87,7 @@ __all__ = [
     "solve_m0_degenerate",
     "scan_tau",
     "roots_univariate",
+    "SCAN_COLUMNS",
 ]
 
 # read by nothing since scans run as one warm-started chain; bench/run.py imports it
@@ -234,7 +234,7 @@ def _starts_from_unit(u, scales):
 
 
 # ---------------------------------------------------------------------------
-# univariate roots (Aberth-Ehrlich)
+# univariate roots (companion matrix)
 
 
 def _horner_pair(coeffs, z):
@@ -247,18 +247,19 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
-_ROOTS_MAX_ITER = 200  # Aberth iterations of roots_univariate
-
-
 def roots_univariate(coeffs, tol=1e-12):
     """All complex roots of a polynomial with multiplicities.
 
     coeffs is ascending (coeffs[k] multiplies z**k).  Exactly-zero leading
-    entries are stripped.  Returns a list of (root, multiplicity) pairs,
-    sorted by (real, imag); nearby approximations within
-    (sqrt(tol) + 1e-5)*(1+|z|) are merged and their multiplicity is the
-    merged count.  Non-convergence emits InconclusiveWarning and returns the
-    current (partial) state.
+    entries are stripped.  The roots are the eigenvalues of the companion
+    matrix of the monic polynomial (numpy.roots), a backward-stable method
+    at these degrees (Edelman-Murakami, Math. Comp. 64, 1995).  Roots within
+    (sqrt(tol) + 1e-5)*(1+|z|) of each other are merged into one, at their
+    mean, whose multiplicity is the merged count; tol sets only this
+    radius.  A root left alone by the merge takes one Newton step, kept
+    where it lowers |p|.  Returns a list of (root, multiplicity) pairs,
+    sorted by (real, imag).  Non-finite monic coefficients, or a failure of
+    the eigenvalue solver, raise InconclusiveError.
     """
     c = [complex(v) for v in coeffs]
     while c and c[-1] == 0:
@@ -268,31 +269,14 @@ def roots_univariate(coeffs, tol=1e-12):
         raise StructuralError("zero polynomial has no well-defined roots")
     if n == 0:
         return []
-    lead = c[-1]
-    cn = [v / lead for v in c]
-    arr = np.array(cn, complex)
-    radius = 1.0 + max(abs(v) for v in cn[:-1])
-    k = np.arange(n)
-    z = 0.8 * radius * np.exp(2j * np.pi * (k / n + 0.1237))
-    converged = False
-    for _ in range(_ROOTS_MAX_ITER):
-        p, dp = _horner_pair(arr, z)
-        nr = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), tol)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = np.sum(1.0 / diff, axis=1) - 1.0  # undo the diagonal fill
-        w = nr / (1.0 - nr * s)
-        z = z - w
-        if np.all(np.abs(w) <= tol * (1.0 + np.abs(z))):
-            converged = True
-            break
-    if not converged:
-        p, _ = _horner_pair(arr, z)
-        if np.max(np.abs(p)) > math.sqrt(tol):
-            warnings.warn(
-                "root iteration did not converge; returning partial result",
-                InconclusiveWarning,
-            )
+    with np.errstate(all="ignore"):
+        arr = np.array(c, complex) / c[-1]
+    if not np.isfinite(arr).all():
+        raise InconclusiveError("the monic polynomial has non-finite coefficients")
+    try:
+        z = np.roots(arr[::-1])
+    except np.linalg.LinAlgError as e:
+        raise InconclusiveError("companion matrix eigenvalues failed: %s" % e)
     # merge clusters; a multiplicity-mu root is only located to about
     # eps^(1/mu), so the radius must cover that scatter (single linkage
     # handles the chain where approximations straddle the true root)
@@ -301,18 +285,19 @@ def roots_univariate(coeffs, tol=1e-12):
     groups = []
     for zi in z:
         rad = (math.sqrt(tol) + 1e-5) * (1.0 + abs(zi))
-        placed = False
-        for g in groups:
-            if any(abs(zi - m) <= rad for m in g):
-                g.append(zi)
-                placed = True
-                break
-        if not placed:
+        near = [g for g in groups if any(abs(zi - m) <= rad for m in g)]
+        if near:
+            near[0].append(zi)
+        else:
             groups.append([zi])
-    out = []
-    for members in groups:
-        center = sum(members) / len(members)
-        out.append((complex(center), len(members)))
+    centre = np.array([sum(g) / len(g) for g in groups], complex)
+    mult = np.array([len(g) for g in groups])
+    with np.errstate(all="ignore"):
+        p, dp = _horner_pair(arr, centre)
+        step = centre - p / dp
+        better = (mult == 1) & (np.abs(_horner_pair(arr, step)[0]) < np.abs(p))
+    centre[better] = step[better]
+    out = [(complex(r), int(m)) for r, m in zip(centre, mult)]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 
@@ -626,8 +611,9 @@ def _metric_scales(box):
 def _mirror_signs(n1, n2):
     """Signs s of the equations under sigma(B, D0, D) = (B, -D0, -D), the
     z -> -z symmetry (lam = -1 in the scaling weights): F(sigma x) = s F(x)
-    and J(sigma x) = s J(x) _SIGMA, bit for bit."""
-    return np.array([(-1.0) ** (n1 + 1), (-1.0) ** (n2 + 1), (-1.0) ** (n1 + n2)])
+    and J(sigma x) = s J(x) _SIGMA, bit for bit: s_i = (-1)^w_i for the
+    weights w of (P1, P2, P3)."""
+    return np.array([(-1.0) ** w for w in _weights(n1, n2)])
 
 
 _SIGMA = np.array([1.0, -1.0, -1.0])
@@ -872,25 +858,19 @@ def solve_even(problem, ctx=None, config=None):
 # parameter scans
 
 
+# the keys of a scan row, in order; also the CSV columns of a scan
+SCAN_COLUMNS = ("tau_re", "tau_im", "bound", "total", "even_total", "max_residual",
+                "degenerate", "error")
+
+
 def _scan_row(tau, rep=None, error=None):
     """One scan row, from the cell's census report or its error."""
-    row = {
-        "tau_re": tau.real,
-        "tau_im": tau.imag,
-        "bound": None,
-        "total": None,
-        "even_total": None,
-        "max_residual": None,
-        "degenerate": None,
-        "error": error,
-    }
+    counts = (None,) * 5
     if rep is not None:
-        row["bound"] = rep.bound
-        row["total"] = rep.total
-        row["even_total"] = rep.even_total
-        row["max_residual"] = max((c.residual for c in rep.clusters), default=0.0)
-        row["degenerate"] = sum(1 for c in rep.clusters if c.degenerate)
-    return row
+        counts = (rep.bound, rep.total, rep.even_total,
+                  max((c.residual for c in rep.clusters), default=0.0),
+                  sum(1 for c in rep.clusters if c.degenerate))
+    return dict(zip(SCAN_COLUMNS, (tau.real, tau.imag, *counts, error)))
 
 
 def _warm_wave(n1, n2, cells, cfg):

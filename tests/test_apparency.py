@@ -1,6 +1,7 @@
 """Exact systems, even sector, scaling covariance, and the series oracle."""
 
 from fractions import Fraction
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from todacensus.errors import (
     StructuralError,
 )
 from todacensus.jsonio import to_jsonable
+from todacensus.monodromy import ode_coefficients
 from todacensus.polyring import WeightedPoly, weierstrass_laurent, weierstrass_laurent_symbolic
 
 from oracle_series import oracle_residual
@@ -338,6 +340,29 @@ def test_even_poly_shape_all_pairs(n1, n2):
     assert lead == WeightedPoly.const(("B", "g2", "g3"), (1, 2, 3), 1)
 
 
+EVEN_IDENTITY_PAIRS = [(n1, n2) for n1 in range(10) for n2 in range(n1 + 1, 10 - n1)
+                       if (n1 - n2) % 3 != 0]
+
+
+@pytest.mark.parametrize("n1,n2", EVEN_IDENTITY_PAIRS)
+def test_even_poly_is_the_even_restriction_of_the_system(n1, n2):
+    # two derivations of the even sector: the Frobenius recursion in z
+    # (build_m0_system) restricted to D0 = D = 0, and the descent through
+    # x = P(z) (build_even_poly); they must agree exactly
+    system = build_m0_system(n1, n2)
+    even = [P.substitute_zero("D0").substitute_zero("D") for P in system.polys()]
+    survivors = [i for i, P in enumerate(even) if not P.is_zero()]
+    if n1 % 2 == 1 and n2 % 2 == 1:
+        assert survivors == [0, 1, 2]
+        return
+    ep = build_even_poly(n1, n2)
+    assert len(survivors) == 1
+    P = even[survivors[0]]
+    (lead,) = P.coefficient("B", ep.Ne).terms.values()
+    terms = {(eB, e2, e3): c / lead for (eB, _, _, e2, e3), c in P.terms.items()}
+    assert terms == ep.poly.terms
+
+
 def test_even_counts():
     assert even_count_Ne(0, 1) == 1
     assert even_count_Ne(0, 2) == 2
@@ -442,6 +467,23 @@ def test_residual_general_jacobian():
         Fp = residual_general(prob, ctx, ParamVec.from_vector(xp))
         fd = (Fp - F) / h
         assert np.max(np.abs(fd - J[:, i])) <= 1e-5 * (1 + np.max(np.abs(J)))
+
+
+def test_param_vectors_refused_alike():
+    # residual_general and the ODE coefficients coerce and check a parameter
+    # vector the same way, and refuse it with the same text
+    tau = 0.17 + 1.21j
+    ctx = compute_invariants(tau)
+    prob = problem_m0(tau, 0, 1)
+    two = ParamVec(A=(0j, 0j), Bk=(0j, 0j), B=0j, Dk=(0j, 0j), D=0j)
+    for bad, text in ((two, "parameter arity does not match puncture count"),
+                      (np.zeros(7, complex), "parameter vector length must be 3m+5")):
+        with pytest.raises(StructuralError, match=re.escape(text)):
+            residual_general(prob, ctx, bad)
+        with pytest.raises(StructuralError, match=re.escape(text)):
+            ode_coefficients(prob, ctx, [bad], 0.4 + 0.4j)
+    with pytest.raises(StructuralError, match="context and problem use different lattices"):
+        residual_general(prob, compute_invariants(0.2 + 1.1j), ParamVec.m0(0, 0, 0))
 
 
 def test_problem_json_round_trippable_fields():

@@ -1,9 +1,11 @@
 """Every name a package module or test file imports is used by that file,
 every private name the package defines is used somewhere in the package,
 every defaulted parameter of the package is set by some call, every
-attribute the package stores is read somewhere, every entry point the
-benchmark's tracer (bench/tracer.py) wraps exists, a traced scan counts
-each Newton start once, and the CLI starts without mpmath.
+attribute the package stores is read somewhere, every exception that
+``errors`` exports is raised, caught or warned somewhere in the package,
+every entry point the benchmark's tracer (bench/tracer.py) wraps exists, a
+traced scan counts each Newton start once, and the CLI starts without
+mpmath.
 
 Static scans: each module of the package and each test file (but the
 frozen oracle_series.py) is parsed with ast.  An imported name counts as
@@ -15,7 +17,9 @@ of a package function counts as set when some call of that name (as a name
 or an attribute) in the package, the tests or the benchmark passes it by
 keyword or by position.  An attribute that the package stores, as
 ``x.attr = ...``, counts as read when some file of the package, the tests
-or the benchmark reads an attribute of that name.
+or the benchmark reads an attribute of that name.  An exported exception
+counts as used when a package module names it in a ``raise``, an
+``except`` clause or as the category of a ``warn`` call.
 """
 
 import ast
@@ -204,6 +208,55 @@ def test_no_unread_attributes():
     readers = [path.read_text() for folder in ("src", "tests", "bench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
     assert _unread_attributes(package, readers) == []
+
+
+def _unused_exceptions(names, sources):
+    """The names (exception classes) that no source raises, catches or
+    passes as a warning category: ``raise X``, ``raise X(...)``, ``except X``
+    or ``except (X, Y)``, and ``warn(message, X)`` or ``warn(...,
+    category=X)``, the call by name or as an attribute."""
+    used = set()
+
+    def add(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Tuple):
+            for elt in node.elts:
+                add(elt)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                add(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                add(node.type)
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "warn":
+                for arg in node.args[1:2] + [k.value for k in node.keywords
+                                             if k.arg == "category"]:
+                    add(arg)
+    return sorted(set(names) - used)
+
+
+def test_scan_finds_an_unused_exception():
+    a = ("try:\n    raise Refused('no')\nexcept (Refused, Lost):\n    raise\n"
+         "except errors.Gone:\n    warnings.warn('late', Late)\n"
+         "warn('again', category=Again)\nraise Bare\n")
+    names = ["Refused", "Lost", "Gone", "Late", "Again", "Bare", "Idle"]
+    assert _unused_exceptions(names, [a]) == ["Idle"]
+    assert _unused_exceptions(names, ["Idle = 1\n"]) == sorted(names)
+
+
+def test_every_exported_exception_is_used():
+    # an exception class that nothing raises, catches or warns is an
+    # exported promise that the package never keeps
+    errors = importlib.import_module("todacensus.errors")
+    sources = [path.read_text() for path in MODULES]
+    assert _unused_exceptions(errors.__all__, sources) == []
 
 
 def _load_tracer():

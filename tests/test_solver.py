@@ -9,6 +9,7 @@ import pytest
 import todacensus.solver as solver
 from todacensus.apparency import (
     bezout_bound,
+    build_even_poly,
     build_m0_system,
     derive_problem,
     even_count_Ne,
@@ -76,6 +77,29 @@ def test_roots_univariate_leading_zeros_and_scaling():
     roots = roots_univariate([-2e300, 1e300, 0.0])
     assert len(roots) == 1
     assert abs(roots[0][0] - 2.0) <= 1e-9
+
+
+def test_roots_univariate_simple_roots_at_the_rounding_floor():
+    # the companion eigenvalues of the even polynomials lie up to ~2e-15
+    # relative off their roots; the one Newton step brings every simple root
+    # to the rounding floor of |p(r)| against sum_k |c_k| |r|^k
+    ctx = compute_invariants(GENERIC_TAU)
+    for n1 in range(13):
+        for n2 in range(n1 + 1, 14 - n1):
+            if (n1 - n2) % 3 == 0 or n1 % 2 == n2 % 2 == 1:
+                continue
+            c = np.array(build_even_poly(n1, n2).coeffs_at(ctx.g2, ctx.g3))
+            for r, m in roots_univariate(c):
+                if m == 1:
+                    size = np.abs(c) @ np.abs(r) ** np.arange(len(c))
+                    assert abs(np.polyval(c[::-1], r)) <= 1e-15 * size
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_roots_univariate_refuses_non_finite_coefficients(bad):
+    # NaN roots are no answer: a non-finite coefficient is a typed give-up
+    with pytest.raises(InconclusiveError):
+        roots_univariate([1.0, bad, 1.0])
 
 
 # ---------------------------------------------------------------------------
