@@ -118,10 +118,15 @@ def _load_punctures(path):
     raise StructuralError("--punctures %s: %s" % (path, problem))
 
 
-def _problem_from_args(args):
-    tau = args.tau
-    if tau is None:
+def _tau(args):
+    """--tau of a command that needs it."""
+    if args.tau is None:
         raise StructuralError("--tau is required for this command")
+    return args.tau
+
+
+def _problem_from_args(args):
+    tau = _tau(args)
     if args.punctures:
         punctures, params = _load_punctures(args.punctures)
         try:
@@ -149,10 +154,7 @@ def _solver_config(args):
 
 
 def cmd_invariants(args):
-    tau = args.tau
-    if tau is None:
-        raise StructuralError("--tau is required")
-    return compute_invariants(tau)
+    return compute_invariants(_tau(args))
 
 
 def cmd_polys(args):

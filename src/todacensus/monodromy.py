@@ -456,37 +456,32 @@ def monodromy_pair(problem, ctx, params, rtol=1e-11):
 # ---------------------------------------------------------------------------
 # unitarization
 
-def _herm_basis():
-    """Orthonormal basis of the real space of 3 x 3 Hermitian matrices,
-    stacked (9, 3, 3)."""
-    basis = []
-    for i in range(3):
-        E = np.zeros((3, 3), complex)
-        E[i, i] = 1.0
-        basis.append(E)
-    s = 1.0 / math.sqrt(2.0)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            E = np.zeros((3, 3), complex)
-            E[i, j] = s
-            E[j, i] = s
-            basis.append(E)
-            E = np.zeros((3, 3), complex)
-            E[i, j] = 1j * s
-            E[j, i] = -1j * s
-            basis.append(E)
-    return np.array(basis)
-
-
-_HERM_BASIS = _herm_basis()
 _NULL_THRESHOLD = 1e-8  # singular values below this share of the largest span the null space
+
+
+def _invariant_form(N1, N2):
+    """Singular values of H -> (H - Nj^H H Nj)_j, j = 1, 2, and the Hermitian
+    H of unit norm that its last right singular vector gives.
+
+    On column-major vec(H) the map is I - kron(Nj^T, Nj^H), and the SVD runs
+    on the two stacked (18 x 9, complex).  Its null space is closed under
+    H -> H^H, so its singular values are those of the real operator on the
+    9 Hermitian coordinates, and the null vector is a Hermitian matrix up to
+    a phase: the phase of its largest diagonal entry is divided out, and the
+    result symmetrized."""
+    A = np.concatenate([np.eye(9) - np.kron(N.T, N.conj().T) for N in (N1, N2)])
+    _, S, Vh = np.linalg.svd(A)
+    H = Vh[-1].conj().reshape(3, 3, order="F")
+    d = np.diag(H)
+    H = H * np.exp(-1j * np.angle(d[np.argmax(np.abs(d))]))
+    return S, 0.5 * (H + H.conj().T)
 
 
 def unitarize(report):
     """Invariant positive Hermitian form for the two period monodromies.
 
-    Solves H = Nj^H H Nj over the real 9-dimensional space of Hermitian
-    matrices by SVD; requires the report to satisfy the commutator identity
+    Solves H = Nj^H H Nj for Hermitian H by one SVD (_invariant_form);
+    requires the report to satisfy the commutator identity
     first.  On success fills report.H / report.unitarizable and returns the
     transformed normal forms: N1 diagonal (1, eps, eps^2), N2 the cyclic
     permutation matrix.
@@ -495,14 +490,10 @@ def unitarize(report):
         raise StructuralError(
             "commutator residual too large; unitarization is meaningless"
         )
-    U, S, Vt = np.linalg.svd(_stack_operator(report))
-    null = S <= _NULL_THRESHOLD * S[0]
-    if not null.any():
+    S, H = _invariant_form(report.N1, report.N2)
+    if S[-1] > _NULL_THRESHOLD * S[0]:
         report.unitarizable = False
         return UnitarizeResult(ok=False, reason="no invariant Hermitian form")
-    hvec = Vt[-1]
-    H = sum(float(x) * Eb for x, Eb in zip(hvec, _HERM_BASIS))
-    H = 0.5 * (H + H.conj().T)
     lam = np.linalg.eigvalsh(H)
     if lam[0] * lam[-1] <= 0 or min(abs(lam)) <= 1e-8 * max(abs(lam)):
         report.unitarizable = False
@@ -564,15 +555,6 @@ def unitarize(report):
         unitary_residual=unit_res,
         normal_residual=normal_res,
     )
-
-
-def _stack_operator(report):
-    """Matrix of H -> (H - Nj^H H Nj)_j on Hermitian coordinates (18 x 9):
-    entry (9j + p, b) is Re tr(E_p^H (E_b - Nj^H E_b Nj)) for the basis
-    matrices E, all from one einsum over the stacked basis."""
-    N = np.stack([report.N1, report.N2])[:, None]  # (2, 1, 3, 3)
-    img = _HERM_BASIS - N.conj().swapaxes(2, 3) @ _HERM_BASIS @ N  # (2, 9, 3, 3)
-    return np.einsum("pik,jbik->jpb", _HERM_BASIS.conj(), img).real.reshape(18, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 solve_m0 runs a multi-start damped-Newton search over the three accessory
 parameters (B, D0, D), polishes every convergent trajectory with pure Newton
 steps, merges results into clusters in weight-scaled coordinates, and reports
-the count next to the weighted-Bezout bound.  Each Newton iterate costs one
-kernel call: the trial points are evaluated with their Jacobians, which the
-next step from there reuses, and a line search's shorter trials, the half
-and the quarter step together, are evaluated without in one more.  Newton
-drops a point as soon as its relative residual (see _relative) is <= 1e-13
-in the damped loop or <= 1e-15 in the polish, and returns it for every
-point, so acceptance costs no further kernel call; _MAX_ITER and
-_POLISH_ITER only cap the two phases.  The census keeps its accepted
+the count next to the weighted-Bezout bound.  Newton holds the points as one
+(S, 3) array with F and J current at each: every move evaluates the new
+points with their Jacobians, which the next step from there reuses.  An
+iterate costs one kernel call, and a line search two more: its shorter
+trials, the half and the quarter step together, are judged by value, and
+the picked ones evaluated with their Jacobians.  Newton drops a point as
+soon as its relative residual (see _relative) is <= 1e-13 in the damped
+loop or <= 1e-15 in the polish, and returns it for every point, so
+acceptance costs no further kernel call; _MAX_ITER and _POLISH_ITER only
+cap the two phases.  The census keeps its accepted
 points in one store, a record array with one record per point (its
 residual, polish tails and Jacobian, and whether it is a Newton endpoint
 and whether it is or has a mirror), and runs its search boxes, the first
@@ -177,6 +179,10 @@ class CensusReport:
 
 @dataclass(frozen=True)
 class EvenRoot:
+    """One root of the even-sector polynomial P_Ne.  residual is
+    |P_Ne(B)| / sum_k |c_k| |B|^k, relative to the size of the terms, as
+    the census measures its roots (see _relative)."""
+
     B: complex
     multiplicity: int
     residual: float
@@ -306,11 +312,11 @@ def roots_univariate(coeffs, tol=1e-12):
 # Newton engine
 
 
-def _scaled_mag(B, D0, D, scales):
-    sB, sD0, sD = scales
-    return np.maximum(
-        np.abs(B) / sB, np.maximum(np.abs(D0) / sD0, np.abs(D) / sD)
-    )
+def _scaled_mag(X, scales):
+    """max_k |x_k| / scales_k of the points X (S, 3), for scales (3,) or one
+    row per point (S, 3)."""
+    a = np.abs(X) / scales
+    return np.maximum(a[:, 0], np.maximum(a[:, 1], a[:, 2]))
 
 
 # Newton drops a point once its relative residual (see _relative)
@@ -350,13 +356,13 @@ def _solve_steps(J, F):
 def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
     """Damped Newton + pure-Newton polish on a batch of starts.
 
-    Each iterate costs one kernel call: the trial points of a step are
-    evaluated by m0_residual_batch, whose F, J and relative residual (see
-    _relative) then serve the next step from there.  A point whose full
-    step grew its residual is judged at the half and the quarter step, all
-    such points in one m0_value_batch call, and takes the half step if that
-    does not grow the residual, else the quarter step; it gets its F and J
-    at the start of its next iterate, or before the polish.
+    The points are one (S, 3) array, and F, J and the relative residual (see
+    _relative) are known at every point at every moment: each move of a
+    point evaluates it with m0_residual_batch, and the next step from there
+    reuses them.  A point whose full step grew its residual is judged at the
+    half and the quarter step, all such points in one m0_value_batch call,
+    and takes the half step if that does not grow the residual, else the
+    quarter step, evaluated in the same iterate.
 
     A point leaves each phase as soon as it has converged: when its relative
     residual is <= _DAMPED_STOP in the damped loop or <= _POLISH_STOP in the
@@ -377,96 +383,68 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
     their absolute and relative residuals and Jacobians (rel and J are
     known wherever res is finite), and the last two scaled polish step sizes
     (for tail diagnostics; Inf when never polished)."""
-    B = X0[:, 0].copy()
-    D0 = X0[:, 1].copy()
-    D = X0[:, 2].copy()
-    S = len(B)
-    tables = bnum if np.ndim(bnum) == 2 else None
-    sc = np.asarray(scales, float).T if np.ndim(scales) == 2 else None
-    # F, J and relative residual at the current points; stale marks a point
-    # whose F and J are not known there (rel is then Inf)
-    Fc = np.empty((S, 3), complex)
-    Jc = np.empty((S, 3, 3), complex)
-    rel = np.full(S, np.inf)
-    stale = np.zeros(S, bool)
+    X = np.array(X0, complex)
+    S = len(X)
+    sc = np.asarray(scales, float)
+    F = np.empty((S, 3), complex)
+    J = np.empty((S, 3, 3), complex)
+    res = np.empty(S)
+    rel = np.empty(S)
     # the points handed to complete so far, and the relative residual at
     # which a point is handed
     handed = np.zeros(S, bool)
     done = min(_DAMPED_STOP, cfg.accept_tol)
 
     def table(idx):
-        return bnum if tables is None else tables[:, idx]
+        return bnum if np.ndim(bnum) == 1 else bnum[:, idx]
 
     def scales_at(idx):
-        return scales if sc is None else sc[:, idx]
+        return sc if sc.ndim == 1 else sc[idx]
 
-    def evaluate(idx, B_, D0_, D_):
-        """F and J at the points (B_, D0_, D_), recorded as those of the
-        points idx; returns their absolute residuals."""
+    def move(idx, Xn):
+        """Move the points idx to Xn, with F, J and residuals there."""
         with np.errstate(all="ignore"):
-            F, J = m0_residual_batch(n1, n2, table(idx), B_, D0_, D_)
-            Fc[idx], Jc[idx] = F, J
-            rel[idx] = _relative(F, J, np.stack([B_, D0_, D_], axis=1))
-            stale[idx] = False
-            return np.max(np.abs(F), axis=-1)
+            Fn, Jn = m0_residual_batch(n1, n2, table(idx), *Xn.T)
+            X[idx], F[idx], J[idx] = Xn, Fn, Jn
+            res[idx] = np.max(np.abs(Fn), axis=-1)
+            rel[idx] = _relative(Fn, Jn, Xn)
 
-    def vres(idx, B_, D0_, D_):
-        with np.errstate(all="ignore"):
-            F = m0_value_batch(n1, n2, table(idx), B_, D0_, D_)
-            return np.max(np.abs(F), axis=-1)
-
-    def refresh(sel):
-        w = np.flatnonzero(sel & stale)
-        if len(w):
-            evaluate(w, B[w], D0[w], D[w])
-
-    res = evaluate(slice(None), B, D0, D)
+    move(slice(None), X)
     for _ in range(_MAX_ITER):
         with np.errstate(all="ignore"):
-            mag = _scaled_mag(B, D0, D, scales_at(slice(None)))
-        act = np.isfinite(res) & (res > _DAMPED_STOP) & (mag < 1e8)
-        refresh(act)
-        idx = np.flatnonzero(act & ~(rel <= _DAMPED_STOP))
+            mag = _scaled_mag(X, sc)
+        idx = np.flatnonzero(np.isfinite(res) & (res > _DAMPED_STOP) & (mag < 1e8)
+                             & ~(rel <= _DAMPED_STOP))
         if not len(idx):
             break
-        Ba, D0a, Da = B[idx], D0[idx], D[idx]
+        Xa, ra = X[idx], res[idx]
         with np.errstate(all="ignore"):
-            step = _solve_steps(Jc[idx], Fc[idx])
-            sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales_at(idx))
+            step = _solve_steps(J[idx], F[idx])
+            sn = _scaled_mag(step, scales_at(idx))
         cap = np.where(sn > 2.0, 2.0 / np.maximum(sn, 1e-300), 1.0)
         step = step * cap[:, None]
-        ra = res[idx]
-        Bn = Ba + step[:, 0]
-        D0n = D0a + step[:, 1]
-        Dn = Da + step[:, 2]
-        rn = evaluate(idx, Bn, D0n, Dn)
+        move(idx, Xa + step)
         # only the points whose step grew the residual take a shorter one:
         # the half step if it does not grow it, else the quarter step, both
         # judged in one value call
-        w = np.flatnonzero(~(rn <= np.maximum(ra, cfg.accept_tol)))
+        w = np.flatnonzero(~(res[idx] <= np.maximum(ra, cfg.accept_tol)))
         if len(w):
             half = step[w] * 0.5
-            Xw = np.stack([Ba[w], D0a[w], Da[w]], axis=1)
-            T = np.concatenate([Xw + half, Xw + half * 0.5]).T.copy()
-            rt = vres(np.tile(idx[w], 2), *T)
+            T = np.concatenate([Xa[w] + half, Xa[w] + half * 0.5])
+            with np.errstate(all="ignore"):
+                Ft = m0_value_batch(n1, n2, table(np.tile(idx[w], 2)), *T.T)
+                rt = np.max(np.abs(Ft), axis=-1)
             pick = np.arange(len(w))
             pick[~(rt[pick] <= np.maximum(ra[w], cfg.accept_tol))] += len(w)
-            Bn[w], D0n[w], Dn[w] = T[:, pick]
-            rn[w] = rt[pick]
-            stale[idx[w]] = True
-            rel[idx[w]] = np.inf
-        B[idx], D0[idx], D[idx] = Bn, D0n, Dn
-        res[idx] = rn
+            move(idx[w], T[pick])
         if complete is not None:
             new = np.flatnonzero(~handed & (rel <= done))
             handed[new] = True
-            if len(new) and complete(np.stack([B[new], D0[new], D[new]], axis=1)):
+            if len(new) and complete(X[new]):
                 break
 
     # polish: pure Newton, keep the best visited point
-    refresh(np.isfinite(res))
-    Bb, D0b, Db, rb, relb = B.copy(), D0.copy(), D.copy(), res.copy(), rel.copy()
-    Jb = Jc.copy()
+    Xb, rb, relb, Jb = X.copy(), res.copy(), rel.copy(), J.copy()
     tail_prev = np.full(S, np.inf)
     tail_last = np.full(S, np.inf)
     near = np.isfinite(res) & (res <= max(cfg.accept_tol * 1e4, 1e-6))
@@ -476,19 +454,15 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
         if not len(idx):
             break
         with np.errstate(all="ignore"):
-            step = _solve_steps(Jc[idx], Fc[idx])
-        Bn, D0n, Dn = B[idx] + step[:, 0], D0[idx] + step[:, 1], D[idx] + step[:, 2]
-        rn = evaluate(idx, Bn, D0n, Dn)
-        sn = _scaled_mag(step[:, 0], step[:, 1], step[:, 2], scales_at(idx))
+            step = _solve_steps(J[idx], F[idx])
+            sn = _scaled_mag(step, scales_at(idx))
+        move(idx, X[idx] + step)
         tail_prev[idx] = tail_last[idx]
         tail_last[idx] = sn
-        B[idx], D0[idx], D[idx], res[idx] = Bn, D0n, Dn, rn
         better = np.isfinite(res) & (res < rb)
-        Bb[better], D0b[better], Db[better], rb[better], relb[better] = (
-            B[better], D0[better], D[better], res[better], rel[better],
-        )
-        Jb[better] = Jc[better]
-    return np.stack([Bb, D0b, Db], axis=1), rb, relb, Jb, tail_prev, tail_last
+        Xb[better], rb[better], relb[better], Jb[better] = (
+            X[better], res[better], rel[better], J[better])
+    return Xb, rb, relb, Jb, tail_prev, tail_last
 
 
 def _relative(F, J, X):
@@ -564,7 +538,7 @@ def _in_sample_box(X, sample_scales):
     """Which points X (S, 3) lie close enough to the sample box to be
     accepted: within five times its scales."""
     with np.errstate(all="ignore"):
-        return _scaled_mag(X[:, 0], X[:, 1], X[:, 2], sample_scales) < 5.0
+        return _scaled_mag(X, sample_scales) < 5.0
 
 
 def _completion_test(clusters, bound, sample_scales):
@@ -840,8 +814,10 @@ def solve_even(problem, ctx=None, config=None):
     roots = []
     arr = np.array(coeffs, complex)
     for r, mult in roots_univariate(coeffs, tol=tol):
-        pv, _ = _horner_pair(arr, np.array([r]))
-        roots.append(EvenRoot(B=complex(r), multiplicity=mult, residual=float(abs(pv[0]))))
+        p = abs(_horner_pair(arr, np.array([r]))[0][0])
+        size = np.polyval(np.abs(arr[::-1]), abs(r))
+        roots.append(EvenRoot(B=complex(r), multiplicity=mult,
+                              residual=float(p / size) if size else 0.0))
     return EvenReport(
         tau=ctx.tau,
         n1=n1,

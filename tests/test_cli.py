@@ -193,7 +193,10 @@ GRID = ("--re0", "0", "--re1", "0.1", "--nre", "2", "--im0", "1", "--im1", "1.1"
     (("solve", "--n1", "0", "--tau", "0.2,1.3"), "either --punctures or --n1/--n2 is required"),
     (("scan", "--n1", "0", "--n2", "2", *GRID[:5], "0", *GRID[6:]),
      "grid sizes must be positive"),
-], ids=["polys", "even", "scan", "probe-degenerate", "solve", "scan-nre-0"])
+    (("invariants",), "--tau is required for this command"),
+    (("solve", "--n1", "0", "--n2", "1"), "--tau is required for this command"),
+], ids=["polys", "even", "scan", "probe-degenerate", "solve", "scan-nre-0", "invariants-no-tau",
+        "solve-no-tau"])
 def test_incomplete_input_is_usage_error(capsys, argv, problem):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -219,7 +222,8 @@ def test_numerical_give_up_is_exit_4(capsys, command):
      "missing key 'Bk'"),
     ('{"punctures": [{"p": [0.0, 0.0], "n1": -1, "n2": 2}]}',
      "multiplicities must be non-negative integers"),
-], ids=["missing", "not-json", "no-n2", "no-Bk", "negative-n1"])
+    ('{"punctures": [{"p": 3, "n1": 0, "n2": 2}]}', "malformed entry"),
+], ids=["missing", "not-json", "no-n2", "no-Bk", "negative-n1", "scalar-p"])
 def test_bad_punctures_file_is_usage_error(tmp_path, capsys, content, problem):
     path = tmp_path / "punctures.json"
     if content is not None:
@@ -239,6 +243,13 @@ def test_bad_tol_is_usage_error(capsys, command, tol):
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == (
         "toda-census: error: argument --tol: tolerance must be positive and finite")
+
+
+def test_non_numeric_tol_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "solve", "--n1", "0", "--n2", "2", "--tau", "0.2,1.3",
+                             "--tol", "abc")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "toda-census: error: argument --tol: tolerance must be a number"
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,22 +309,29 @@ def test_unitarize_01_normal_forms():
         assert np.max(np.abs(M.conj().T @ M - np.eye(3))) <= 1e-8
 
 
-def _stack_operator_loop(report):
-    """The operator as 162 separate traces Re tr(F^H (E - N^H E N)), the
-    loop the einsum replaced."""
-    cols = []
-    for Eb in monodromy._HERM_BASIS:
-        img_rows = []
-        for N in (report.N1, report.N2):
-            img = Eb - N.conj().T @ Eb @ N
-            img_rows.extend(
-                float(np.real(np.trace(Fb.conj().T @ img))) for Fb in monodromy._HERM_BASIS
-            )
-        cols.append(img_rows)
-    return np.array(cols).T
+def _herm_basis():
+    """Orthonormal basis of the real space of 3 x 3 Hermitian matrices."""
+    basis = []
+    for i in range(3):
+        E = np.zeros((3, 3), complex)
+        E[i, i] = 1.0
+        basis.append(E)
+        for j in range(i + 1, 3):
+            for v in (1.0, 1j):
+                E = np.zeros((3, 3), complex)
+                E[i, j], E[j, i] = v / math.sqrt(2.0), np.conj(v) / math.sqrt(2.0)
+                basis.append(E)
+    return basis
 
 
-def test_stack_operator_matches_the_trace_loop():
+def _trace_operator(N1, N2, basis):
+    """H -> (H - Nj^H H Nj)_j on Hermitian coordinates (18 x 9), as 162
+    separate traces Re tr(F^H (E - N^H E N))."""
+    return np.array([[float(np.real(np.trace(Fb.conj().T @ (Eb - N.conj().T @ Eb @ N))))
+                      for N in (N1, N2) for Fb in basis] for Eb in basis]).T
+
+
+def test_invariant_form_matches_the_trace_loop():
     prob, ctx = _setup(0, 4)
     reports = monodromy_pair(prob, ctx, [ParamVec.m0(c.B, c.D0, c.D)
                                          for c in solve_m0(prob, ctx).clusters])
@@ -333,12 +339,17 @@ def test_stack_operator_matches_the_trace_loop():
     pairs = [(rep.N1, rep.N2) for rep in reports]
     # and matrices with no invariant form
     pairs += list(rng.normal(size=(3, 2, 3, 3)) + 1j * rng.normal(size=(3, 2, 3, 3)))
+    basis = _herm_basis()
     for N1, N2 in pairs:
-        rep = SimpleNamespace(N1=N1, N2=N2)
-        want = _stack_operator_loop(rep)
-        got = monodromy._stack_operator(rep)
-        assert got.shape == (18, 9)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        want = np.linalg.svd(_trace_operator(N1, N2, basis), compute_uv=False)
+        got, _ = monodromy._invariant_form(N1, N2)
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+    # on the census roots, unitarize's form is the reference null vector
+    for rep in reports:
+        _, _, Vt = np.linalg.svd(_trace_operator(rep.N1, rep.N2, basis))
+        ref = sum(x * Eb for x, Eb in zip(Vt[-1], basis))
+        H = unitarize(rep).H
+        assert min(np.max(np.abs(H - ref)), np.max(np.abs(H + ref))) <= 1e-12
 
 
 def test_perturbed_params_fail_loudly():

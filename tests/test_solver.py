@@ -441,6 +441,73 @@ def test_newton_batch_over_two_lattices_matches_separate_batches():
         assert 0 < np.sum(rel <= 1e-10) < len(rel)
 
 
+def _assert_current(n1, n2, bnum, out):
+    """Every start with a finite residual has the res, rel and J that the
+    kernel gives at its returned point, bit for bit."""
+    X, res, rel, J = out[:4]
+    fin = np.flatnonzero(np.isfinite(res))
+    assert len(fin)
+    F, Jk = m0_residual_batch(n1, n2, bnum, *X[fin].T)
+    assert res[fin].tobytes() == np.max(np.abs(F), axis=-1).tobytes()
+    assert rel[fin].tobytes() == _relative(F, Jk, X[fin]).tobytes()
+    assert J[fin].tobytes() == Jk.tobytes()
+
+
+def test_newton_keeps_f_and_j_current(monkeypatch):
+    # a point that takes a shortened step is evaluated with its Jacobian in
+    # the same iterate, so what Newton returns is the kernel's at the
+    # returned point, also where complete stops the damped loop early
+    n1, n2 = 3, 5
+    values = [0]
+    kernel = solver.m0_value_batch
+
+    def counting(*args):
+        values[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "m0_value_batch", counting)
+    cfg = SolverConfig()
+    ctx = compute_invariants(CENSUS_TAU)
+    box = solver._first_box(ctx.g2, ctx.g3)
+    X0 = solver._starts_from_unit(_halton_block(101, 512), (box, box, box ** 1.5))
+    handed = []
+
+    def complete(X):
+        handed.append(len(X))
+        return sum(handed) >= 40
+
+    for stop in (None, complete):
+        values[0] = 0
+        out = solver._newton_m0_batch(n1, n2, ctx._bn_ext, X0, solver._metric_scales(box),
+                                      cfg, stop)
+        _assert_current(n1, n2, ctx._bn_ext, out)
+        assert values[0] > 0
+    assert sum(handed) >= 40
+    # a scan's warm wave over two lattices, each cell from the roots of the
+    # cell 0.1 before it
+    cells = []
+    for tau in (CENSUS_TAU, GENERIC_TAU):
+        rep = solve_m0(problem_m0(tau - 0.1, n1, n2))
+        cells.append((compute_invariants(tau),
+                      np.array([[c.B, c.D0, c.D] for c in rep.clusters], complex)))
+    values[0] = 0
+    for (ctx, _), out in zip(cells, solver._warm_wave(n1, n2, cells, cfg)):
+        _assert_current(n1, n2, ctx._bn_ext, out)
+    assert values[0] > 0
+
+
+def test_solve_steps_falls_back_to_least_squares():
+    # diag(0, -1e-8, 1) is flagged singular and shifted to diag(1e-8, 0, 1 +
+    # 1e-8), still singular: the stacked solve fails, and that matrix alone
+    # takes a least-squares step
+    J = np.array([np.diag([0.0, -1e-8, 1.0]), np.eye(3)], complex)
+    F = np.array([[1.0, 2.0, 3.0], [4.0, 5j, 6.0]])
+    step = solver._solve_steps(J, F)
+    assert np.isfinite(step).all()
+    assert np.array_equal(step[1], -F[1])
+    assert np.allclose(step[0], [-1e8, 0.0, -3.0], rtol=1e-7)
+
+
 def _greedy_clusters(pts, res, scales, merge_tol):
     """From-scratch greedy merge in the scaled max-metric: index lists,
     minimum-residual member first."""
@@ -810,6 +877,18 @@ def test_solve_even_reports_poly_text():
     assert to_jsonable(rep)["poly"] == rep.poly
     assert rep.Ne == 2
     assert all(r.residual <= 1e-8 for r in rep.roots)
+
+
+def test_even_residual_is_relative():
+    # |P_Ne(B)| against the size of its terms: the absolute value read up to
+    # 4.21 at these roots, rounding noise at |B| in the hundreds
+    rep = solve_even(problem_m0(GENERIC_TAU, 4, 8))
+    simple = [r for r in rep.roots if r.multiplicity == 1]
+    assert simple
+    assert all(r.residual <= 1e-15 for r in simple)
+    # P_Ne = B for (0,1): its root 0 has no terms to measure against
+    (root,) = solve_even(problem_m0(GENERIC_TAU, 0, 1)).roots
+    assert (root.B, root.residual) == (0, 0.0)
 
 
 def test_solve_even_refusals():
