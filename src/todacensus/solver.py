@@ -51,9 +51,11 @@ and the rows are those of the cell-by-cell chain.  The census keeps
 Newton's Jacobian at every accepted point, for sigma_min.
 
 Scaling convention: under z -> lam * z the parameters transform with weights
-B: lam^-2, D0: lam^-1, D: lam^-3, so search boxes, step caps and the cluster
-metric all live in coordinates (B / r, D0 / sqrt(r), D / r^1.5) for a box
-radius r.
+B: lam^-2, D0: lam^-1, D: lam^-3, so step caps and the cluster metric live in
+coordinates (B / r, D0 / sqrt(r), D / r^1.5) for a box radius r.  The box
+radius is 10 times a size of the invariants, and the sample box, where
+starts are drawn and points accepted, gives only that size the weight:
+radii (r, r, 10 (r / 10)^1.5), with D0 as wide as B (see _sample_scales).
 """
 
 import math
@@ -125,9 +127,13 @@ class SolverConfig:
     seed: int = 0
 
 
+# the safety factor of the first box over the size of the invariants
+_BOX_FACTOR = 10.0
+
+
 def _first_box(g2, g3):
     """Radius of the first search box, from the size of the invariants."""
-    return 10.0 * (1.0 + abs(g2) ** 0.5 + abs(g3) ** (1.0 / 3.0))
+    return _BOX_FACTOR * (1.0 + abs(g2) ** 0.5 + abs(g3) ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -582,6 +588,17 @@ def _metric_scales(box):
     return box, math.sqrt(box), box ** 1.5
 
 
+def _sample_scales(box):
+    """Radii of (B, D0, D) in which a box of radius box draws its starts and
+    accepts points.  D has weight 3/2 against B's 1 (lam^-3 and lam^-2), but
+    box is _BOX_FACTOR times a size of the invariants, and only that size
+    takes the weight: D's radius is _BOX_FACTOR * (box / _BOX_FACTOR)^1.5,
+    not box^1.5, which would raise the safety factor to the 3/2 as well.
+    D0 keeps B's radius, wider than its weight gives (empirically the
+    largest |D0| among roots runs near |B|, not sqrt(|B|))."""
+    return box, box, _BOX_FACTOR * (box / _BOX_FACTOR) ** 1.5
+
+
 def _mirror_signs(n1, n2):
     """Signs s of the equations under sigma(B, D0, D) = (B, -D0, -D), the
     z -> -z symmetry (lam = -1 in the scaling weights): F(sigma x) = s F(x)
@@ -688,10 +705,10 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
         if doublings:
             notes.append("box doubled to %.3g after underfull census" % box)
         # the cluster metric respects the scaling weights of the parameters;
-        # the sampling box for D0 is deliberately wider (empirically the
-        # largest |D0| among roots runs near |B|, not sqrt(|B|))
+        # the sample box weighs only the size of the invariants, not the
+        # safety factor over it, and is wider in D0 (_sample_scales)
         metric_scales = _metric_scales(box)
-        sample_scales = (box, box, box ** 1.5)
+        sample_scales = _sample_scales(box)
         clusters = _Clusters(metric_scales)
         if len(store):
             _cluster_points(store["x"], store["res"], clusters)

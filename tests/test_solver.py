@@ -138,6 +138,14 @@ def test_census_01_basic():
     assert not c.degenerate
 
 
+def _assert_d_headroom(rep):
+    """A point is accepted within five times the sample radii of the box;
+    every root has |D| at most half of that for D in the first box, so the
+    weighted D radius 10 (box / 10)^1.5 leaves at least 2x headroom."""
+    sD = solver._sample_scales(rep.config["box_radius"])[2]
+    assert max(abs(c.D) for c in rep.clusters) <= 0.5 * 5.0 * sD
+
+
 @pytest.mark.parametrize("n1,n2,bound", [(0, 1, 1), (0, 2, 2), (0, 4, 5),
                                          (1, 2, 5), (1, 3, 8), (2, 3, 14),
                                          (2, 4, 20), (3, 7, 64)])
@@ -149,6 +157,7 @@ def test_census_reaches_bound_generic(n1, n2, bound):
         assert rep.bound == bound
         assert rep.total == bound
         assert max(c.residual for c in rep.clusters) <= 1e-8
+        _assert_d_headroom(rep)
 
 
 @pytest.mark.parametrize("n2,starts", [(1, 2), (2, 3), (4, 4)])
@@ -200,6 +209,21 @@ def test_seeded_census_finds_the_even_sector(n2):
             assert min(abs(B - r.B) for B in even_B) <= 1e-8 * (1 + abs(r.B))
 
 
+def test_weighted_d_radius_completes_in_the_first_box():
+    # starts drawn with D within box^1.5 of the origin, sqrt(10) times the
+    # weighted radius 10 * (box / 10)^1.5, spent the first damped iterates
+    # pulling D back in: (3,7) took 2,561 starts over five chunks, and (4,5)
+    # 12,028 starts and a doubling
+    rep = solve_m0(problem_m0(GENERIC_TAU, 3, 7))
+    assert rep.total == rep.bound == 64
+    assert rep.starts_used <= solver._CHUNK + 1  # the origin joins the first chunk
+    _assert_d_headroom(rep)
+    rep = solve_m0(problem_m0(GENERIC_TAU, 4, 5))
+    assert rep.total == rep.bound == 55
+    assert rep.doublings == 0
+    _assert_d_headroom(rep)
+
+
 def test_census_18_reaches_bound():
     # once missed 2 of 33 roots: the value and residual kernels rounded
     # differently, so Newton steps were judged against a drifted residual
@@ -246,7 +270,8 @@ CENSUS_STARTS = (((3, 5), 40, 513), ((2, 7), 44, 517))
 
 def test_newton_stops_at_convergence(monkeypatch):
     # converged starts once iterated to the caps, max_iter + polish_iter =
-    # 100 Jacobians: 98.5 and 96.3 per start here, 16.7 and 16.6 now
+    # 100 Jacobians: 98.5 and 96.3 per start here, 16.7 and 16.6 with D
+    # drawn within box^1.5, 14.8 and 12.3 now
     points = [0]
     kernel = solver.m0_residual_batch
 
@@ -265,7 +290,7 @@ def test_newton_stops_at_convergence(monkeypatch):
 def test_line_search_evaluates_only_halved_steps(monkeypatch):
     # each damped step once re-evaluated every point for each of its 3
     # trials, where only the halved steps had moved: 49.1 value points per
-    # start here, against 18.1 when only those are evaluated again (1.2 now,
+    # start here, against 18.1 when only those are evaluated again (1.0 now,
     # the half and the quarter step of each such point)
     points = [0]
     kernel = solver.m0_value_batch
@@ -296,7 +321,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     # a trial point's F and J serve the next step and the acceptance test:
     # both kernels evaluated 36.6 and 37.1 points per start here when each
     # iterate judged its step by value, then re-evaluated the point with J
-    # (17.9 and 17.9 now)
+    # (17.9 and 17.9 with D drawn within box^1.5, 15.7 and 13.3 now)
     seen = _count_kernels(monkeypatch)
     for (n1, n2), total, starts in CENSUS_STARTS:
         seen["points"] = 0
@@ -333,17 +358,27 @@ BENCH_CENSUS = (((3, 5), BENCH_CENSUS_TAU), ((2, 7), BENCH_CENSUS_TAU),
 def test_bench_census_kernel_calls(monkeypatch):
     # the census's work, counted without a timer: 213 residual and 170 value
     # calls when the line search judged its two shorter steps in two calls
-    # and every start of a chunk ran to convergence; 144 and 68 since
+    # and every start of a chunk ran to convergence; 144 and 68 since, on
+    # 35,355 and 2,872 points, when the starts drew D within box^1.5; 112
+    # and 52 on 28,802 and 2,174 with the weighted radius 10 (box / 10)^1.5,
+    # from the same starts
     calls = {"m0_residual_batch": 0, "m0_value_batch": 0}
+    points = dict(calls)
     for name in calls:
         def counting(n1, n2, bnum, B, D0, D, name=name, kernel=getattr(solver, name)):
             calls[name] += 1
+            points[name] += len(B)
             return kernel(n1, n2, bnum, B, D0, D)
         monkeypatch.setattr(solver, name, counting)
+    starts = []
     for (n1, n2), tau in BENCH_CENSUS:
         rep = solve_m0(problem_m0(tau, n1, n2))
         assert rep.total == rep.bound
-    assert calls["m0_residual_batch"] <= 150 and calls["m0_value_batch"] <= 72
+        _assert_d_headroom(rep)
+        starts.append(rep.starts_used)
+    assert starts == [513, 517, 518, 514]
+    assert calls["m0_residual_batch"] <= 120 and calls["m0_value_batch"] <= 56
+    assert points["m0_residual_batch"] <= 30000
 
 
 def test_completion_test_counts_kept_roots_points_and_mirrors():
@@ -357,7 +392,7 @@ def test_completion_test_counts_kept_roots_points_and_mirrors():
         """the largest bound that the batches, handed in turn, complete"""
         n = 0
         while True:
-            complete = solver._completion_test(clusters, n + 1, (box, box, box ** 1.5))
+            complete = solver._completion_test(clusters, n + 1, solver._sample_scales(box))
             if not [complete(np.array(X, complex)) for X in batches][-1]:
                 return n
             n += 1
@@ -383,7 +418,7 @@ STOP_CASES = {
        for pair in ((0, 4), (2, 4), (3, 5), (2, 7), (1, 8))
        for k, tau in enumerate(random_taus(3, seed=5150))},
     "0,4-i": ((0, 4), 1j, None),  # 2,540 starts and 3 doublings, 3 of 5 roots
-    "3,7-five-chunks": ((3, 7), GENERIC_TAU, None),
+    "4,5-eighteen-chunks": ((4, 5), GENERIC_TAU, None),
     "2,4-doubled": ((2, 4), CENSUS_TAU, 40.0),  # first box 40: one doubling
 }
 
@@ -532,7 +567,9 @@ def _groups(clusters):
 
 
 @pytest.mark.parametrize("n1,n2,tau,calls,doublings,degenerate", [
-    (3, 7, GENERIC_TAU, 7, 0, 0),  # five chunks in one box, mirrors after the first and last
+    # eighteen chunks in one box (the seeds join the first), mirrors after
+    # the first, the third and the last
+    (4, 5, GENERIC_TAU, 21, 0, 0),
     (0, 4, 1j, 9, 3, 1),           # the seeds, two chunks, then per doubling a re-merge and a chunk
 ])
 def test_incremental_clusters_match_greedy(monkeypatch, n1, n2, tau, calls,
@@ -672,9 +709,8 @@ def _count_accepted(monkeypatch):
     def counting(n1, n2, bnum, X0, scales, cfg, complete=None):
         out = newton(n1, n2, bnum, X0, scales, cfg, complete)
         X, res, rel = out[:3]
-        box = scales[0]
         with np.errstate(all="ignore"):
-            mag = np.max(np.abs(X) / [box, box, box ** 1.5], axis=1)
+            mag = np.max(np.abs(X) / solver._sample_scales(scales[0]), axis=1)
         accepted[0] += int(np.sum(np.isfinite(res) & (mag < 5.0) & (rel <= cfg.accept_tol)))
         return out
 
@@ -1110,6 +1146,13 @@ def test_scan_worker_env(monkeypatch):
 
 def test_config_resolution_scales_with_invariants():
     assert solver._first_box(0.0, 0.0) == 10.0
+    # D's sample radius weighs the box over its safety factor 10: equal to
+    # the others at box 10, twice B's at box 40, and 2^1.5 times per doubling
+    assert solver._sample_scales(10.0) == (10.0, 10.0, 10.0)
+    assert solver._sample_scales(40.0) == (40.0, 40.0, 80.0)
+    for box in (10.0, 37.5, 188.7):
+        assert (solver._sample_scales(2.0 * box)[2] / solver._sample_scales(box)[2]
+                == pytest.approx(2.0 ** 1.5, rel=1e-14))
     assert solver._first_box(1600.0, 0.0) > solver._first_box(0.0, 0.0)
     assert solver._first_box(0.0, -1000.0) > solver._first_box(0.0, 0.0)
     rep = solve_m0(problem_m0(GENERIC_TAU, 0, 4))
