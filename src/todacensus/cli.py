@@ -33,7 +33,7 @@ from .errors import (
     StructuralError,
 )
 from .jsonio import dumps_canonical, rows_to_csv, to_jsonable
-from .monodromy import verify_roots
+from .monodromy import TRANSPORT_RTOL, verify_roots
 from .solver import (
     SCAN_COLUMNS,
     SolverConfig,
@@ -192,7 +192,7 @@ def cmd_monodromy(args):
     problem, params = _problem_from_args(args)
     problem.require_noncritical()
     ctx = compute_invariants(problem.lattice)
-    rtol = args.tol if args.tol is not None else 1e-11
+    rtol = args.tol if args.tol is not None else TRANSPORT_RTOL
     if params is not None:
         census = None
         roots = [params]

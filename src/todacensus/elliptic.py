@@ -95,13 +95,13 @@ class LatticeTau:
 
 @dataclass
 class EllipticContext:
-    """Precomputed data for one lattice: invariants, half-period values,
-    the numeric Laurent table, and Laurent and q-series workspace."""
+    """Precomputed data for one lattice: invariants, the numeric Laurent
+    table, and Laurent and q-series workspace; the half-period values e on
+    demand."""
 
     tau: complex
     g2: complex
     g3: complex
-    e: tuple
     eta1: complex
     eta2: complex
     tol: float
@@ -117,6 +117,11 @@ class EllipticContext:
     @property
     def near_pole_radius(self):
         return math.sqrt(self.tol)
+
+    @property
+    def e(self):
+        """The half-period values (P(1/2), P(tau/2), P((1 + tau)/2))."""
+        return self.wp(0.5), self.wp(self.tau / 2.0), self.wp((1.0 + self.tau) / 2.0)
 
     # -- lattice reduction -------------------------------------------------
 
@@ -324,11 +329,10 @@ def compute_invariants(lattice):
     bn_ext = np.array(
         weierstrass_laurent(g2, g3, _LAURENT_ORDER, 0j, 1.0), dtype=complex
     )
-    ctx = EllipticContext(
+    return EllipticContext(
         tau=tau,
         g2=complex(g2),
         g3=complex(g3),
-        e=(0j, 0j, 0j),
         eta1=complex(eta1),
         eta2=complex(eta2),
         tol=_CTX_TOL,
@@ -336,12 +340,6 @@ def compute_invariants(lattice):
         lam_min=float(lam_min),
         _bn_ext=bn_ext,
     )
-    ctx.e = (
-        ctx.wp(0.5),
-        ctx.wp(tau / 2.0),
-        ctx.wp((1.0 + tau) / 2.0),
-    )
-    return ctx
 
 
 # ---- invariant forms and their zeros in tau ------------------------------

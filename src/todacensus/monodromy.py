@@ -134,15 +134,13 @@ def ode_coefficients(problem, ctx, params, z):
 # geometry helpers
 
 
-def _singular_translates(problem, ctx, pad=2):
-    """Lattice translates of all punctures covering the working region."""
-    tau = ctx.tau
-    out = []
-    for pk in problem.punctures:
-        for mm in range(-pad, pad + 1):
-            for nn in range(-pad, pad + 1):
-                out.append(pk.p + mm + nn * tau)
-    return np.array(out, complex)
+def _singular_translates(problem, ctx):
+    """Lattice translates of all punctures covering the working region: each
+    puncture reduced to the cell around 0, moved by up to two periods."""
+    k = range(-2, 3)
+    return np.array([p + mm + nn * ctx.tau
+                     for p in (ctx.reduce_point(pk.p)[0] for pk in problem.punctures)
+                     for mm in k for nn in k], complex)
 
 
 def _min_dist(z, sing):
@@ -226,6 +224,7 @@ def _circle(center, radius):
 # ---------------------------------------------------------------------------
 # Taylor transport
 
+TRANSPORT_RTOL = 1e-11  # default relative tolerance of every transport
 _ORDER = 26  # Taylor order of every step and reconstruction stack
 _SAFETY = 0.8  # share of the radius at which the series tail reaches tol
 _POLE_CAP = 0.6  # largest step, as a share of the distance to a singularity
@@ -309,7 +308,7 @@ def _path_transport(coeffs, at, length, Y, sing, rtol, atol, stack=None):
     raise EvaluationError("transport exceeded the step budget")
 
 
-def transport(problem, ctx, params, path, rtol=1e-11, sing=None, Y0=None):
+def transport(problem, ctx, params, path, rtol=TRANSPORT_RTOL, sing=None, Y0=None):
     """Fundamental transports (S, 3, 3) along path, the vertex list of a
     polyline or one _circle, one per parameter vector (see _coeffs), in
     lockstep; columns carry initial data.  The frames start as the
@@ -341,7 +340,6 @@ class UnitarizeResult:
     ok: bool
     reason: str
     H: np.ndarray = None
-    P: np.ndarray = None
     N1_normal: np.ndarray = None
     N2_normal: np.ndarray = None
     unitary_residual: float = None
@@ -402,7 +400,7 @@ def _geometry(problem, ctx):
     return q0, clearance, 2.5 * eps0, sing
 
 
-def monodromy_pair(problem, ctx, params, rtol=1e-11):
+def monodromy_pair(problem, ctx, params, rtol=TRANSPORT_RTOL):
     """Period monodromies, local loop matrices, and their residuals: one
     report per parameter vector, all roots transported in lockstep along
     the same paths.
@@ -415,7 +413,8 @@ def monodromy_pair(problem, ctx, params, rtol=1e-11):
                    rtol=rtol, sing=sing)
     T2 = transport(problem, ctx, coeffs, plan_path(q0, q0 + tau, sing, clearance),
                    rtol=rtol, sing=sing)
-    loops = [transport(problem, ctx, coeffs, _circle(pk.p, r_loc), rtol=rtol, sing=sing)
+    loops = [transport(problem, ctx, coeffs, _circle(ctx.reduce_point(pk.p)[0], r_loc),
+                       rtol=rtol, sing=sing)
              for pk in problem.punctures]
     local_scalars = tuple(cmath.exp(-2j * math.pi * float(pk.gamma1))
                           for pk in problem.punctures)
@@ -549,7 +548,6 @@ def unitarize(report):
         ok=True,
         reason="",
         H=H,
-        P=P,
         N1_normal=N1n,
         N2_normal=N2n,
         unitary_residual=unit_res,
@@ -602,14 +600,14 @@ def _stencil(stacks, P, scale):
     return uv[:, 0, 0], res, ok
 
 
-def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
+def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     """Reconstruct both field profiles on a grid and measure PDE residuals.
 
     reports are the roots' unitarized monodromy reports (report.H set), one
     per parameter vector.  All roots share one hop chain, each with the
-    frame of its invariant form.  The chain runs from the base point to the
-    grid corner nearest it, then snakes through the grid rows.  Returns one
-    entry per root: the pair
+    frame of its invariant form.  The chain runs from the base point of
+    _geometry to the grid corner nearest it, then snakes through the grid
+    rows.  Returns one entry per root: the pair
     (pde_residual, even_residual), also written to its report, or the
     EvaluationError of a frame that degenerated for that root alone.
     even_residual is None when the kept grid is not symmetric under z -> -z.
@@ -623,57 +621,57 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=1e-11):
                       for d in detP.tolist()])
 
     tau = ctx.tau
-    sing = _singular_translates(problem, ctx, pad=3)
-    # the base point and loop radius depend on the lattice only
-    q0 = reports[0].base_point
-    clearance = min(0.05, 0.8 * reports[0].loop_radius)
+    q0, _, r_loc, sing = _geometry(problem, ctx)
+    clearance = min(0.05, 0.8 * r_loc)
 
+    # point (i, j) is entry [i, j] of the grid arrays, negative i and j from
+    # the end, so z -> -z, (i, j) -> (-1 - i, -1 - j), reverses both axes
     ks = range(-(_GRID_N // 2), _GRID_N // 2)
     grid = {(i, j): ((i + 0.5) / _GRID_N) + ((j + 0.5) / _GRID_N) * tau for j in ks for i in ks}
-    kept = {key for key, z in grid.items() if _min_dist(z, sing) >= _EXCLUSION}
-    if not kept:
+    kept = np.zeros((_GRID_N, _GRID_N), bool)
+    for key, z in grid.items():
+        kept[key] = _min_dist(z, sing) >= _EXCLUSION
+    if not kept.any():
         raise StructuralError("reconstruction grid is empty")
     # the hop order: the rows snake, in the orientation whose first kept
     # point lies nearest q0
     snakes = [[(i, j) for n, j in enumerate(ks[::dj]) for i in ks[::di * (-1) ** n]]
               for di in (1, -1) for dj in (1, -1)]
-    order = min(([key for key in snake if key in kept] for snake in snakes),
+    order = min(([key for key in snake if kept[key]] for snake in snakes),
                 key=lambda keys: abs(grid[keys[0]] - q0))
-    pts = {key: grid[key] for key in order}
 
-    live = list(range(hops.size))
-    U = {r: {} for r in live}
-    pde_res = dict.fromkeys(live, 0.0)
+    live = np.arange(hops.size)
+    U = np.zeros((hops.size, _GRID_N, _GRID_N))  # u0 of each root at each point
+    pde_res = np.zeros(hops.size)
     # the frames at prev as their Taylor stacks there
     stacks = _taylor_frame(hops, q0, np.tile(np.eye(3, dtype=complex), (hops.size, 1, 1)))
     prev = q0
-    for key, z in pts.items():
-        if not live:
+    for i, j in order:
+        if not len(live):
             break
+        z = grid[i, j]
         path = plan_path(prev, z, sing, clearance)
         Y = transport(problem, ctx, hops, path, rtol=rtol, sing=sing, Y0=stacks)
         prev = z
         stacks = _taylor_frame(hops, z, Y)
         u0, res, ok = _stencil(stacks, P, scale)
-        for pos, r in enumerate(live):
-            if ok[pos]:
-                U[r][key] = u0[pos]
-                pde_res[r] = max(pde_res[r], res[pos])
-            else:
-                results[r] = EvaluationError("degenerate frame during reconstruction")
+        good = live[ok]
+        U[good, i, j] = u0[ok]
+        pde_res[good] = np.fmax(pde_res[good], res[ok])
         if not ok.all():
-            live = [r for r, good in zip(live, ok) if good]
+            for r in live[~ok]:
+                results[r] = EvaluationError("degenerate frame during reconstruction")
+            live = good
             hops = hops.take(np.flatnonzero(ok))
             stacks, P, scale = stacks[ok], P[ok], scale[ok]
 
-    sym = all((-1 - i, -1 - j) in pts for (i, j) in pts)
-    for r in live:
-        even_res = None
-        if sym:
-            even_res = float(max(abs(u - U[r][(-1 - i, -1 - j)]) for (i, j), u in U[r].items()))
+    even_res = [None] * len(results)
+    if np.array_equal(kept, kept[::-1, ::-1]):
+        even_res = np.abs(U - U[:, ::-1, ::-1])[:, kept].max(axis=1).tolist()
+    for r in live.tolist():
         reports[r].pde_residual = float(pde_res[r])
-        reports[r].even_residual = even_res
-        results[r] = (float(pde_res[r]), even_res)
+        reports[r].even_residual = even_res[r]
+        results[r] = (reports[r].pde_residual, even_res[r])
     return results
 
 
@@ -684,10 +682,12 @@ def _verify_batch(problem, ctx, coeffs, rtol):
     notes = [list(rep.notes) for rep in reports]
     for rep, nt in zip(reports, notes):
         try:
-            unitarize(rep)
+            reason = unitarize(rep).reason
         except StructuralError as e:
             rep.unitarizable = False
-            nt.append(str(e))
+            reason = str(e)
+        if reason:
+            nt.append(reason)
     ok = [r for r, rep in enumerate(reports) if rep.unitarizable]
     if ok:
         try:
@@ -707,7 +707,7 @@ def _verify_batch(problem, ctx, coeffs, rtol):
     return reports
 
 
-def verify_roots(problem, ctx, params, rtol=1e-11):
+def verify_roots(problem, ctx, params, rtol=TRANSPORT_RTOL):
     """Full monodromy validation of the roots of one census; returns one
     filled report per parameter vector, in order.
 

@@ -6,17 +6,17 @@ steps, merges results into clusters in weight-scaled coordinates, and reports
 the count next to the weighted-Bezout bound.  Newton holds the points as one
 (S, 3) array with F and J current at each: every move evaluates the new
 points with their Jacobians, which the next step from there reuses.  An
-iterate costs one kernel call, and a line search two more: its shorter
-trials, the half and the quarter step together, are judged by value, and
-the picked ones evaluated with their Jacobians.  Newton drops a point as
+iterate costs one kernel call, and a line search two more: the half step
+is judged by value, and the step picked, the half step if it passes, else
+the quarter step, is evaluated with its Jacobian.  Newton drops a point as
 soon as its relative residual (see _relative) is <= 1e-13 in the damped
 loop or <= 1e-15 in the polish, and returns it for every point, so
 acceptance costs no further kernel call; _MAX_ITER and _POLISH_ITER only
 cap the two phases.  The census keeps its accepted
 points in one store, a record array with one record per point (its
-residual, polish tails and Jacobian, and whether it is a Newton endpoint
-and whether it is or has a mirror), and runs its search boxes, the first
-and up to _MAX_DOUBLINGS doublings of it, in one loop.  Starts run in
+residual, polish tails and Jacobian, and whether it is a Newton endpoint),
+and runs its search boxes, the first and up to _MAX_DOUBLINGS doublings of
+it, in one loop.  Starts run in
 chunks, and each chunk's accepted points join the store and are merged
 into the clusters kept from the chunks before; a new box changes the
 metric, so it clusters the store afresh.  Theorem (i) bounds the number
@@ -366,9 +366,9 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
     _relative) are known at every point at every moment: each move of a
     point evaluates it with m0_residual_batch, and the next step from there
     reuses them.  A point whose full step grew its residual is judged at the
-    half and the quarter step, all such points in one m0_value_batch call,
-    and takes the half step if that does not grow the residual, else the
-    quarter step, evaluated in the same iterate.
+    half step, all such points in one m0_value_batch call, and takes the
+    half step if that does not grow the residual, else the quarter step
+    unjudged, evaluated in the same iterate.
 
     A point leaves each phase as soon as it has converged: when its relative
     residual is <= _DAMPED_STOP in the damped loop or <= _POLISH_STOP in the
@@ -431,18 +431,18 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
         step = step * cap[:, None]
         move(idx, Xa + step)
         # only the points whose step grew the residual take a shorter one:
-        # the half step if it does not grow it, else the quarter step, both
-        # judged in one value call
+        # the half step if one value call finds that it does not grow it,
+        # else the quarter step, unjudged
         w = np.flatnonzero(~(res[idx] <= np.maximum(ra, cfg.accept_tol)))
         if len(w):
             half = step[w] * 0.5
-            T = np.concatenate([Xa[w] + half, Xa[w] + half * 0.5])
+            T = Xa[w] + half
             with np.errstate(all="ignore"):
-                Ft = m0_value_batch(n1, n2, table(np.tile(idx[w], 2)), *T.T)
+                Ft = m0_value_batch(n1, n2, table(idx[w]), *T.T)
                 rt = np.max(np.abs(Ft), axis=-1)
-            pick = np.arange(len(w))
-            pick[~(rt[pick] <= np.maximum(ra[w], cfg.accept_tol))] += len(w)
-            move(idx[w], T[pick])
+            fail = ~(rt <= np.maximum(ra[w], cfg.accept_tol))
+            T[fail] = Xa[w][fail] + half[fail] * 0.5
+            move(idx[w], T)
         if complete is not None:
             new = np.flatnonzero(~handed & (rel <= done))
             handed[new] = True
@@ -611,9 +611,9 @@ _SIGMA = np.array([1.0, -1.0, -1.0])
 
 # A census's accepted points, one record each: the point, its relative
 # residual, polish tails (prev, last) and Jacobian; endpoint marks Newton's
-# points, paired those that are a mirror or have one.
+# points, the others being mirrors.
 _POINT = np.dtype([("x", complex, 3), ("res", float), ("tails", float, 2),
-                   ("J", complex, (3, 3)), ("endpoint", bool), ("paired", bool)])
+                   ("J", complex, (3, 3)), ("endpoint", bool)])
 
 
 def _add(store, rows, clusters):
@@ -622,16 +622,12 @@ def _add(store, rows, clusters):
     return np.concatenate([store, rows])
 
 
-def _mirror_rows(store, clusters, signs):
-    """The mirrors sigma(r) of the non-even representatives r whose cluster
-    holds no mirror yet, each a copy of r's record with D0 and D negated and
-    J times signs; marks those r paired."""
-    has = np.zeros(len(clusters), bool)
-    np.logical_or.at(has, clusters.label, store["paired"])
-    alone = np.array(clusters.rep, int)[~has]
-    alone = alone[~_even_points(store["x"][alone])]
-    store["paired"][alone] = True
-    rows = store[alone]
+def _mirror_rows(store, reps, signs):
+    """The mirrors sigma(r) of the non-even points r among the store indices
+    reps, each a copy of r's record with D0 and D negated and J times
+    signs."""
+    rows = store[np.array(reps, int)]
+    rows = rows[~_even_points(rows["x"])]
     rows["x"][:, 1:] = -rows["x"][:, 1:]
     rows["J"] *= signs
     rows["endpoint"] = False
@@ -658,9 +654,10 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
 
     sigma(x) = (B, -D0, -D) is a solution with x, and the even ones are its
     fixed points.  A batch that leaves the census short of the bound is
-    followed by the mirror sigma(r) of every non-even representative r
-    whose cluster holds no mirror yet: its F, J, relative residual and
-    polish tails are those of r up to signs, so it costs no kernel call.
+    followed by the mirror sigma(r) of the non-even representative r of
+    every cluster that batch opened (the clusters kept from before had
+    theirs when they opened): its F, J, relative residual and polish
+    tails are those of r up to signs, so it costs no kernel call.
     Mirrors are clustered like Newton endpoints, but only endpoints count
     as hits.
 
@@ -693,9 +690,10 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
         rows["x"], rows["res"], rows["J"] = X[keep], rel[keep], J[keep]
         rows["tails"] = np.stack([tail_prev[keep], tail_last[keep]], axis=1)
         rows["endpoint"] = True
+        first = len(clusters)
         store = _add(store, rows, clusters)
         if len(clusters) < bound:
-            rows = _mirror_rows(store, clusters, signs)
+            rows = _mirror_rows(store, clusters.rep[first:], signs)
             if len(rows):
                 store = _add(store, rows, clusters)
         return store

@@ -14,6 +14,7 @@ import pytest
 
 from todacensus.elliptic import (
     FORM_NAMES,
+    EllipticContext,
     LatticeTau,
     _eisenstein,
     _g_invariants,
@@ -280,6 +281,27 @@ def test_qseries_order_zero_does_not_depend_on_the_order():
         ("-0x1.461669537702dp+2", "-0x1.75c7534acda9ap+0"),
         ("-0x1.8455555aa5cd6p+0", "0x1.55752d3ec8090p+0"),
     ]
+
+
+def test_half_period_values_are_evaluated_when_read(monkeypatch):
+    # building a context evaluates no jet: only `invariants` prints e.  Read,
+    # e is P at the three half periods, bit for bit as P evaluated there on
+    # a context whose q-series workspace a high-order jet has grown first
+    calls = []
+    jet = EllipticContext.jet
+    monkeypatch.setattr(EllipticContext, "jet",
+                        lambda self, z, n: calls.append(z) or jet(self, z, n))
+    for tau in TAUS + [1j, RHO]:
+        del calls[:]
+        ctx = _ctx(tau)
+        assert calls == []
+        e = ctx.e
+        assert len(calls) == 3
+        grown = _ctx(tau)
+        grown.jet(0.3 + 0.4j, _ORDER + 1)
+        want = [grown.wp(0.5), grown.wp(tau / 2.0), grown.wp((1.0 + tau) / 2.0)]
+        assert [(v.real.hex(), v.imag.hex()) for v in e] == [
+            (v.real.hex(), v.imag.hex()) for v in want]
 
 
 def test_reduce_fundamental():

@@ -352,6 +352,23 @@ def test_invariant_form_matches_the_trace_loop():
         assert min(np.max(np.abs(H - ref)), np.max(np.abs(H + ref))) <= 1e-12
 
 
+def test_a_rejection_without_error_leaves_its_reason_in_the_notes(monkeypatch):
+    # unitarize returns a verdict with a reason, not only an error: a root
+    # whose operator has no null space is noted with that reason
+    prob, ctx = _setup(0, 2)
+    true = ParamVec.m0(cmath.sqrt(ctx.g2 / 3.0), 0, 0)
+    form = monodromy._invariant_form
+
+    def full_rank(N1, N2):
+        S, H = form(N1, N2)
+        return np.ones_like(S), H
+
+    monkeypatch.setattr(monodromy, "_invariant_form", full_rank)
+    (rep,) = verify_roots(prob, ctx, [true])
+    assert rep.unitarizable is False and rep.pde_residual is None
+    assert rep.notes == ("no invariant Hermitian form",)
+
+
 def test_perturbed_params_fail_loudly():
     prob, ctx = _setup(0, 2)
     B_true = cmath.sqrt(ctx.g2 / 3.0)
@@ -441,16 +458,17 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
 @pytest.mark.parametrize("n1, n2, frames, jets", [(0, 2, 184, 187), (0, 4, 203, 206)])
 def test_census_verification_work_is_bounded(monkeypatch, n1, n2, frames, jets):
     # the Taylor frames and coefficient jets that verifying a whole census
-    # takes with this step control, the context's three half-period values
-    # included: a change that takes more steps fails here, not only in the
-    # benchmark
+    # takes with this step control: a change that takes more steps fails
+    # here, not only in the benchmark.  jets counted the three half-period
+    # values of the context built inside, too; they are evaluated only when
+    # read now, so every jet serves a frame
     prob, ctx, pvs = _census_params(n1, n2)
     calls = _count_jet(monkeypatch)
     stacks = _record(monkeypatch, "_taylor_frame")
     reports = verify_roots(prob, None, pvs)
     assert all(rep.unitarizable and rep.pde_residual is not None for rep in reports)
     assert len(stacks) <= frames
-    assert calls[0] <= jets
+    assert calls[0] <= jets and calls[0] == len(stacks)
 
 
 def test_loops_and_the_first_hop_take_few_frames(monkeypatch):
@@ -475,6 +493,24 @@ def test_loops_and_the_first_hop_take_few_frames(monkeypatch):
     hops = [n for _, handed, n in spent if handed]
     assert len(loops) == 1 and loops[0] <= 32
     assert len(hops) >= 50 and hops[0] <= 2
+
+
+@pytest.mark.parametrize("p", [0, 0.3 + 0.2j])
+def test_verification_does_not_depend_on_the_puncture_representative(p):
+    # the singular translates are built around the puncture reduced to the
+    # cell around 0: a puncture moved by periods keeps the base point, the
+    # poles that the paths avoid and so the accuracy (unreduced, p + 5 lost
+    # the translates near the cell and, for p = 0.3 + 0.2i, its commutator)
+    prob0, ctx = _setup(0, 2)
+    root = min(solve_m0(prob0, ctx).clusters, key=lambda c: c.B.real)
+    pv = ParamVec.m0(root.B, root.D0, root.D)
+    reps = [verify_root(derive_problem(prob0.lattice, [(p + shift, 0, 2)]), ctx, pv)
+            for shift in (0, 3, 3 * TAU, 5)]
+    assert len({rep.base_point for rep in reps}) == 1
+    assert all(rep.unitarizable and rep.notes == () for rep in reps)
+    for rep in reps[1:]:
+        assert rep.eps_residual <= 2.0 * reps[0].eps_residual
+        assert rep.pde_residual <= 2.0 * reps[0].pde_residual
 
 
 def test_unitarizable_verdicts_of_the_census_and_the_nudged_control():
