@@ -277,18 +277,33 @@ def _frobenius(n1, n2, rhs, zero, one):
     yields the obstruction P1 at the resonance j = n1+1, where the free
     coefficient is set to zero, and P3 at j = n1+n2+2.  The second pass
     injects the free coefficient (c_{n1+1} = one, lower ones zero) and yields
-    P2 at j = n1+n2+2.  Up to the resonance only the first pass is run; from
-    there on every coefficient carries both passes on axis -2, so one rhs
-    call advances both.  Returns (P1, P2, P3).
+    P2 at j = n1+n2+2.  Returns (P1, P2, P3).
+
+    Every coefficient of both passes lives in one block c of shape
+    (n1+n2+2, ..., 2, S), allocated once per call and divided into in
+    place: slot 0 of the pass axis holds the first pass, slot 1 the
+    injected one.  Up to the resonance rhs reads the first pass alone,
+    c[..., 0, :]; from there on it reads c, so one rhs call advances both
+    passes.  Only the storage differs from a list of per-step arrays: rhs
+    and its operation order, and so every bit of the result, are kept.  The
+    block exists for speed at S ~ 500 (the heap-trimming FOUND, now MENDED,
+    of CHANGES.md): on glibc, freeing such a list let malloc return the top of
+    the heap after every call and fault those pages back in on the next,
+    while the first free of a block this large raises malloc's mmap and trim
+    thresholds past it.  Nothing outlives the call.
     """
     jtop = n1 + n2 + 2
-    c = [one]
+    c = np.empty((jtop,) + one.shape[:-1] + (2, one.shape[-1]), one.dtype)
+    first, injected = c[..., 0, :], c[..., 1, :]
+    first[0] = one
     for j in range(1, n1 + 1):
-        c.append(rhs(j, c) / _phi(j, n1, n2))
-    P1 = rhs(n1 + 1, c)
-    c = [np.stack((x, zero), axis=-2) for x in c] + [np.stack((zero, one), axis=-2)]
+        np.divide(rhs(j, first), _phi(j, n1, n2), out=first[j])
+    P1 = rhs(n1 + 1, first)
+    first[n1 + 1] = zero
+    injected[:n1 + 1] = zero
+    injected[n1 + 1] = one
     for j in range(n1 + 2, jtop):
-        c.append(rhs(j, c) / _phi(j, n1, n2))
+        np.divide(rhs(j, c), _phi(j, n1, n2), out=c[j])
     top = rhs(jtop, c)
     return P1, top[..., 1, :], top[..., 0, :]
 

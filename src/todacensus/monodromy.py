@@ -610,7 +610,11 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     rows.  Returns one entry per root: the pair
     (pde_residual, even_residual), also written to its report, or the
     EvaluationError of a frame that degenerated for that root alone.
-    even_residual is None when the kept grid is not symmetric under z -> -z.
+    even_residual compares each root's u0 at z and at its reflection 2c - z,
+    with c the puncture reduced to the cell around 0 when there is one
+    puncture (its solutions are even about it) and c = 0 otherwise; the grid
+    is laid around c.  It is None when the kept grid is not symmetric under
+    that reflection.
     """
     hops = _coeffs(problem, ctx, params)
     results = [None] * hops.size
@@ -623,11 +627,13 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     tau = ctx.tau
     q0, _, r_loc, sing = _geometry(problem, ctx)
     clearance = min(0.05, 0.8 * r_loc)
+    c = ctx.reduce_point(problem.punctures[0].p)[0] if problem.m == 0 else 0j
 
     # point (i, j) is entry [i, j] of the grid arrays, negative i and j from
-    # the end, so z -> -z, (i, j) -> (-1 - i, -1 - j), reverses both axes
+    # the end, so z -> 2c - z, (i, j) -> (-1 - i, -1 - j), reverses both axes
     ks = range(-(_GRID_N // 2), _GRID_N // 2)
-    grid = {(i, j): ((i + 0.5) / _GRID_N) + ((j + 0.5) / _GRID_N) * tau for j in ks for i in ks}
+    grid = {(i, j): c + ((i + 0.5) / _GRID_N) + ((j + 0.5) / _GRID_N) * tau
+            for j in ks for i in ks}
     kept = np.zeros((_GRID_N, _GRID_N), bool)
     for key, z in grid.items():
         kept[key] = _min_dist(z, sing) >= _EXCLUSION

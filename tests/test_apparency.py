@@ -181,6 +181,27 @@ def test_value_kernel_is_residual_kernel_value_row(n1, n2, S):
     assert np.array_equal(vals, F)
 
 
+@pytest.mark.parametrize("n1,n2", [(0, 2), (2, 7)])
+def test_kernel_results_own_their_memory(n1, n2):
+    # the census keeps F, J and values across kernel calls, so no later call
+    # may write into them (as a workspace reused across calls could)
+    ctx = compute_invariants(0.21 + 1.13j)
+    rng = np.random.default_rng(10 * n1 + n2)
+    scale = np.array([[30.0], [5.0], [60.0]])
+
+    def points(S):
+        return scale * (rng.normal(size=(3, S)) + 1j * rng.normal(size=(3, S)))
+
+    B, D0, D = points(513)
+    kept = (*m0_residual_batch(n1, n2, ctx._bn_ext, B, D0, D),
+            m0_value_batch(n1, n2, ctx._bn_ext, B, D0, D))
+    before = [a.tobytes() for a in kept]
+    for S in (513, 7):
+        m0_residual_batch(n1, n2, ctx._bn_ext, *points(S))
+        m0_value_batch(n1, n2, ctx._bn_ext, *points(S))
+    assert [a.tobytes() for a in kept] == before
+
+
 def _laurent_tables():
     """Laurent tables of one length: a generic tau, tau = i (g3 = 0, so
     b_6 = 0), rho (g2 = 0, so b_4 = 0), and the zero table of the degenerate

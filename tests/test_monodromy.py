@@ -513,6 +513,19 @@ def test_verification_does_not_depend_on_the_puncture_representative(p):
         assert rep.pde_residual <= 2.0 * reps[0].pde_residual
 
 
+@pytest.mark.parametrize("p", [-0.4, 0.3 + 0.2j])
+def test_parity_is_checked_about_an_off_lattice_puncture(p):
+    # a single puncture's solution is even about the puncture, not about 0:
+    # the grid and the reflection are centred on it, so the kept grid is
+    # symmetric about it and the parity check is made
+    prob0, ctx = _setup(0, 2)
+    root = solve_m0(prob0, ctx).clusters[0]
+    rep = verify_root(derive_problem(prob0.lattice, [(p, 0, 2)]), ctx,
+                      ParamVec.m0(root.B, root.D0, root.D))
+    assert rep.unitarizable
+    assert rep.even_residual is not None and rep.even_residual <= 1e-9
+
+
 def test_unitarizable_verdicts_of_the_census_and_the_nudged_control():
     for n1, n2 in ((0, 2), (0, 4)):
         prob, ctx, pvs = _census_params(n1, n2)
