@@ -10,11 +10,15 @@ coefficient jets), extracts the two period monodromies and the local loop
 matrices, checks the scalar local condition and the commutator identity
 N1 N2 N1^-1 N2^-1 = eps I, searches for an invariant Hermitian form
 (unitarization), and reconstructs the two field profiles whose PDE residuals
-certify the root end to end.  The reconstruction hops one batch of frames
-from grid point to grid point, from the grid corner nearest the base point,
-each hop starting from the Taylor stacks of the point it leaves, and
-evaluates the finite-difference stencil of every root at a point in one
-array pass.
+certify the root end to end.  One engine, _walk, carries every transport: it
+walks a list of paths in lockstep, each path on its own steps, and takes the
+Taylor frames of all paths and roots from one Leibniz sweep per step.  The
+period paths and the local loops are one walk.  The reconstruction reaches
+the grid by a comb: a spine from the base point through the first point of
+every grid row, then all rows along their own points in lockstep, each hop
+starting from the Taylor stacks of the point it leaves; the
+finite-difference stencil of every root at every point a round reaches is
+one array pass.
 
 Conventions fixed here: a transport T along a path maps initial data
 (y, y', y'') at the start to data at the end, composing as T(q after p) =
@@ -230,105 +234,128 @@ _SAFETY = 0.8  # share of the radius at which the series tail reaches tol
 _POLE_CAP = 0.6  # largest step, as a share of the distance to a singularity
 _MAX_STEPS = 200000
 _FACT = np.array([math.factorial(k) for k in range(_ORDER + 3)], float)
-# the weights C(k, m) of W2^(m) and C(k, m - 1) of W3^(m - 1) in G[k, m]
-_G_BINOM = np.zeros((2, _ORDER, _ORDER + 1))
-_G_BINOM[0, :, :-1] = _G_BINOM[1, :, 1:] = [[math.comb(k, j) for j in range(_ORDER)]
-                                             for k in range(_ORDER)]
+# -1/((k+1)(k+2)) and -1/((k+1)(k+2)(k+3)) take y^(k+3)/k! to u_{k+3}, a_{k+3}
+_LEIBNIZ = np.array([[-1.0 / ((k + 1) * (k + 2)), -1.0 / ((k + 1) * (k + 2) * (k + 3))]
+                     for k in range(_ORDER)])[..., None]
 
 
-def _taylor_frame(coeffs, z, Y):
-    """Derivative stacks out[r, k] (3,) for k = 0.._ORDER+2 at z, one per root
-    of the batch coeffs, from the stacked frames Y (S, 3, 3).
+def _frames(coeffs, zs, Y):
+    """Derivative stacks (P, S, _ORDER+3, 3), row k = y^(k) for k = 0..
+    _ORDER+2, of the frames Y (P, S, 3, 3) at the points zs, one per path,
+    for the S roots of the batch coeffs: one Leibniz sweep over P * S rows.
 
-    Leibniz on y''' = -W2 y' - W3 y gives
-    y^(k+3) = -sum_j C(k, j) (W2^(j) y^(k-j+1) + W3^(j) y^(k-j)),
-    one product per k with the weights G[k, m] of y^(k+1-m)."""
-    out = np.zeros((len(Y), _ORDER + 3, 3), complex)
-    out[:, :3] = Y
-    W2d, W3d = coeffs.derivs(z, _ORDER - 1)
-    W = np.zeros((len(Y), 2, 1, _ORDER + 1), complex)
-    W[:, 0, 0, :-1] = W2d
-    W[:, 1, 0, 1:] = W3d
-    G = W[:, 0] * _G_BINOM[0] + W[:, 1] * _G_BINOM[1]
+    The sweep runs on Taylor coefficients a_i = y^(i)/i! (the Cauchy-product
+    form of Corliss and Chang, ACM TOMS 8, 1982).  With w_j = W^(j)/j! and
+    u_i = y^(i)/(i-1)!, y''' = -W2 y' - W3 y gives
+
+        y^(k+3)/k! = -sum_j (w2_j u_{k+1-j} + w3_j a_{k-j}),
+
+    one product of the reversed, interleaved w row with x, which holds
+    u_{i+1} at 2i and a_i at 2i + 1; the two quotients u_{k+3} (at 2k + 4)
+    and a_{k+3} (at 2k + 7) are written through one stride-3 slot."""
+    P, S = Y.shape[:2]
+    K = _ORDER
+    W = np.array([coeffs.derivs(z, K - 1) for z in zs]) / _FACT[:K]  # (P, 2, S, K)
+    # w2_{K-1-i} at 2i, w3_{K-1-i} at 2i + 1
+    wr = W[..., ::-1].transpose(0, 2, 3, 1).reshape(P * S, 1, 2 * K)
+    y = Y.reshape(P * S, 3, 3)
+    x = np.zeros((P * S, 2 * (K + 3), 3), complex)
+    x[:, 0] = x[:, 3] = y[:, 1]
+    x[:, 1] = y[:, 0]
+    x[:, 2] = y[:, 2]
+    x[:, 5] = 0.5 * y[:, 2]
     # a frame that overflows turns to inf and NaN here; the step size
     # control then gives up on it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(_ORDER):
-            out[:, k + 3] = -(G[:, k, None, :k + 2] @ out[:, k + 1::-1])[:, 0]
-    return out
+        for k in range(K):
+            np.multiply(wr[..., 2 * (K - 1 - k):] @ x[:, :2 * k + 2], _LEIBNIZ[k],
+                        out=x[:, 2 * k + 4:2 * k + 8:3])
+        return (x[:, 1::2] * _FACT[:, None]).reshape(P, S, K + 3, 3)
 
 
 def _eval_taylor(stack, delta, rows):
-    """Rows 0..rows-1 of derivative stacks (..., n, 3) moved by delta: row i
+    """Rows 0..rows-1 of derivative stacks (..., n, 3) moved by delta, a
+    scalar or an array that broadcasts against stack's leading axes: row i
     is sum_k stack[..., k + i] delta^k / k! over k = 0..n-rows, one product
     with the banded (rows, n) matrix of the weights delta^k / k!."""
     n = stack.shape[-2]
     m = n - rows + 1
-    w = delta ** np.arange(m) / _FACT[:m]
-    band = np.zeros((rows, n), complex)
+    w = np.asarray(delta)[..., None] ** np.arange(m) / _FACT[:m]
+    band = np.zeros(w.shape[:-1] + (rows, n), complex)
     for i in range(rows):
-        band[i, i:i + m] = w
+        band[..., i, i:i + m] = w
     return band @ stack
 
 
-def _path_transport(coeffs, at, length, Y, sing, rtol, atol, stack=None):
-    """Continue dY/dz = A(z) Y along the path at(s), s = 0..length the arc
-    length.
+def _walk(coeffs, paths, Y, sing, rtol, stacks=None):
+    """Continue dY/dz = A(z) Y along every path at once; returns the frames
+    (P, S, 3, 3) at the paths' ends.
 
-    Y is a stack (S, 3, 3) of frames, one per root of the batch coeffs
-    describes.  All roots share one sequence of Taylor steps of order
-    _ORDER.  A step spans an arc h, _SAFETY times the radius at which the
-    last two terms of the worst root reach its own atol + rtol * max|Y|, and
-    at most _POLE_CAP of the distance to the nearest singularity; its chord
-    is no longer.  No step is rejected, and a step that is not finite gives
-    up at once.  stack, if given, is _taylor_frame(coeffs, at(0), Y) for the
-    first step.
+    A path is the vertex list of a polyline or one _circle.  Y (P, S, 3, 3)
+    holds the frames at the starts, one per path and root of the batch
+    coeffs; stacks, if given, are their _frames stacks and serve the first
+    step.  Each path keeps its own arc position and its own Taylor steps of
+    order _ORDER: a step spans an arc h, _SAFETY times the radius at which
+    the last two terms of the path's worst root reach that root's
+    atol + rtol * max|Y|, and at most _POLE_CAP of the distance to the
+    nearest singularity; its chord is no longer, and it ends at each vertex.
+    No step is rejected, and a step that is not finite gives up at once.
+    The frames of the paths still walking come from one _frames sweep per
+    step; no path's numbers depend on the others.
     """
     K = _ORDER
-    s = 0.0
+    atol = rtol * 1e-2
+    # each path's pieces still to walk, the first at arc length s[p]
+    pieces = [[path] if callable(path[0])
+              else [_segment(complex(a), complex(b)) for a, b in zip(path, path[1:])]
+              for path in paths]
+    s = [0.0] * len(paths)
+    Y = np.array(Y, complex)
     for _ in range(_MAX_STEPS):
-        if s >= length:
+        for p, path in enumerate(pieces):
+            while path and s[p] >= path[0][1]:
+                path.pop(0)
+                s[p] = 0.0
+        live = [p for p, path in enumerate(pieces) if path]
+        if not live:
             return Y
-        z = at(s)
-        if s > 0 or stack is None:
-            stack = _taylor_frame(coeffs, z, Y)
-        tol = atol + rtol * np.abs(Y).reshape(len(Y), 9).max(axis=1)
+        zs = [pieces[p][0][0](s[p]) for p in live]
+        stack = _frames(coeffs, zs, Y[live]) if stacks is None else stacks[live]
+        stacks = None
+        tol = atol + rtol * np.abs(Y[live]).reshape(len(live), -1, 9).max(axis=2)
         # |y^(j)| for j = K-1..K+2, the largest over each frame row
-        m = np.abs(stack[:, K - 1:]).max(axis=2)
+        m = np.abs(stack[:, :, K - 1:]).max(axis=3)
         with np.errstate(divide="ignore"):
             radius = np.minimum(
-                (tol * _FACT[K] / m[:, 1:].max(axis=1)) ** (1.0 / K),
-                (tol * _FACT[K - 1] / m[:, :3].max(axis=1)) ** (1.0 / (K - 1)),
+                (tol * _FACT[K] / m[..., 1:].max(axis=2)) ** (1.0 / K),
+                (tol * _FACT[K - 1] / m[..., :3].max(axis=2)) ** (1.0 / (K - 1)),
             )
-        h = min(_SAFETY * float(radius.min()), _POLE_CAP * _min_dist(z, sing))
-        if not h >= 1e-14 * length:  # NaN too
-            raise EvaluationError("transport step size underflow")
-        s = min(s + h, length)
-        Y = _eval_taylor(stack, at(s) - z, 3)
+        delta = np.empty((len(live), 1), complex)
+        for n, (p, z) in enumerate(zip(live, zs)):
+            at, length = pieces[p][0]
+            h = min(_SAFETY * float(radius[n].min()), _POLE_CAP * _min_dist(z, sing))
+            if not h >= 1e-14 * length:  # NaN too
+                raise EvaluationError("transport step size underflow")
+            s[p] = min(s[p] + h, length)
+            delta[n] = at(s[p]) - z
+        Y[live] = _eval_taylor(stack, delta, 3)
     raise EvaluationError("transport exceeded the step budget")
 
 
-def transport(problem, ctx, params, path, rtol=TRANSPORT_RTOL, sing=None, Y0=None):
+def _identity(P, S):
+    """P x S identity frames."""
+    return np.tile(np.eye(3, dtype=complex), (P, S, 1, 1))
+
+
+def transport(problem, ctx, params, path):
     """Fundamental transports (S, 3, 3) along path, the vertex list of a
     polyline or one _circle, one per parameter vector (see _coeffs), in
-    lockstep; columns carry initial data.  The frames start as the
-    identity; Y0, if given, holds the _taylor_frame stacks of other initial
-    frames at the start and serves the first step.
+    lockstep; columns carry initial data.  The one-path case of _walk, from
+    the identity at the default tolerance.
     """
     coeffs = _coeffs(problem, ctx, params)
-    if sing is None:
-        sing = _singular_translates(problem, ctx)
-    if Y0 is None:
-        Y, stack = np.tile(np.eye(3, dtype=complex), (coeffs.size, 1, 1)), None
-    else:
-        Y, stack = Y0[:, :3], Y0
-    atol = rtol * 1e-2
-    pieces = ([path] if callable(path[0])
-              else [_segment(complex(a), complex(b)) for a, b in zip(path, path[1:])])
-    for at, length in pieces:
-        Y = _path_transport(coeffs, at, length, Y, sing, rtol, atol, stack)
-        stack = None
-    return Y
+    return _walk(coeffs, [path], _identity(1, coeffs.size),
+                 _singular_translates(problem, ctx), TRANSPORT_RTOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +430,15 @@ def _geometry(problem, ctx):
 def monodromy_pair(problem, ctx, params, rtol=TRANSPORT_RTOL):
     """Period monodromies, local loop matrices, and their residuals: one
     report per parameter vector, all roots transported in lockstep along
-    the same paths.
+    both period paths and every local loop in one _walk.
     """
     coeffs = _coeffs(problem, ctx, params)
     tau = ctx.tau
     q0, clearance, r_loc, sing = _geometry(problem, ctx)
 
-    T1 = transport(problem, ctx, coeffs, plan_path(q0, q0 + 1, sing, clearance),
-                   rtol=rtol, sing=sing)
-    T2 = transport(problem, ctx, coeffs, plan_path(q0, q0 + tau, sing, clearance),
-                   rtol=rtol, sing=sing)
-    loops = [transport(problem, ctx, coeffs, _circle(ctx.reduce_point(pk.p)[0], r_loc),
-                       rtol=rtol, sing=sing)
-             for pk in problem.punctures]
+    paths = [plan_path(q0, q0 + 1, sing, clearance), plan_path(q0, q0 + tau, sing, clearance)]
+    paths += [_circle(ctx.reduce_point(pk.p)[0], r_loc) for pk in problem.punctures]
+    T1, T2, *loops = _walk(coeffs, paths, _identity(len(paths), coeffs.size), sing, rtol)
     local_scalars = tuple(cmath.exp(-2j * math.pi * float(pk.gamma1))
                           for pk in problem.punctures)
     eps = problem.epsilon
@@ -604,10 +627,12 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     """Reconstruct both field profiles on a grid and measure PDE residuals.
 
     reports are the roots' unitarized monodromy reports (report.H set), one
-    per parameter vector.  All roots share one hop chain, each with the
-    frame of its invariant form.  The chain runs from the base point of
-    _geometry to the grid corner nearest it, then snakes through the grid
-    rows.  Returns one entry per root: the pair
+    per parameter vector.  All roots share one comb of hops, each with the
+    frame of its invariant form: a spine from the base point of _geometry
+    through the first kept point of every grid row, in the orientation
+    whose first point lies nearest it, then every row along its own kept
+    points, all rows in lockstep, so no point is more than about 2 _GRID_N
+    hops from the base point.  Returns one entry per root: the pair
     (pde_residual, even_residual), also written to its report, or the
     EvaluationError of a frame that degenerated for that root alone.
     even_residual compares each root's u0 at z and at its reflection 2c - z,
@@ -639,37 +664,50 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
         kept[key] = _min_dist(z, sing) >= _EXCLUSION
     if not kept.any():
         raise StructuralError("reconstruction grid is empty")
-    # the hop order: the rows snake, in the orientation whose first kept
-    # point lies nearest q0
-    snakes = [[(i, j) for n, j in enumerate(ks[::dj]) for i in ks[::di * (-1) ** n]]
-              for di in (1, -1) for dj in (1, -1)]
-    order = min(([key for key in snake if kept[key]] for snake in snakes),
-                key=lambda keys: abs(grid[keys[0]] - q0))
+    # the comb: the rows run along i; a spine hops from q0 through the first
+    # kept point of every row, in the orientation whose first point lies
+    # nearest q0, then every row hops along its own kept points, all rows in
+    # lockstep.  A round is (source slots, target slots, index in the row),
+    # slot 0 holding q0 and slot r + 1 row r's current point
+    combs = [[[(i, j) for i in ks[::di] if kept[i, j]] for j in ks[::dj]]
+             for di in (1, -1) for dj in (1, -1)]
+    rows = min(([row for row in comb if row] for comb in combs),
+               key=lambda rows: abs(grid[rows[0][0]] - q0))
+    rounds = [([r], [r + 1], 0) for r in range(len(rows))]
+    for t in range(1, max(map(len, rows))):
+        teeth = [r + 1 for r, row in enumerate(rows) if len(row) > t]
+        rounds.append((teeth, teeth, t))
 
     live = np.arange(hops.size)
     U = np.zeros((hops.size, _GRID_N, _GRID_N))  # u0 of each root at each point
     pde_res = np.zeros(hops.size)
-    # the frames at prev as their Taylor stacks there
-    stacks = _taylor_frame(hops, q0, np.tile(np.eye(3, dtype=complex), (hops.size, 1, 1)))
-    prev = q0
-    for i, j in order:
+    # each slot's point, and the frames there as their Taylor stacks
+    at = [q0] * (len(rows) + 1)
+    front = np.zeros((len(rows) + 1, hops.size, _ORDER + 3, 3), complex)
+    front[:1] = _frames(hops, [q0], _identity(1, hops.size))
+    for src, dst, t in rounds:
         if not len(live):
             break
-        z = grid[i, j]
-        path = plan_path(prev, z, sing, clearance)
-        Y = transport(problem, ctx, hops, path, rtol=rtol, sing=sing, Y0=stacks)
-        prev = z
-        stacks = _taylor_frame(hops, z, Y)
-        u0, res, ok = _stencil(stacks, P, scale)
-        good = live[ok]
-        U[good, i, j] = u0[ok]
-        pde_res[good] = np.fmax(pde_res[good], res[ok])
+        keys = [rows[d - 1][t] for d in dst]
+        ends = [grid[key] for key in keys]
+        paths = [plan_path(at[a], z, sing, clearance) for a, z in zip(src, ends)]
+        Y = _walk(hops, paths, front[src, :, :3], sing, rtol, front[src])
+        front[dst] = _frames(hops, ends, Y)
+        for d, z in zip(dst, ends):
+            at[d] = z
+        n = len(dst)
+        u0, res, ok = (v.reshape(n, -1) for v in _stencil(
+            front[dst].reshape(-1, _ORDER + 3, 3), np.tile(P, (n, 1, 1)), np.tile(scale, (n, 1))))
+        for (i, j), u in zip(keys, u0):
+            U[live, i, j] = u
+        pde_res[live] = np.fmax(pde_res[live], res.max(axis=0))
+        ok = ok.all(axis=0)
         if not ok.all():
             for r in live[~ok]:
                 results[r] = EvaluationError("degenerate frame during reconstruction")
-            live = good
+            live = live[ok]
             hops = hops.take(np.flatnonzero(ok))
-            stacks, P, scale = stacks[ok], P[ok], scale[ok]
+            front, P, scale = front[:, ok], P[ok], scale[ok]
 
     even_res = [None] * len(results)
     if np.array_equal(kept, kept[::-1, ::-1]):

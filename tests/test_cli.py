@@ -296,14 +296,14 @@ def test_overflowing_frame_gives_up_at_once(tmp_path, monkeypatch, capsys):
         "params": {"A": [[0.0, 0.0]], "Bk": [[0.0, 0.0]], "B": [1e200, 0.0],
                    "Dk": [[0.0, 0.0]], "D": [0.0, 0.0]},
     }))
-    frames = [0]
-    orig = monodromy._taylor_frame
+    frames = [0]  # frame points: the period paths and the loop start in one sweep
+    orig = monodromy._frames
 
-    def counted(*args):
-        frames[0] += 1
-        return orig(*args)
+    def counted(coeffs, zs, Y):
+        frames[0] += len(zs)
+        return orig(coeffs, zs, Y)
 
-    monkeypatch.setattr(monodromy, "_taylor_frame", counted)
+    monkeypatch.setattr(monodromy, "_frames", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "monodromy", "--tau=0.21,1.13", "--punctures", str(path))

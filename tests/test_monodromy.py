@@ -22,7 +22,7 @@ from todacensus.monodromy import (
     verify_roots,
 )
 from todacensus.solver import solve_m0
-from todacensus.monodromy import _circle, _path_transport, _segment  # tested directly below
+from todacensus.monodromy import _circle, _walk  # tested directly below
 
 TAU = 0.21 + 1.13j
 FAR = np.array([1000.0 + 1000.0j])  # singularity list that never interferes
@@ -117,7 +117,7 @@ def _expm(A):
 def test_segment_transport_matches_matrix_exponential():
     co = _ConstCoeffs(-0.7 + 0.1j, 0.2 - 0.3j)
     za, zb = 0.1 + 0.2j, 0.7 + 0.9j
-    (got,) = _path_transport(co, *_segment(za, zb), np.eye(3, dtype=complex)[None], FAR, 1e-12, 1e-14)
+    (got,) = _walk(co, [[za, zb]], np.eye(3, dtype=complex)[None, None], FAR, 1e-12)[0]
     A = np.array([[0, 1, 0], [0, 0, 1], [-co.W3, -co.W2, 0]], complex)
     want = _expm(A * (zb - za))
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -133,34 +133,39 @@ def test_circle_transport_with_constant_coefficients_is_identity(monkeypatch):
     at, length = _circle(center, 0.4)
     assert abs(at(0.0) - (0.7 - 0.2j)) <= 1e-15 and abs(at(length) - at(0.0)) <= 1e-15
     assert abs(at(0.5 * length) - (-0.1 - 0.2j)) <= 1e-15
-    frames = _record(monkeypatch, "_taylor_frame")
-    (got,) = _path_transport(co, at, length, np.eye(3, dtype=complex)[None],
-                             np.array([center]), 1e-12, 1e-14)
+    frames = _record(monkeypatch, "_frames")
+    (got,) = _walk(co, [(at, length)], np.eye(3, dtype=complex)[None, None],
+                   np.array([center]), 1e-12)[0]
     assert np.max(np.abs(got - np.eye(3))) <= 1e-10
     assert len(frames) == math.ceil(2 * math.pi / monodromy._POLE_CAP)
     # the steps walk the circle: every frame sits on it
-    assert all(abs(abs(args[1] - center) - 0.4) <= 1e-15 for args, _ in frames)
+    assert all(abs(abs(args[1][0] - center) - 0.4) <= 1e-15 for args, _ in frames)
 
 
 def test_taylor_frame_matches_leibniz_loop():
-    # the vectorized recursion against the term-by-term Leibniz sum
+    # the sweep on Taylor coefficients against the term-by-term binomial
+    # Leibniz sum on derivatives, on every (point, root) row of one call
     prob, ctx = _setup(0, 4)
     pvs = [ParamVec.m0(-39.7 - 1.1j, 0.3j, 2.0), ParamVec.m0(12.0 + 3.0j, -1.0, 0.5j)]
     coeffs = monodromy._OdeCoeffs(prob, ctx, pvs)
-    z = 0.41 + 0.37j
-    Y = np.array([[[1, 2j, 0], [0.5, 1, -1], [0, 1j, 3]], np.eye(3)], complex)
-    got = monodromy._taylor_frame(coeffs, z, Y)
-    W2d, W3d = coeffs.derivs(z, got.shape[1] - 4)
-    want = np.zeros_like(got)
-    want[:, :3] = Y
-    for k in range(got.shape[1] - 3):
-        for j in range(k + 1):
-            c = math.comb(k, j)
-            want[:, k + 3] -= c * (W2d[:, j, None] * want[:, k - j + 1]
-                                   + W3d[:, j, None] * want[:, k - j])
-    for r in range(len(Y)):
-        for k in range(got.shape[1]):
-            assert np.max(np.abs(got[r, k] - want[r, k])) <= 1e-12 * np.max(np.abs(want[r, k]))
+    zs = [0.41 + 0.37j, -0.2 + 0.6j]
+    Y0 = np.array([[[1, 2j, 0], [0.5, 1, -1], [0, 1j, 3]], np.eye(3)], complex)
+    Y = np.stack([Y0, Y0[::-1]])
+    got = monodromy._frames(coeffs, zs, Y)
+    assert got.shape == (2, 2, monodromy._ORDER + 3, 3)
+    for p, z in enumerate(zs):
+        W2d, W3d = coeffs.derivs(z, got.shape[2] - 4)
+        want = np.zeros_like(got[p])
+        want[:, :3] = Y[p]
+        for k in range(got.shape[2] - 3):
+            for j in range(k + 1):
+                c = math.comb(k, j)
+                want[:, k + 3] -= c * (W2d[:, j, None] * want[:, k - j + 1]
+                                       + W3d[:, j, None] * want[:, k - j])
+        for r in range(len(pvs)):
+            for k in range(got.shape[2]):
+                assert (np.max(np.abs(got[p, r, k] - want[r, k]))
+                        <= 1e-14 * np.max(np.abs(want[r, k])))
 
 
 def test_eval_taylor_matches_the_row_loop():
@@ -455,20 +460,19 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
             assert np.max(np.abs(Ma - Mb)) <= 1e-9
 
 
-@pytest.mark.parametrize("n1, n2, frames, jets", [(0, 2, 184, 187), (0, 4, 203, 206)])
-def test_census_verification_work_is_bounded(monkeypatch, n1, n2, frames, jets):
-    # the Taylor frames and coefficient jets that verifying a whole census
-    # takes with this step control: a change that takes more steps fails
-    # here, not only in the benchmark.  jets counted the three half-period
-    # values of the context built inside, too; they are evaluated only when
-    # read now, so every jet serves a frame
+@pytest.mark.parametrize("n1, n2, sweeps, jets", [(0, 2, 76, 187), (0, 4, 81, 206)])
+def test_census_verification_work_is_bounded(monkeypatch, n1, n2, sweeps, jets):
+    # the Leibniz sweeps and coefficient jets that verifying a whole census
+    # takes with this step control: a change that takes more steps, or
+    # walks fewer paths in lockstep, fails here, not only in the benchmark.
+    # Every jet serves the frame of one point of a sweep
     prob, ctx, pvs = _census_params(n1, n2)
     calls = _count_jet(monkeypatch)
-    stacks = _record(monkeypatch, "_taylor_frame")
+    frames = _record(monkeypatch, "_frames")
     reports = verify_roots(prob, None, pvs)
     assert all(rep.unitarizable and rep.pde_residual is not None for rep in reports)
-    assert len(stacks) <= frames
-    assert calls[0] <= jets and calls[0] == len(stacks)
+    assert len(frames) <= sweeps
+    assert calls[0] <= jets and calls[0] == sum(len(args[1]) for args, _ in frames)
 
 
 def test_loops_and_the_first_hop_take_few_frames(monkeypatch):
@@ -477,22 +481,30 @@ def test_loops_and_the_first_hop_take_few_frames(monkeypatch):
     # reconstruction chain starts at the grid corner next to the base
     # point, not across the cell from it (28 frames)
     prob, ctx, pvs = _census_params(0, 4)
-    frames = _record(monkeypatch, "_taylor_frame")
-    orig = monodromy.transport
-    spent = []
+    frames = _record(monkeypatch, "_frames")
+    orig = monodromy._walk
+    walks = []
 
-    def counted(problem, ctx, params, path, *args, **kwargs):
+    def counted(coeffs, paths, *args):
         before = len(frames)
-        out = orig(problem, ctx, params, path, *args, **kwargs)
-        spent.append((path, kwargs.get("Y0") is not None, len(frames) - before))
+        out = orig(coeffs, paths, *args)
+        walks.append((paths, len(args) > 3, frames[before:]))
         return out
 
-    monkeypatch.setattr(monodromy, "transport", counted)
+    monkeypatch.setattr(monodromy, "_walk", counted)
     verify_roots(prob, ctx, pvs)
-    loops = [n for path, _, n in spent if callable(path[0])]
-    hops = [n for _, handed, n in spent if handed]
-    assert len(loops) == 1 and loops[0] <= 32
-    assert len(hops) >= 50 and hops[0] <= 2
+    # the loop walks in lockstep with the period paths: its frames are the
+    # points of that walk's sweeps that lie on the circle
+    ((paths, _, spent),) = [w for w in walks if any(callable(p[0]) for p in w[0])]
+    ((at, _),) = [p for p in paths if callable(p[0])]
+    center = ctx.reduce_point(prob.punctures[0].p)[0]
+    radius = abs(at(0.0) - center)
+    on_loop = [z for args, _ in spent for z in args[1] if abs(abs(z - center) - radius) <= 1e-12]
+    assert 0 < len(on_loop) <= 32
+    # the reconstruction hops start from handed stacks, the first from q0's
+    hops = [(paths, spent) for paths, handed, spent in walks if handed]
+    assert sum(len(paths) for paths, _ in hops) >= 50
+    assert sum(len(args[1]) for args, _ in hops[0][1]) <= 2
 
 
 @pytest.mark.parametrize("p", [0, 0.3 + 0.2j])
@@ -638,51 +650,57 @@ def _record(monkeypatch, name):
 
 @pytest.mark.parametrize("n1, n2, tau, size", [(0, 4, TAU, 5), (2, 4, -0.373 + 0.992j, 20)])
 def test_stencil_matches_per_root_reference(monkeypatch, n1, n2, tau, size):
+    # a call holds the roots of every grid row that moved in one round, one
+    # block of size rows per grid point; every (point, root) row is checked
     prob, ctx, pvs = _census_params(n1, n2, tau)
     assert len(pvs) == size
     reports = _unitarized(prob, ctx, pvs)
     calls = _record(monkeypatch, "_stencil")
     reconstruct_and_check(prob, ctx, pvs, reports)
-    assert len(calls) >= 50
+    assert sum(len(args[0]) for args, _ in calls) >= 50 * size
+    assert max(len(args[0]) for args, _ in calls) > size
     got, want = np.zeros(size), np.zeros(size)
     for (stacks, P, scale), (u0, res, ok) in calls:
-        assert len(stacks) == size and ok.all()
-        for r in range(size):
-            want_u, want_res = _point_residual(P[r], scale[r], stacks[r])
-            assert abs(u0[r] - want_u) <= 1e-13 * abs(want_u)
-            got[r], want[r] = max(got[r], res[r]), max(want[r], want_res)
+        assert len(stacks) % size == 0 and ok.all()
+        for row in range(len(stacks)):
+            want_u, want_res = _point_residual(P[row], scale[row], stacks[row])
+            assert abs(u0[row] - want_u) <= 1e-13 * abs(want_u)
+            r = row % size
+            got[r], want[r] = max(got[r], res[row]), max(want[r], want_res)
     # a point's residual is mostly finite-difference rounding noise, which
     # the order of the sums moves; each root's residual, the largest over
     # the grid, must agree
     assert np.all(np.abs(got - want) <= np.maximum(0.05 * want, 2e-9))
-    # a root whose frame degenerates fails alone; the others keep their values
-    (stacks, P, scale), (u0, res, ok) = calls[0]
+    # a row whose frame degenerates fails alone; the others keep their values
+    (stacks, P, scale), (u0, res, ok) = max(calls, key=lambda call: len(call[0][0]))
     P = P.copy()
-    P[1] = 0
+    P[size + 1] = 0
     u0_bad, res_bad, ok_bad = monodromy._stencil(stacks, P, scale)
-    assert not ok_bad[1] and np.delete(ok_bad, 1).all()
-    assert np.array_equal(np.delete(u0_bad, 1), np.delete(u0, 1))
-    assert np.array_equal(np.delete(res_bad, 1), np.delete(res, 1))
+    assert not ok_bad[size + 1] and np.delete(ok_bad, size + 1).all()
+    assert np.array_equal(np.delete(u0_bad, size + 1), np.delete(u0, size + 1))
+    assert np.array_equal(np.delete(res_bad, size + 1), np.delete(res, size + 1))
 
 
 def test_hops_start_from_the_grid_stacks(monkeypatch):
     prob, ctx, pvs = _census_params(0, 4)
     reports = _unitarized(prob, ctx, pvs)
-    frames = _record(monkeypatch, "_taylor_frame")
+    frames = _record(monkeypatch, "_frames")
     stencils = _record(monkeypatch, "_stencil")
+    walks = _record(monkeypatch, "_walk")
     reused = reconstruct_and_check(prob, ctx, pvs, reports)
-    # one frame per grid point is saved against building every hop's first
-    # stack afresh (218 frames)
-    assert len(frames) <= 156
+    points = sum(len(args[1]) for args, _ in frames)
+    hops = sum(len(args[1]) for args, _ in walks)
+    assert points <= 152
     reused_stacks = [args[0] for args, _ in stencils]
 
-    # without the handed-over stack the first step rebuilds it: same frames
-    orig = monodromy._path_transport
-    monkeypatch.setattr(monodromy, "_path_transport", lambda *args: orig(*args[:7]))
+    # without the handed-over stacks the first step of every hop rebuilds
+    # its frame: one more frame point per hop, the same stacks
+    orig = monodromy._walk
+    monkeypatch.setattr(monodromy, "_walk", lambda *args: orig(*args[:5]))
     frames.clear()
     stencils.clear()
     fresh = reconstruct_and_check(prob, ctx, pvs, reports)
-    assert len(frames) > 156
+    assert sum(len(args[1]) for args, _ in frames) == points + hops
     assert len(stencils) == len(reused_stacks)
     for (args, _), stacks in zip(stencils, reused_stacks):
         assert np.array_equal(args[0], stacks)
@@ -690,19 +708,53 @@ def test_hops_start_from_the_grid_stacks(monkeypatch):
     assert all(even is not None for _, even in reused)
 
 
+def test_lockstep_changes_nothing_per_path():
+    # monodromy_pair walks both period paths and the loop in one _walk;
+    # each path alone gives the same bits
+    prob, ctx, pvs = _census_params(0, 4)
+    q0, clearance, r_loc, sing = monodromy._geometry(prob, ctx)
+    paths = [plan_path(q0, q0 + 1, sing, clearance), plan_path(q0, q0 + TAU, sing, clearance),
+             _circle(ctx.reduce_point(prob.punctures[0].p)[0], r_loc)]
+    alone = [transport(prob, ctx, pvs, path) for path in paths]
+    reports = monodromy_pair(prob, ctx, pvs)
+    for r, rep in enumerate(reports):
+        assert np.array_equal(rep.N1, alone[0][r].T)
+        assert np.array_equal(rep.N2, alone[1][r].T)
+        assert np.array_equal(rep.local[0], alone[2][r].T)
+
+
+def test_comb_keeps_parity_and_bounds_the_chain(monkeypatch):
+    # the comb reaches every grid point within 2 _GRID_N hops of the base
+    # point (the row snake took up to 62), and the even roots (D0 = D = 0)
+    # keep their parity to 1e-10 (4.4e-10 to 6.0e-10 through the snake)
+    prob, ctx, pvs = _census_params(0, 4)
+    reports = _unitarized(prob, ctx, pvs)
+    walks = _record(monkeypatch, "_walk")
+    results = reconstruct_and_check(prob, ctx, pvs, reports)
+    depth = {reports[0].base_point: 0}
+    for args, _ in walks:
+        for path in args[1]:
+            depth[path[-1]] = depth[path[0]] + 1
+    assert len(depth) > 50
+    assert max(depth.values()) <= 2 * monodromy._GRID_N
+    even = [res[1] for pv, res in zip(pvs, results) if pv.Dk[0] == 0 and pv.D == 0]
+    assert len(even) == 3
+    assert max(even) <= 1e-10
+
+
 def test_shared_transport_give_up_reruns_each_root_alone(monkeypatch):
     prob, ctx = _setup(0, 2)
     true = ParamVec.m0(cmath.sqrt(ctx.g2 / 3.0), 0, 0)
     nudged = ParamVec.m0(true.B + 0.1, 0, 0)
     want = [to_jsonable(verify_root(prob, ctx, pv)) for pv in (true, nudged)]
-    orig = monodromy.transport
+    orig = monodromy._walk
 
-    def solo_only(problem, ctx, params, *args, **kwargs):
-        if getattr(params, "size", 1) > 1:
+    def solo_only(coeffs, *args):
+        if coeffs.size > 1:
             raise EvaluationError("transport step size underflow")
-        return orig(problem, ctx, params, *args, **kwargs)
+        return orig(coeffs, *args)
 
-    monkeypatch.setattr(monodromy, "transport", solo_only)
+    monkeypatch.setattr(monodromy, "_walk", solo_only)
     got = verify_roots(prob, ctx, [true, nudged])
     assert [to_jsonable(r) for r in got] == want
     with pytest.raises(EvaluationError):
