@@ -16,10 +16,12 @@ cap the two phases.  The census keeps its accepted
 points in one store, a record array with one record per point (its
 residual, polish tails and Jacobian, and whether it is a Newton endpoint),
 and runs its search boxes, the first and up to _MAX_DOUBLINGS doublings of
-it, in one loop.  Starts run in
-chunks, and each chunk's accepted points join the store and are merged
-into the clusters kept from the chunks before; a new box changes the
-metric, so it clusters the store afresh.  Theorem (i) bounds the number
+it, in one loop.  Halton starts run in
+chunks sized by the bound: 7 starts per root, then twice the chunk before,
+up to 2048, each cut to what is left of its box's budget.  Each chunk's
+accepted points join the store and are merged into the clusters kept from
+the chunks before; a new box changes the metric, so it clusters the store
+afresh.  Theorem (i) bounds the number
 of solutions by the weighted-Bezout bound, so a Halton chunk stops its
 damped loop once its converged points, their mirrors (below) and the
 clusters so far hold that many distinct roots; the polish and the
@@ -100,16 +102,21 @@ WORKERS_ENV = "TODA_CENSUS_WORKERS"
 
 # Fixed settings of the census: Newton's iteration caps in the damped loop
 # and the polish, the tolerances that judge a point even and merge two
-# points, the starts per Newton batch, the box doublings of an underfull
-# census, and the Halton starts of the first box per root of the bound.
-# The config block of a report records them with the knobs.
+# points, the box doublings of an underfull census, the Halton starts of the
+# first box per root of the bound, the fewest Halton starts a later box
+# draws however small the bound, and the starts of the first Halton chunk
+# per root and of the largest chunk (see _census).  The config block of a
+# report records the knobs, these settings and the sizes they give the
+# census (starts, chunk), all but _MIN_BOX_STARTS.
 _MAX_ITER = 60
 _POLISH_ITER = 40
 _EVEN_TOL = 1e-8
 _MERGE_TOL = 1e-6
-_CHUNK = 512
 _MAX_DOUBLINGS = 3
 _HALTON_PER_ROOT = 200
+_MIN_BOX_STARTS = 512
+_CHUNK_PER_ROOT = 7
+_MAX_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -118,9 +125,10 @@ class SolverConfig:
     point is accepted, and the offset of the Halton sequence.
 
     The first box is _first_box(g2, g3), and its Halton budget
-    _HALTON_PER_ROOT * bound (a later box gets max(_CHUNK, budget // 2));
-    the structured seeds and a scan's warm starts run besides it, and the
-    report's starts_used counts every start.
+    _HALTON_PER_ROOT * bound (a later box gets max(_MIN_BOX_STARTS,
+    budget // 2)), drawn in chunks of _CHUNK_PER_ROOT * bound starts,
+    doubling to _MAX_CHUNK; the structured seeds and a scan's warm starts
+    run besides the budget, and the report's starts_used counts every start.
     """
 
     accept_tol: float = 1e-10
@@ -163,9 +171,9 @@ class RootCluster:
 class CensusReport:
     """Census outcome for one lattice and multiplicity pair.
 
-    config holds the ten settings of the census: the knobs of SolverConfig,
-    the first box (box_radius) and its Halton budget (starts), and the
-    fixed settings of solver."""
+    config holds the eleven settings of the census: the knobs of
+    SolverConfig, the first box (box_radius), its Halton budget (starts)
+    and the first Halton chunk (chunk), and the fixed settings of solver."""
 
     tau: complex
     n1: int
@@ -644,6 +652,17 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     theorem (i) no census exceeds.  A later box changes the cluster metric,
     so it merges the store afresh before its Halton chunks.
 
+    The Halton starts run in one sequence of chunks: the first holds
+    _CHUNK_PER_ROOT starts per root of the bound (and the seeds, where they
+    join it), and each later chunk twice as many as the one before, up to
+    _MAX_CHUNK.  Every chunk is cut to what is left of its box's budget,
+    _HALTON_PER_ROOT * bound for the first box and max(_MIN_BOX_STARTS,
+    that // 2) for a later one, and the sequence carries on across box
+    doublings.  A census that one small chunk completes leaves few starts
+    in flight when its last root lands, and one that needs many starts
+    runs them in few kernel calls.  The Halton draws run in one order
+    whatever the chunk sizes; only the cuts between chunks depend on them.
+
     The first box runs two stages of its own first.  warm is what
     _newton_m0_batch returned for a batch of warm starts, solved in the
     metric of the first box: its points are taken before any other start,
@@ -675,6 +694,7 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     cfg = config or SolverConfig()
     first_box = _first_box(g2, g3)
     starts = _HALTON_PER_ROOT * bound
+    chunk = size = min(_CHUNK_PER_ROOT * bound, _MAX_CHUNK)
     offset = 101 + 7919 * (cfg.seed % 1000003)
     signs = _mirror_signs(n1, n2)[:, None] * _SIGMA
     store = np.empty(0, _POINT)
@@ -722,13 +742,14 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
                     store = accept(store, _newton_m0_batch(n1, n2, bnum, seeds,
                                                            metric_scales, cfg))
                     seeds = seeds[:0]
-        budget = max(_CHUNK, starts // 2) if doublings else starts
-        for consumed in range(0, budget, _CHUNK):
-            if len(clusters) >= bound:
-                break
-            take = min(_CHUNK, budget - consumed)
+        budget = max(_MIN_BOX_STARTS, starts // 2) if doublings else starts
+        consumed = 0
+        while consumed < budget and len(clusters) < bound:
+            take = min(size, budget - consumed)
             u = _halton_block(offset, take)
             offset += take
+            consumed += take
+            size = min(2 * size, _MAX_CHUNK)
             X = np.vstack([seeds, _starts_from_unit(u, sample_scales)])
             seeds = seeds[:0]
             starts_used += len(X)
@@ -784,7 +805,8 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
         config={
             **vars(cfg), "box_radius": first_box, "starts": starts,
             "max_iter": _MAX_ITER, "polish_iter": _POLISH_ITER, "even_tol": _EVEN_TOL,
-            "merge_tol": _MERGE_TOL, "chunk": _CHUNK, "max_doublings": _MAX_DOUBLINGS,
+            "merge_tol": _MERGE_TOL, "chunk": chunk, "max_chunk": _MAX_CHUNK,
+            "max_doublings": _MAX_DOUBLINGS,
         },
         notes=tuple(notes),
     )

@@ -160,6 +160,20 @@ def test_census_reaches_bound_generic(n1, n2, bound):
         _assert_d_headroom(rep)
 
 
+# every noncritical pair with n1 < n2 and n1 + n2 <= 9 at GENERIC_TAU: 18
+# censuses, each opening with a Halton chunk of only 7 starts per root
+ATLAS_PAIRS = [(n1, n2) for n2 in range(1, 10) for n1 in range(n2)
+               if n1 + n2 <= 9 and (n1 - n2) % 3]
+
+
+@pytest.mark.parametrize("n1,n2", ATLAS_PAIRS)
+def test_atlas_slice_reaches_bound(n1, n2):
+    # no silent undercount, and the even sector whole (empty for odd/odd)
+    rep = solve_m0(problem_m0(GENERIC_TAU, n1, n2))
+    assert rep.total == rep.bound == bezout_bound([(n1, n2)])
+    assert rep.even_total == (0 if n1 % 2 and n2 % 2 else even_count_Ne(n1, n2))
+
+
 @pytest.mark.parametrize("n2,starts", [(1, 2), (2, 3), (4, 4)])
 def test_seeds_alone_complete_small_census(monkeypatch, n2, starts):
     # the origin and the Ne even-sector roots reach every root of these
@@ -192,7 +206,30 @@ def test_seeds_that_cannot_complete_join_the_first_chunk(monkeypatch):
     monkeypatch.setattr(solver, "_newton_m0_batch", recording)
     rep = solve_m0(problem_m0(1j, 0, 4))
     assert (rep.total, rep.bound, rep.starts_used, rep.doublings) == (3, 5, 2540, 3)
-    assert starts[0] == 4 and sum(starts) == 2540
+    # the Halton chunks open at 7 starts per root and double; each is cut
+    # to what is left of its box's budget, 1,000 starts and then 512 per
+    # doubled box, and the sizes carry on across the doublings
+    assert starts == [4, 35, 70, 140, 280, 475, 512, 512, 512]
+
+
+def test_halton_chunks_double_up_to_the_cap(monkeypatch):
+    # (4,5) has 55 roots: chunks of 385 starts (and the 4 seeds), 770, 1540,
+    # then 2048 each until a chunk completes the census; 1,217 kernel calls
+    # over eighteen chunks of 512
+    starts = []
+    newton = solver._newton_m0_batch
+
+    def recording(n1, n2, bnum, X0, scales, cfg, complete=None):
+        starts.append(len(X0))
+        return newton(n1, n2, bnum, X0, scales, cfg, complete)
+
+    monkeypatch.setattr(solver, "_newton_m0_batch", recording)
+    seen = _count_kernels(monkeypatch)
+    rep = solve_m0(problem_m0(GENERIC_TAU, 4, 5))
+    assert rep.total == rep.bound == 55 and rep.doublings == 0
+    assert starts == [389, 770, 1540, 2048, 2048, 2048, 2048]
+    assert rep.config["chunk"] == 385 and rep.config["max_chunk"] == 2048
+    assert seen["calls"] <= 500
 
 
 @pytest.mark.parametrize("n2", [1, 2, 4, 5])
@@ -213,10 +250,11 @@ def test_weighted_d_radius_completes_in_the_first_box():
     # starts drawn with D within box^1.5 of the origin, sqrt(10) times the
     # weighted radius 10 * (box / 10)^1.5, spent the first damped iterates
     # pulling D back in: (3,7) took 2,561 starts over five chunks, and (4,5)
-    # 12,028 starts and a doubling
+    # 12,028 starts and a doubling; the first chunk (448 starts, 512 when
+    # every chunk held 512) completes (3,7) now
     rep = solve_m0(problem_m0(GENERIC_TAU, 3, 7))
     assert rep.total == rep.bound == 64
-    assert rep.starts_used <= solver._CHUNK + 1  # the origin joins the first chunk
+    assert rep.starts_used <= rep.config["chunk"] + 1  # the origin joins the first chunk
     _assert_d_headroom(rep)
     rep = solve_m0(problem_m0(GENERIC_TAU, 4, 5))
     assert rep.total == rep.bound == 55
@@ -264,14 +302,16 @@ CENSUS_TAU = -0.373 + 0.992j
 
 # starts of the (3,5) and (2,7) censuses at CENSUS_TAU: one chunk and the
 # structured starts, after which the mirrors of the roots found complete both
-# (2,561 and 1,029 starts when every root had to be reached by Newton)
-CENSUS_STARTS = (((3, 5), 40, 513), ((2, 7), 44, 517))
+# (2,561 and 1,029 starts when every root had to be reached by Newton; 513
+# and 517 when the first chunk held 512 starts, not 7 per root: 280 and 308
+# now, with the origin and (2,7)'s four lifted even roots)
+CENSUS_STARTS = (((3, 5), 40, 281), ((2, 7), 44, 313))
 
 
 def test_newton_stops_at_convergence(monkeypatch):
     # converged starts once iterated to the caps, max_iter + polish_iter =
     # 100 Jacobians: 98.5 and 96.3 per start here, 16.7 and 16.6 with D
-    # drawn within box^1.5, 14.8 and 12.3 now
+    # drawn within box^1.5, 14.8 and 12.3 in chunks of 512, 14.7 and 13.2 now
     points = [0]
     kernel = solver.m0_residual_batch
 
@@ -302,7 +342,7 @@ def test_line_search_evaluates_only_halved_steps(monkeypatch):
 
     monkeypatch.setattr(solver, "m0_value_batch", counting)
     rep = solve_m0(problem_m0(CENSUS_TAU, 3, 5))
-    assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 513)
+    assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 281)
     assert points[0] <= 25 * rep.starts_used
 
 
@@ -323,7 +363,8 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     # both kernels evaluated 36.6 and 37.1 points per start here when each
     # iterate judged its step by value, then re-evaluated the point with J
     # (17.9 and 17.9 with D drawn within box^1.5, 15.7 and 13.3 with the
-    # quarter step judged by value, 15.2 and 12.8 now)
+    # quarter step judged by value, 15.2 and 12.8 in chunks of 512, 15.2
+    # and 13.7 now)
     seen = _count_kernels(monkeypatch)
     for (n1, n2), total, starts in CENSUS_STARTS:
         seen["points"] = 0
@@ -346,7 +387,7 @@ def test_line_search_makes_one_value_call_per_iterate(monkeypatch):
             return kernel(n1, n2, bnum, B, D0, D)
         monkeypatch.setattr(solver, name, recording)
     rep = solve_m0(problem_m0(CENSUS_TAU, 3, 5))
-    assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 513)
+    assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 281)
     names = [name for name, _ in calls]
     assert "m0_value_batch" in names
     assert all(a != b for a, b in zip(names, names[1:]) if a == "m0_value_batch")
@@ -384,9 +425,11 @@ def test_bench_census_kernel_calls(monkeypatch):
         assert rep.total == rep.bound
         _assert_d_headroom(rep)
         starts.append(rep.starts_used)
-    assert starts == [513, 517, 518, 514]
+    # one chunk each, of 7 starts per root (with the seeds) where it was 512
+    # starts: 120 and 56 calls on 15,814 and 632 points
+    assert starts == [281, 313, 251, 233]
     assert calls["m0_residual_batch"] <= 120 and calls["m0_value_batch"] <= 56
-    assert points["m0_residual_batch"] <= 30000 and points["m0_value_batch"] <= 1100
+    assert points["m0_residual_batch"] <= 16500 and points["m0_value_batch"] <= 700
 
 
 def test_completion_test_counts_kept_roots_points_and_mirrors():
@@ -426,7 +469,7 @@ STOP_CASES = {
        for pair in ((0, 4), (2, 4), (3, 5), (2, 7), (1, 8))
        for k, tau in enumerate(random_taus(3, seed=5150))},
     "0,4-i": ((0, 4), 1j, None),  # 2,540 starts and 3 doublings, 3 of 5 roots
-    "4,5-eighteen-chunks": ((4, 5), GENERIC_TAU, None),
+    "4,5-seven-chunks": ((4, 5), GENERIC_TAU, None),
     "2,4-doubled": ((2, 4), CENSUS_TAU, 40.0),  # first box 40: one doubling
 }
 
@@ -450,7 +493,8 @@ def test_chunks_stopped_at_the_bound_keep_the_census(monkeypatch, pair, tau, box
     assert all(c.residual <= 1e-10 for c in stopped.clusters)
     hits = [sum(c.hits for c in rep.clusters) for rep in (stopped, full)]
     assert hits[0] <= hits[1]
-    if stopped.total == stopped.bound and stopped.starts_used >= solver._CHUNK:
+    seeds = len(solver._structured_starts(*pair, ctx.g2, ctx.g3))
+    if stopped.total == stopped.bound and stopped.starts_used > seeds:
         # a Halton chunk completed the census, and stopped early
         assert hits[0] < hits[1]
 
@@ -575,10 +619,12 @@ def _groups(clusters):
 
 
 @pytest.mark.parametrize("n1,n2,tau,calls,doublings,degenerate", [
-    # eighteen chunks in one box (the seeds join the first), mirrors after
-    # the first, the third and the last
-    (4, 5, GENERIC_TAU, 21, 0, 0),
-    (0, 4, 1j, 9, 3, 1),           # the seeds, two chunks, then per doubling a re-merge and a chunk
+    # seven chunks in one box (the seeds join the first), mirrors after the
+    # first, the third and the last (eighteen chunks of 512 made 21 calls)
+    (4, 5, GENERIC_TAU, 10, 0, 0),
+    # the seeds, five chunks, then per doubling a re-merge and a chunk (9
+    # calls with two chunks of 512 in the first box)
+    (0, 4, 1j, 12, 3, 1),
 ])
 def test_incremental_clusters_match_greedy(monkeypatch, n1, n2, tau, calls,
                                            doublings, degenerate):
@@ -1176,14 +1222,15 @@ def test_zero_start_budget_still_runs_the_seeds(monkeypatch):
     assert rep.starts_used == 3
 
 
-def test_config_has_two_knobs_and_reports_ten():
+def test_config_has_two_knobs_and_reports_eleven():
     # the census has two settings; the report's config block still records
-    # the first box, its Halton budget and the six fixed settings it ran with
+    # the first box, its Halton budget, its first chunk (7 starts per root)
+    # and the seven fixed settings it ran with
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["accept_tol", "seed"]
     assert not hasattr(SolverConfig, "resolved") and not hasattr(SolverConfig, "to_json_dict")
     rep = solve_m0(problem_m0(GENERIC_TAU, 0, 2), config=SolverConfig(seed=3))
     assert to_jsonable(rep)["config"] == {
         "box_radius": rep.box_radius, "starts": 400, "accept_tol": 1e-10, "seed": 3,
         "max_iter": 60, "polish_iter": 40, "even_tol": 1e-8, "merge_tol": 1e-6,
-        "chunk": 512, "max_doublings": 3,
+        "chunk": 14, "max_chunk": 2048, "max_doublings": 3,
     }
