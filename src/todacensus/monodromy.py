@@ -10,22 +10,26 @@ coefficient jets), extracts the two period monodromies and the local loop
 matrices, checks the scalar local condition and the commutator identity
 N1 N2 N1^-1 N2^-1 = eps I, searches for an invariant Hermitian form
 (unitarization), and reconstructs the two field profiles whose PDE residuals
-certify the root end to end.  One engine, _walk, carries every transport: it
-walks a list of paths in lockstep, each path on its own steps, and takes the
-Taylor frames of all paths and roots from one Leibniz sweep per step.  The
-period paths and the local loops are one walk.  The reconstruction reaches
-the grid by a comb: a spine from the base point through the first point of
-every grid row, then all rows along their own points in lockstep, each hop
-starting from the Taylor stacks of the point it leaves; the
-finite-difference stencil of every root at every point a round reaches is
+certify the root end to end.  One engine, _walk, carries every transport by
+multiple shooting: it walks a list of paths in lockstep, each from the
+identity and on its own steps, and takes the Taylor frames of all paths and
+roots from one Leibniz sweep per step; frames then follow by 3 x 3
+products.  The two period paths stay whole, and each local loop is three
+arcs in the same walk, its matrix the product of theirs.  The
+reconstruction reaches the grid by a comb: a spine from the base point
+through the first point of every grid row, then every row along its own
+points.  Its hops are walked in groups of at most _GRID_N in comb order,
+each from the identity Taylor stacks at both its ends, so no sweep holds
+more than _GRID_N points and no stacks of the whole grid are held; the
+finite-difference stencil of every root at every point a group reaches is
 one array pass.
 
 Conventions fixed here: a transport T along a path maps initial data
 (y, y', y'') at the start to data at the end, composing as T(q after p) =
 T(q) T(p); monodromy matrices act on the solution row basis, which makes
 them the transposes of the data transports.  Local loops are positively
-oriented circles around the punctures, walked in chords as long as the step
-control allows.
+oriented circles around the punctures, each walked as three arcs in chords
+as long as the step control allows.
 """
 
 import cmath
@@ -219,10 +223,11 @@ def _segment(za, zb):
     return (lambda s: za + (s / L) * dz), L
 
 
-def _circle(center, radius):
-    """The positively oriented circle |z - center| = radius from center +
-    radius, as a path: the point at arc length s, the length."""
-    return (lambda s: center + radius * cmath.exp(1j * (s / radius))), 2 * math.pi * radius
+def _arc(center, radius, t0, t1):
+    """The positively oriented arc of |z - center| = radius from angle t0 to
+    t1 > t0, as a path: the point at arc length s, the length.  The circle
+    from center + radius is the arc from 0 to 2 pi."""
+    return (lambda s: center + radius * cmath.exp(1j * (t0 + s / radius))), radius * (t1 - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +260,10 @@ def _frames(coeffs, zs, Y):
     and a_{k+3} (at 2k + 7) are written through one stride-3 slot."""
     P, S = Y.shape[:2]
     K = _ORDER
-    W = np.array([coeffs.derivs(z, K - 1) for z in zs]) / _FACT[:K]  # (P, 2, S, K)
+    W = np.array([coeffs.derivs(z, K - 1) for z in zs])  # (P, 2, S, K)
     # w2_{K-1-i} at 2i, w3_{K-1-i} at 2i + 1
-    wr = W[..., ::-1].transpose(0, 2, 3, 1).reshape(P * S, 1, 2 * K)
+    wr = (W / _FACT[:K])[..., ::-1].transpose(0, 2, 3, 1).reshape(P * S, 1, 2 * K)
+    del W  # not held through the sweep
     y = Y.reshape(P * S, 3, 3)
     x = np.zeros((P * S, 2 * (K + 3), 3), complex)
     x[:, 0] = x[:, 3] = y[:, 1]
@@ -287,30 +293,54 @@ def _eval_taylor(stack, delta, rows):
     return band @ stack
 
 
-def _walk(coeffs, paths, Y, sing, rtol, stacks=None):
-    """Continue dY/dz = A(z) Y along every path at once; returns the frames
-    (P, S, 3, 3) at the paths' ends.
-
-    A path is the vertex list of a polyline or one _circle.  Y (P, S, 3, 3)
-    holds the frames at the starts, one per path and root of the batch
-    coeffs; stacks, if given, are their _frames stacks and serve the first
-    step.  Each path keeps its own arc position and its own Taylor steps of
-    order _ORDER: a step spans an arc h, _SAFETY times the radius at which
-    the last two terms of the path's worst root reach that root's
+def _step(stack, Y, zs, sing, rtol):
+    """The steps h (P,) of the paths from their frames Y (P, S, 3, 3) at
+    the points zs and their _frames stacks: _SAFETY times the radius at
+    which the last two terms of the path's worst root reach that root's
     atol + rtol * max|Y|, and at most _POLE_CAP of the distance to the
-    nearest singularity; its chord is no longer, and it ends at each vertex.
-    No step is rejected, and a step that is not finite gives up at once.
-    The frames of the paths still walking come from one _frames sweep per
-    step; no path's numbers depend on the others.
-    """
+    nearest singularity."""
     K = _ORDER
-    atol = rtol * 1e-2
+    tol = rtol * 1e-2 + rtol * np.abs(Y).reshape(len(Y), -1, 9).max(axis=2)
+    # |y^(j)| for j = K-1..K+2, the largest over each frame row
+    m = np.abs(stack[:, :, K - 1:]).max(axis=3)
+    with np.errstate(divide="ignore"):
+        radius = np.minimum(
+            (tol * _FACT[K] / m[..., 1:].max(axis=2)) ** (1.0 / K),
+            (tol * _FACT[K - 1] / m[..., :3].max(axis=2)) ** (1.0 / (K - 1)),
+        )
+    return np.minimum(_SAFETY * radius.min(axis=1),
+                      _POLE_CAP * np.abs(sing - np.asarray(zs)[:, None]).min(axis=1))
+
+
+def _walk(coeffs, paths, sing, rtol, stacks=None, ends=None):
+    """Transports (P, S, 3, 3) of dY/dz = A(z) Y along every path at once,
+    one per path and root of the batch coeffs: each path's frames start
+    from the identity.
+
+    A path is the vertex list of a polyline or one _arc.  stacks, if given,
+    are the _frames stacks (S, _ORDER+3, 3) of the identity frames at the
+    starts, one per path, and serve the first step.  Each path keeps its
+    own arc position and its own Taylor steps of order _ORDER, of the
+    length _step gives; a step's chord is no longer, and it ends at each
+    vertex.  No step is rejected, and a step that is not finite gives up at
+    once.  The frames of the paths still walking come from one _frames
+    sweep per step; no path's numbers depend on the others.
+
+    ends, if given, are the identity stacks at the ends of polylines, one
+    per path.  On its last segment a path finishes as soon as its own step
+    or the step that its end stack allows back from the end covers what
+    remains; when only the step back does, the frames at the end follow
+    from it, inverted, and the path needs no sweep short of its end.
+    """
     # each path's pieces still to walk, the first at arc length s[p]
     pieces = [[path] if callable(path[0])
               else [_segment(complex(a), complex(b)) for a, b in zip(path, path[1:])]
               for path in paths]
     s = [0.0] * len(paths)
-    Y = np.array(Y, complex)
+    Y = _identity(len(paths), coeffs.size)
+    if ends is not None:
+        last = np.array([complex(path[-1]) for path in paths])
+        back = _step(np.array(ends), Y, last, sing, rtol)
     for _ in range(_MAX_STEPS):
         for p, path in enumerate(pieces):
             while path and s[p] >= path[0][1]:
@@ -320,25 +350,30 @@ def _walk(coeffs, paths, Y, sing, rtol, stacks=None):
         if not live:
             return Y
         zs = [pieces[p][0][0](s[p]) for p in live]
-        stack = _frames(coeffs, zs, Y[live]) if stacks is None else stacks[live]
+        stack = (_frames(coeffs, zs, Y[live]) if stacks is None
+                 else np.array([stacks[p] for p in live]))
         stacks = None
-        tol = atol + rtol * np.abs(Y[live]).reshape(len(live), -1, 9).max(axis=2)
-        # |y^(j)| for j = K-1..K+2, the largest over each frame row
-        m = np.abs(stack[:, :, K - 1:]).max(axis=3)
-        with np.errstate(divide="ignore"):
-            radius = np.minimum(
-                (tol * _FACT[K] / m[..., 1:].max(axis=2)) ** (1.0 / K),
-                (tol * _FACT[K - 1] / m[..., :3].max(axis=2)) ** (1.0 / (K - 1)),
-            )
+        h = _step(stack, Y[live], zs, sing, rtol)
+        if not np.all(h >= 1e-14 * np.array([pieces[p][0][1] for p in live])):  # NaN too
+            raise EvaluationError("transport step size underflow")
         delta = np.empty((len(live), 1), complex)
+        stop, stop_delta = [], []
         for n, (p, z) in enumerate(zip(live, zs)):
             at, length = pieces[p][0]
-            h = min(_SAFETY * float(radius[n].min()), _POLE_CAP * _min_dist(z, sing))
-            if not h >= 1e-14 * length:  # NaN too
-                raise EvaluationError("transport step size underflow")
-            s[p] = min(s[p] + h, length)
-            delta[n] = at(s[p]) - z
+            if ends is not None and len(pieces[p]) == 1 and h[n] < length - s[p] <= back[p]:
+                stop.append(p)
+                stop_delta.append(z - last[p])
+                s[p] = length
+                delta[n] = 0.0
+            else:
+                s[p] = min(s[p] + float(h[n]), length)
+                delta[n] = at(s[p]) - z
         Y[live] = _eval_taylor(stack, delta, 3)
+        stack = None  # not held through the next sweep
+        if stop:
+            back_stack = np.array([ends[p] for p in stop])
+            Y[stop] = np.linalg.solve(_eval_taylor(back_stack, np.array(stop_delta)[:, None], 3),
+                                      Y[stop])
     raise EvaluationError("transport exceeded the step budget")
 
 
@@ -349,13 +384,12 @@ def _identity(P, S):
 
 def transport(problem, ctx, params, path):
     """Fundamental transports (S, 3, 3) along path, the vertex list of a
-    polyline or one _circle, one per parameter vector (see _coeffs), in
-    lockstep; columns carry initial data.  The one-path case of _walk, from
-    the identity at the default tolerance.
+    polyline or one _arc, one per parameter vector (see _coeffs), in
+    lockstep; columns carry initial data.  The one-path case of _walk, at
+    the default tolerance.
     """
     coeffs = _coeffs(problem, ctx, params)
-    return _walk(coeffs, [path], _identity(1, coeffs.size),
-                 _singular_translates(problem, ctx), TRANSPORT_RTOL)[0]
+    return _walk(coeffs, [path], _singular_translates(problem, ctx), TRANSPORT_RTOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +464,22 @@ def _geometry(problem, ctx):
 def monodromy_pair(problem, ctx, params, rtol=TRANSPORT_RTOL):
     """Period monodromies, local loop matrices, and their residuals: one
     report per parameter vector, all roots transported in lockstep along
-    both period paths and every local loop in one _walk.
+    both period paths and the three arcs of every local loop in one _walk.
     """
     coeffs = _coeffs(problem, ctx, params)
     tau = ctx.tau
     q0, clearance, r_loc, sing = _geometry(problem, ctx)
 
+    # each local loop is three arcs, walked from the identity with the two
+    # period paths; its transport is the product of theirs
     paths = [plan_path(q0, q0 + 1, sing, clearance), plan_path(q0, q0 + tau, sing, clearance)]
-    paths += [_circle(ctx.reduce_point(pk.p)[0], r_loc) for pk in problem.punctures]
-    T1, T2, *loops = _walk(coeffs, paths, _identity(len(paths), coeffs.size), sing, rtol)
+    paths += [_arc(ctx.reduce_point(pk.p)[0], r_loc, 2 * math.pi * k / 3, 2 * math.pi * (k + 1) / 3)
+              for pk in problem.punctures for k in range(3)]
+    # both period paths start at q0: one identity stack there serves both
+    starts = [q0] + [at(0.0) for at, _ in paths[2:]]
+    stacks = _frames(coeffs, starts, _identity(len(starts), coeffs.size))
+    T1, T2, *arcs = _walk(coeffs, paths, sing, rtol, stacks[[0, *range(len(starts))]])
+    loops = [c @ b @ a for a, b, c in zip(arcs[::3], arcs[1::3], arcs[2::3])]
     local_scalars = tuple(cmath.exp(-2j * math.pi * float(pk.gamma1))
                           for pk in problem.punctures)
     eps = problem.epsilon
@@ -631,8 +672,13 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     frame of its invariant form: a spine from the base point of _geometry
     through the first kept point of every grid row, in the orientation
     whose first point lies nearest it, then every row along its own kept
-    points, all rows in lockstep, so no point is more than about 2 _GRID_N
-    hops from the base point.  Returns one entry per root: the pair
+    points, so no point is more than about 2 _GRID_N hops from the base
+    point.  Every hop is walked from the identity, from both its ends'
+    Taylor stacks (see _walk), in groups of _GRID_N hops in lockstep taken
+    in comb order; a point's frame is its hop's transport times the frame
+    where the hop starts.  Each group's stencil runs right after its walk,
+    and only the points that later hops start from keep their frames and
+    stacks.  Returns one entry per root: the pair
     (pde_residual, even_residual), also written to its report, or the
     EvaluationError of a frame that degenerated for that root alone.
     even_residual compares each root's u0 at z and at its reflection 2c - z,
@@ -641,8 +687,8 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     is laid around c.  It is None when the kept grid is not symmetric under
     that reflection.
     """
-    hops = _coeffs(problem, ctx, params)
-    results = [None] * hops.size
+    coeffs = _coeffs(problem, ctx, params)
+    results = [None] * coeffs.size
     Lc = np.linalg.cholesky(np.array([rep.H for rep in reports]))
     P = Lc.conj().transpose(0, 2, 1)
     detP = np.prod(np.diagonal(Lc, axis1=1, axis2=2), axis=1)
@@ -664,50 +710,55 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
         kept[key] = _min_dist(z, sing) >= _EXCLUSION
     if not kept.any():
         raise StructuralError("reconstruction grid is empty")
-    # the comb: the rows run along i; a spine hops from q0 through the first
-    # kept point of every row, in the orientation whose first point lies
-    # nearest q0, then every row hops along its own kept points, all rows in
-    # lockstep.  A round is (source slots, target slots, index in the row),
-    # slot 0 holding q0 and slot r + 1 row r's current point
+    # the comb's rows run along i; its hops in comb order, q0 as key None
     combs = [[[(i, j) for i in ks[::di] if kept[i, j]] for j in ks[::dj]]
              for di in (1, -1) for dj in (1, -1)]
     rows = min(([row for row in comb if row] for comb in combs),
                key=lambda rows: abs(grid[rows[0][0]] - q0))
-    rounds = [([r], [r + 1], 0) for r in range(len(rows))]
-    for t in range(1, max(map(len, rows))):
-        teeth = [r + 1 for r, row in enumerate(rows) if len(row) > t]
-        rounds.append((teeth, teeth, t))
+    spine = [None] + [row[0] for row in rows]
+    hops = list(zip(spine, spine[1:])) + [hop for row in rows for hop in zip(row, row[1:])]
+    at = {None: q0, **grid}
 
-    live = np.arange(hops.size)
-    U = np.zeros((hops.size, _GRID_N, _GRID_N))  # u0 of each root at each point
-    pde_res = np.zeros(hops.size)
-    # each slot's point, and the frames there as their Taylor stacks
-    at = [q0] * (len(rows) + 1)
-    front = np.zeros((len(rows) + 1, hops.size, _ORDER + 3, 3), complex)
-    front[:1] = _frames(hops, [q0], _identity(1, hops.size))
-    for src, dst, t in rounds:
+    live = np.arange(coeffs.size)
+    U = np.zeros((coeffs.size, _GRID_N, _GRID_N))  # u0 of each root at each point
+    pde_res = np.zeros(coeffs.size)
+    # at the points reached that later hops start from: each root's frame Y,
+    # and the Taylor stacks G of the identity frames there.  The frame's
+    # stack is G @ Y, and G serves the first step of a hop from there
+    Y, G = {None: _identity(1, coeffs.size)[0]}, {}
+    for g in range(0, len(hops), _GRID_N):
         if not len(live):
             break
-        keys = [rows[d - 1][t] for d in dst]
-        ends = [grid[key] for key in keys]
-        paths = [plan_path(at[a], z, sing, clearance) for a, z in zip(src, ends)]
-        Y = _walk(hops, paths, front[src, :, :3], sing, rtol, front[src])
-        front[dst] = _frames(hops, ends, Y)
-        for d, z in zip(dst, ends):
-            at[d] = z
-        n = len(dst)
+        group = hops[g:g + _GRID_N]
+        starts, ends = zip(*group)
+        new = [key for key in dict.fromkeys(starts + ends) if key not in G]
+        for k in range(0, len(new), _GRID_N):
+            keys = new[k:k + _GRID_N]
+            G.update(zip(keys, _frames(coeffs, [at[key] for key in keys],
+                                       _identity(len(keys), coeffs.size))))
+        T = _walk(coeffs, [plan_path(at[a], at[b], sing, clearance) for a, b in group],
+                  sing, rtol, [G[a] for a in starts], [G[b] for b in ends])
+        for (a, b), Tb in zip(group, T):
+            Y[b] = Tb @ Y[a]
+        n = len(group)
         u0, res, ok = (v.reshape(n, -1) for v in _stencil(
-            front[dst].reshape(-1, _ORDER + 3, 3), np.tile(P, (n, 1, 1)), np.tile(scale, (n, 1))))
-        for (i, j), u in zip(keys, u0):
+            np.array([G[b] @ Y[b] for b in ends]).reshape(-1, _ORDER + 3, 3),
+            np.tile(P, (n, 1, 1)), np.tile(scale, (n, 1))))
+        for (i, j), u in zip(ends, u0):
             U[live, i, j] = u
         pde_res[live] = np.fmax(pde_res[live], res.max(axis=0))
+        later = {a for a, _ in hops[g + _GRID_N:]}
+        G = {a: G[a] for a in G if a in later}
+        Y = {a: Y[a] for a in Y if a in later}
         ok = ok.all(axis=0)
         if not ok.all():
             for r in live[~ok]:
                 results[r] = EvaluationError("degenerate frame during reconstruction")
             live = live[ok]
-            hops = hops.take(np.flatnonzero(ok))
-            front, P, scale = front[:, ok], P[ok], scale[ok]
+            coeffs = coeffs.take(np.flatnonzero(ok))
+            G = {a: stack[ok] for a, stack in G.items()}
+            Y = {a: frame[ok] for a, frame in Y.items()}
+            P, scale = P[ok], scale[ok]
 
     even_res = [None] * len(results)
     if np.array_equal(kept, kept[::-1, ::-1]):

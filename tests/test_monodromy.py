@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from todacensus.monodromy import (
     verify_roots,
 )
 from todacensus.solver import solve_m0
-from todacensus.monodromy import _circle, _walk  # tested directly below
+from todacensus.monodromy import _arc, _walk  # tested directly below
 
 TAU = 0.21 + 1.13j
 FAR = np.array([1000.0 + 1000.0j])  # singularity list that never interferes
@@ -99,6 +100,8 @@ def test_worst_violation_matches_the_loop():
 class _ConstCoeffs:
     """Constant W2, W3: the transport is an explicit matrix exponential."""
 
+    size = 1
+
     def __init__(self, W2, W3):
         self.W2, self.W3 = complex(W2), complex(W3)
 
@@ -117,7 +120,7 @@ def _expm(A):
 def test_segment_transport_matches_matrix_exponential():
     co = _ConstCoeffs(-0.7 + 0.1j, 0.2 - 0.3j)
     za, zb = 0.1 + 0.2j, 0.7 + 0.9j
-    (got,) = _walk(co, [[za, zb]], np.eye(3, dtype=complex)[None, None], FAR, 1e-12)[0]
+    (got,) = _walk(co, [[za, zb]], FAR, 1e-12)[0]
     A = np.array([[0, 1, 0], [0, 0, 1], [-co.W3, -co.W2, 0]], complex)
     want = _expm(A * (zb - za))
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -130,12 +133,11 @@ def test_circle_transport_with_constant_coefficients_is_identity(monkeypatch):
     # sets the chords
     co = _ConstCoeffs(-0.7 + 0.1j, 0.2 - 0.3j)
     center = 0.3 - 0.2j
-    at, length = _circle(center, 0.4)
+    at, length = _arc(center, 0.4, 0.0, 2 * math.pi)
     assert abs(at(0.0) - (0.7 - 0.2j)) <= 1e-15 and abs(at(length) - at(0.0)) <= 1e-15
     assert abs(at(0.5 * length) - (-0.1 - 0.2j)) <= 1e-15
     frames = _record(monkeypatch, "_frames")
-    (got,) = _walk(co, [(at, length)], np.eye(3, dtype=complex)[None, None],
-                   np.array([center]), 1e-12)[0]
+    (got,) = _walk(co, [(at, length)], np.array([center]), 1e-12)[0]
     assert np.max(np.abs(got - np.eye(3))) <= 1e-10
     assert len(frames) == math.ceil(2 * math.pi / monodromy._POLE_CAP)
     # the steps walk the circle: every frame sits on it
@@ -460,7 +462,7 @@ def test_batch_monodromy_matches_per_root(monkeypatch):
             assert np.max(np.abs(Ma - Mb)) <= 1e-9
 
 
-@pytest.mark.parametrize("n1, n2, sweeps, jets", [(0, 2, 76, 187), (0, 4, 81, 206)])
+@pytest.mark.parametrize("n1, n2, sweeps, jets", [(0, 2, 39, 187), (0, 4, 40, 206)])
 def test_census_verification_work_is_bounded(monkeypatch, n1, n2, sweeps, jets):
     # the Leibniz sweeps and coefficient jets that verifying a whole census
     # takes with this step control: a change that takes more steps, or
@@ -476,35 +478,32 @@ def test_census_verification_work_is_bounded(monkeypatch, n1, n2, sweeps, jets):
 
 
 def test_loops_and_the_first_hop_take_few_frames(monkeypatch):
-    # a local loop is a circle whose chords the step control picks, not a
+    # a local loop is three arcs whose chords the step control picks, not a
     # polygon whose every side restarts the step (48 frames), and the
-    # reconstruction chain starts at the grid corner next to the base
-    # point, not across the cell from it (28 frames)
+    # reconstruction comb starts at the grid corner next to the base point,
+    # not across the cell from it (28 frames)
     prob, ctx, pvs = _census_params(0, 4)
     frames = _record(monkeypatch, "_frames")
-    orig = monodromy._walk
-    walks = []
-
-    def counted(coeffs, paths, *args):
-        before = len(frames)
-        out = orig(coeffs, paths, *args)
-        walks.append((paths, len(args) > 3, frames[before:]))
-        return out
-
-    monkeypatch.setattr(monodromy, "_walk", counted)
-    verify_roots(prob, ctx, pvs)
-    # the loop walks in lockstep with the period paths: its frames are the
-    # points of that walk's sweeps that lie on the circle
-    ((paths, _, spent),) = [w for w in walks if any(callable(p[0]) for p in w[0])]
-    ((at, _),) = [p for p in paths if callable(p[0])]
+    # the arcs walk in lockstep with the period paths: the loop's frames are
+    # the points of monodromy_pair's sweeps that lie on the circle
+    reports = monodromy_pair(prob, ctx, pvs)
     center = ctx.reduce_point(prob.punctures[0].p)[0]
-    radius = abs(at(0.0) - center)
-    on_loop = [z for args, _ in spent for z in args[1] if abs(abs(z - center) - radius) <= 1e-12]
+    radius = reports[0].loop_radius
+    on_loop = [z for args, _ in frames for z in args[1] if abs(abs(z - center) - radius) <= 1e-12]
     assert 0 < len(on_loop) <= 32
-    # the reconstruction hops start from handed stacks, the first from q0's
-    hops = [(paths, spent) for paths, handed, spent in walks if handed]
-    assert sum(len(paths) for paths, _ in hops) >= 50
-    assert sum(len(args[1]) for args, _ in hops[0][1]) <= 2
+    # every reconstruction hop starts from a handed stack
+    for rep in reports:
+        assert unitarize(rep).ok
+    walks = _record(monkeypatch, "_walk")
+    reconstruct_and_check(prob, ctx, pvs, reports)
+    assert all(args[4] is not None for args, _ in walks)
+    assert sum(len(args[1]) for args, _ in walks) >= 50
+    # the first hop leaves the base point for the corner next to it
+    first = walks[0][0][1][0]
+    assert first[0] == reports[0].base_point
+    frames.clear()
+    transport(prob, ctx, pvs, first)
+    assert len(frames) <= 2
 
 
 @pytest.mark.parametrize("p", [0, 0.3 + 0.2j])
@@ -650,7 +649,7 @@ def _record(monkeypatch, name):
 
 @pytest.mark.parametrize("n1, n2, tau, size", [(0, 4, TAU, 5), (2, 4, -0.373 + 0.992j, 20)])
 def test_stencil_matches_per_root_reference(monkeypatch, n1, n2, tau, size):
-    # a call holds the roots of every grid row that moved in one round, one
+    # a call holds the roots of every point one group of hops reached, one
     # block of size rows per grid point; every (point, root) row is checked
     prob, ctx, pvs = _census_params(n1, n2, tau)
     assert len(pvs) == size
@@ -693,10 +692,11 @@ def test_hops_start_from_the_grid_stacks(monkeypatch):
     assert points <= 152
     reused_stacks = [args[0] for args, _ in stencils]
 
-    # without the handed-over stacks the first step of every hop rebuilds
-    # its frame: one more frame point per hop, the same stacks
+    # without the handed-over start stacks the first step of every hop
+    # rebuilds them: one more frame point per hop, the same stacks
     orig = monodromy._walk
-    monkeypatch.setattr(monodromy, "_walk", lambda *args: orig(*args[:5]))
+    monkeypatch.setattr(monodromy, "_walk", lambda coeffs, paths, sing, rtol, stacks, ends:
+                        orig(coeffs, paths, sing, rtol, None, ends))
     frames.clear()
     stencils.clear()
     fresh = reconstruct_and_check(prob, ctx, pvs, reports)
@@ -708,19 +708,96 @@ def test_hops_start_from_the_grid_stacks(monkeypatch):
     assert all(even is not None for _, even in reused)
 
 
-def test_lockstep_changes_nothing_per_path():
-    # monodromy_pair walks both period paths and the loop in one _walk;
-    # each path alone gives the same bits
+def test_hops_finish_from_their_end_stacks(monkeypatch):
+    # a hop whose own step falls short of its end, but whose end's stack
+    # reaches back over what remains, finishes with that step back: no sweep
+    # short of its end.  Three hops of the (0,4) census do so; every hop's
+    # transport agrees with the one walked forward to its end
     prob, ctx, pvs = _census_params(0, 4)
-    q0, clearance, r_loc, sing = monodromy._geometry(prob, ctx)
-    paths = [plan_path(q0, q0 + 1, sing, clearance), plan_path(q0, q0 + TAU, sing, clearance),
-             _circle(ctx.reduce_point(prob.punctures[0].p)[0], r_loc)]
-    alone = [transport(prob, ctx, pvs, path) for path in paths]
+    reports = _unitarized(prob, ctx, pvs)
+    walks = _record(monkeypatch, "_walk")
+    reconstruct_and_check(prob, ctx, pvs, reports)
+    frames = _record(monkeypatch, "_frames")
+    saved = 0
+    for (coeffs, paths, sing, rtol, stacks, ends), T in walks:
+        frames.clear()
+        whole = _walk(coeffs, paths, sing, rtol, stacks)
+        saved += sum(len(args[1]) for args, _ in frames)
+        frames.clear()
+        assert np.array_equal(_walk(coeffs, paths, sing, rtol, stacks, ends), T)
+        saved -= sum(len(args[1]) for args, _ in frames)
+        assert np.all(np.abs(T - whole) <= 1e-12 * np.abs(whole).max(axis=(2, 3), keepdims=True))
+    assert saved >= 3
+
+
+def test_lockstep_changes_nothing_per_path(monkeypatch):
+    # monodromy_pair walks both period paths and the three arcs of the loop
+    # in one _walk; each path alone gives the same bits, and the loop's
+    # matrix is the product of its arcs'
+    prob, ctx, pvs = _census_params(0, 4)
+    walks = _record(monkeypatch, "_walk")
     reports = monodromy_pair(prob, ctx, pvs)
+    ((args, T),) = walks
+    paths = args[1]
+    assert len(paths) == 5 and all(callable(path[0]) for path in paths[2:])
+    for path, Tp in zip(paths, T):
+        assert np.array_equal(transport(prob, ctx, pvs, path), Tp)
     for r, rep in enumerate(reports):
-        assert np.array_equal(rep.N1, alone[0][r].T)
-        assert np.array_equal(rep.N2, alone[1][r].T)
-        assert np.array_equal(rep.local[0], alone[2][r].T)
+        assert np.array_equal(rep.N1, T[0][r].T)
+        assert np.array_equal(rep.N2, T[1][r].T)
+        assert np.array_equal(rep.local[0], (T[4] @ T[3] @ T[2])[r].T)
+
+
+def test_arc_product_matches_the_whole_circle():
+    prob, ctx, pvs = _census_params(0, 4)
+    reports = monodromy_pair(prob, ctx, pvs)
+    center = ctx.reduce_point(prob.punctures[0].p)[0]
+    whole = transport(prob, ctx, pvs, _arc(center, reports[0].loop_radius, 0.0, 2 * math.pi))
+    for rep, W in zip(reports, whole):
+        assert np.max(np.abs(rep.local[0] - W.T)) <= 1e-12 * np.max(np.abs(W))
+
+
+def test_composed_frames_match_the_sequential_transport(monkeypatch):
+    # the frame at each kept grid point, composed from hop transports, is
+    # the frame that one transport along the comb's chain from the base
+    # point carries there.  Both sit at the transport's accuracy floor: the
+    # chain's own frames are up to 1.5e-10 of max|Y| from a walk at rtol
+    # 1e-14, and the two agree to 2.0e-10
+    prob, ctx, pvs = _census_params(0, 4)
+    reports = _unitarized(prob, ctx, pvs)
+    walks = _record(monkeypatch, "_walk")
+    stencils = _record(monkeypatch, "_stencil")
+    reconstruct_and_check(prob, ctx, pvs, reports)
+    assert len(walks) == len(stencils)
+    chain = {reports[0].base_point: [reports[0].base_point]}
+    ends, composed = [], []
+    for (args, _), ((stacks, _, _), _) in zip(walks, stencils):
+        for path in args[1]:
+            chain[path[-1]] = chain[path[0]] + list(path[1:])
+            ends.append(path[-1])
+        # a stack's first three rows are its frame
+        composed += list(stacks[:, :3].reshape(len(args[1]), len(pvs), 3, 3))
+    assert len(ends) >= 50
+    coeffs = monodromy._OdeCoeffs(prob, ctx, pvs)
+    sequential = _walk(coeffs, [chain[z] for z in ends], monodromy._singular_translates(prob, ctx),
+                       monodromy.TRANSPORT_RTOL)
+    for Yc, Ys in zip(composed, sequential):
+        assert np.all(np.abs(Yc - Ys).max(axis=(1, 2)) <= 3e-10 * np.abs(Ys).max(axis=(1, 2)))
+
+
+def test_reconstruction_memory_is_bounded():
+    # hops walk in groups of _GRID_N and only the points later hops start
+    # from keep their stacks: no array over the whole grid
+    prob, ctx, pvs = _census_params(0, 4)
+    reports = _unitarized(prob, ctx, pvs)
+    reconstruct_and_check(prob, ctx, pvs, reports)
+    tracemalloc.start()
+    try:
+        reconstruct_and_check(prob, ctx, pvs, reports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * 2 ** 20
 
 
 def test_comb_keeps_parity_and_bounds_the_chain(monkeypatch):
