@@ -16,13 +16,12 @@ identity and on its own steps, and takes the Taylor frames of all paths and
 roots from one Leibniz sweep per step; frames then follow by 3 x 3
 products.  The two period paths stay whole, and each local loop is three
 arcs in the same walk, its matrix the product of theirs.  The
-reconstruction reaches the grid by a comb: a spine from the base point
-through the first point of every grid row, then every row along its own
-points.  Its hops are walked in groups of at most _GRID_N in comb order,
-each from the identity Taylor stacks at both its ends, so no sweep holds
-more than _GRID_N points and no stacks of the whole grid are held; the
-finite-difference stencil of every root at every point a group reaches is
-one array pass.
+reconstruction reaches the grid by a breadth-first tree of hops between
+neighbouring grid points, rooted next to the base point.  Its hops are
+walked in groups of _GRID_N in tree order, each from the identity Taylor
+stacks at both its ends, so a group's sweeps hold at most _GRID_N + 1
+points and no stacks of the whole grid are held; the finite-difference
+stencil of every root at every point a group reaches is one array pass.
 
 Conventions fixed here: a transport T along a path maps initial data
 (y, y', y'') at the start to data at the end, composing as T(q after p) =
@@ -327,10 +326,10 @@ def _walk(coeffs, paths, sing, rtol, stacks=None, ends=None):
     sweep per step; no path's numbers depend on the others.
 
     ends, if given, are the identity stacks at the ends of polylines, one
-    per path.  On its last segment a path finishes as soon as its own step
-    or the step that its end stack allows back from the end covers what
-    remains; when only the step back does, the frames at the end follow
-    from it, inverted, and the path needs no sweep short of its end.
+    per path.  After every step, a path on its last segment whose end stack
+    reaches back over what remains finishes from it: the frames at the end
+    follow from that step back, inverted, and the path needs no further
+    sweep.  So a path whose two end stacks meet costs no sweep.
     """
     # each path's pieces still to walk, the first at arc length s[p]
     pieces = [[path] if callable(path[0])
@@ -360,14 +359,13 @@ def _walk(coeffs, paths, sing, rtol, stacks=None, ends=None):
         stop, stop_delta = [], []
         for n, (p, z) in enumerate(zip(live, zs)):
             at, length = pieces[p][0]
-            if ends is not None and len(pieces[p]) == 1 and h[n] < length - s[p] <= back[p]:
+            s[p] = min(s[p] + float(h[n]), length)
+            zn = at(s[p])
+            delta[n] = zn - z
+            if ends is not None and len(pieces[p]) == 1 and 0 < length - s[p] <= back[p]:
                 stop.append(p)
-                stop_delta.append(z - last[p])
+                stop_delta.append(zn - last[p])
                 s[p] = length
-                delta[n] = 0.0
-            else:
-                s[p] = min(s[p] + float(h[n]), length)
-                delta[n] = at(s[p]) - z
         Y[live] = _eval_taylor(stack, delta, 3)
         stack = None  # not held through the next sweep
         if stop:
@@ -664,21 +662,48 @@ def _stencil(stacks, P, scale):
     return uv[:, 0, 0], res, ok
 
 
+def _hop_tree(kept, grid, q0):
+    """The reconstruction's hops (a, b) in walk order, with q0 as key None:
+    a breadth-first tree over the kept grid points and their 4-neighbours,
+    rooted at the kept point nearest q0, so that no hop passes over a point
+    left out.  Each point joins by its shortest hop from the level before
+    its own.  A kept piece that no neighbour reaches is entered from the
+    nearest point reached so far."""
+    at = {None: q0, **grid}
+
+    def length(hop):
+        return abs(at[hop[1]] - at[hop[0]])
+
+    hops, todo = [], [key for key in grid if kept[key]]
+    while todo:
+        # the first hop into the grid or into a piece not reached yet
+        level = [min(((a, b) for a in [None] + [b for _, b in hops] for b in todo), key=length)]
+        while level:
+            hops += level
+            ends = [b for _, b in level]
+            todo = [key for key in todo if key not in ends]
+            near = ([(a, (i, j)) for a in ends if abs(a[0] - i) + abs(a[1] - j) == 1]
+                    for i, j in todo)
+            level = [min(joins, key=length) for joins in near if joins]
+    return hops
+
+
 def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     """Reconstruct both field profiles on a grid and measure PDE residuals.
 
     reports are the roots' unitarized monodromy reports (report.H set), one
-    per parameter vector.  All roots share one comb of hops, each with the
-    frame of its invariant form: a spine from the base point of _geometry
-    through the first kept point of every grid row, in the orientation
-    whose first point lies nearest it, then every row along its own kept
-    points, so no point is more than about 2 _GRID_N hops from the base
-    point.  Every hop is walked from the identity, from both its ends'
-    Taylor stacks (see _walk), in groups of _GRID_N hops in lockstep taken
-    in comb order; a point's frame is its hop's transport times the frame
-    where the hop starts.  Each group's stencil runs right after its walk,
-    and only the points that later hops start from keep their frames and
-    stacks.  Returns one entry per root: the pair
+    per parameter vector.  All roots share one tree of hops (_hop_tree),
+    each with the frame of its invariant form: from the base point of
+    _geometry to the kept grid point nearest it, then breadth first between
+    kept 4-neighbours, so no hop passes over a point left out and no point
+    is more than about 2 _GRID_N hops from the base point.  Every hop is
+    walked from the identity, from both its ends' Taylor stacks (see
+    _walk), in groups of _GRID_N hops in lockstep taken in tree order; the
+    stacks new to a group come from one _frames call, and a point's frame
+    is its hop's transport times the frame where the hop starts.  Each
+    group's stencil runs right after its walk, and only the points that
+    later hops start from keep their frames and stacks.  Returns one entry
+    per root: the pair
     (pde_residual, even_residual), also written to its report, or the
     EvaluationError of a frame that degenerated for that root alone.
     even_residual compares each root's u0 at z and at its reflection 2c - z,
@@ -710,13 +735,7 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
         kept[key] = _min_dist(z, sing) >= _EXCLUSION
     if not kept.any():
         raise StructuralError("reconstruction grid is empty")
-    # the comb's rows run along i; its hops in comb order, q0 as key None
-    combs = [[[(i, j) for i in ks[::di] if kept[i, j]] for j in ks[::dj]]
-             for di in (1, -1) for dj in (1, -1)]
-    rows = min(([row for row in comb if row] for comb in combs),
-               key=lambda rows: abs(grid[rows[0][0]] - q0))
-    spine = [None] + [row[0] for row in rows]
-    hops = list(zip(spine, spine[1:])) + [hop for row in rows for hop in zip(row, row[1:])]
+    hops = _hop_tree(kept, grid, q0)
     at = {None: q0, **grid}
 
     live = np.arange(coeffs.size)
@@ -732,10 +751,8 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
         group = hops[g:g + _GRID_N]
         starts, ends = zip(*group)
         new = [key for key in dict.fromkeys(starts + ends) if key not in G]
-        for k in range(0, len(new), _GRID_N):
-            keys = new[k:k + _GRID_N]
-            G.update(zip(keys, _frames(coeffs, [at[key] for key in keys],
-                                       _identity(len(keys), coeffs.size))))
+        G.update(zip(new, _frames(coeffs, [at[key] for key in new],
+                                  _identity(len(new), coeffs.size))))
         T = _walk(coeffs, [plan_path(at[a], at[b], sing, clearance) for a, b in group],
                   sing, rtol, [G[a] for a in starts], [G[b] for b in ends])
         for (a, b), Tb in zip(group, T):

@@ -799,6 +799,47 @@ def test_complete_census_is_sigma_closed(monkeypatch, n1, n2):
         assert sum(c.hits for c in rep.clusters) == accepted[0]
 
 
+# tau -> -1/tau scales the lattice by 1/tau, so g2 -> tau^4 g2, g3 -> tau^6 g3
+# and a root (B, D0, D) -> (tau^2 B, tau D0, tau^3 D); tau -> tau + 1 keeps it
+MODULAR_MOVES = {"S": (-1 / GENERIC_TAU, np.array([GENERIC_TAU ** 2, GENERIC_TAU, GENERIC_TAU ** 3])),
+                 "T": (GENERIC_TAU + 1, np.ones(3))}
+
+
+def _assert_same_roots(want, got, scale):
+    # a one-to-one match, each component within 1e-12 of its scale (the
+    # largest size it takes over the roots; 2e-16 to 2e-15 measured)
+    assert got.shape == want.shape
+    dist = (np.abs(want[:, None] - got[None]) / scale).max(axis=-1)
+    assert sorted(dist.argmin(axis=1)) == list(range(len(got)))
+    assert dist.min(axis=1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("move", MODULAR_MOVES, ids=MODULAR_MOVES.keys())
+@pytest.mark.parametrize("n1,n2", [(2, 4), (3, 5), (1, 8)])
+def test_census_is_modular_covariant(n1, n2, move):
+    # the census reads the lattice only through (g2, g3): on a lattice of
+    # the same class it finds the weight-scaled roots, with the same starts
+    tau, weights = MODULAR_MOVES[move]
+    base = solve_m0(problem_m0(GENERIC_TAU, n1, n2))
+    moved = solve_m0(problem_m0(tau, n1, n2))
+    assert moved.total == base.total == base.bound
+    assert moved.starts_used == base.starts_used
+    X = np.array([[c.B, c.D0, c.D] for c in base.clusters]) * weights
+    _assert_same_roots(X, np.array([[c.B, c.D0, c.D] for c in moved.clusters]),
+                       np.abs(X).max(axis=0))
+
+
+@pytest.mark.parametrize("move", MODULAR_MOVES, ids=MODULAR_MOVES.keys())
+def test_even_sector_is_modular_covariant(move):
+    tau, weights = MODULAR_MOVES[move]
+    base = solve_even(problem_m0(GENERIC_TAU, 0, 4))
+    moved = solve_even(problem_m0(tau, 0, 4))
+    assert len(base.roots) == 3
+    assert [r.multiplicity for r in moved.roots] == [r.multiplicity for r in base.roots]
+    B = np.array([[r.B] for r in base.roots]) * weights[0]
+    _assert_same_roots(B, np.array([[r.B] for r in moved.roots]), np.abs(B).max(axis=0))
+
+
 def test_mirrors_survive_a_box_doubling(monkeypatch):
     # the re-merge after a box doubling clusters mirrors and endpoints
     # afresh, and the hits still count the endpoints alone
