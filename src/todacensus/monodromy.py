@@ -22,6 +22,10 @@ walked in groups of _GRID_N in tree order, each from the identity Taylor
 stacks at both its ends, so a group's sweeps hold at most _GRID_N + 1
 points and no stacks of the whole grid are held; the finite-difference
 stencil of every root at every point a group reaches is one array pass.
+Every root stays in the walk to the last group, so no root's steps depend
+on another's frame degenerating.  Every function that takes roots takes
+a list of parameter vectors, one result per root; verify_root is the one
+single-root shorthand.
 
 Conventions fixed here: a transport T along a path maps initial data
 (y, y', y'') at the start to data at the end, composing as T(q after p) =
@@ -32,7 +36,6 @@ as long as the step control allows.
 """
 
 import cmath
-import copy
 import math
 from dataclasses import dataclass
 
@@ -102,12 +105,6 @@ class _OdeCoeffs:
     def size(self):
         return self.C.shape[1]
 
-    def take(self, idx):
-        """The coefficients of the roots idx (positions in this batch)."""
-        sub = copy.copy(self)
-        sub.C = self.C[:, idx]
-        return sub
-
     def derivs(self, z, n):
         """Arrays (W2^(j)), (W3^(j)) of shape (S, n+1), j = 0..n."""
         basis = np.zeros((self.C.shape[2], n + 1), complex)
@@ -123,17 +120,9 @@ class _OdeCoeffs:
         return W[0], W[1]
 
 
-def _coeffs(problem, ctx, params):
-    """The batch coefficients of params: a list of S parameter vectors
-    (ParamVec or flat), or an _OdeCoeffs already built."""
-    if isinstance(params, _OdeCoeffs):
-        return params
-    return _OdeCoeffs(problem, ctx, params)
-
-
 def ode_coefficients(problem, ctx, params, z):
     """(W2(z), W3(z)) as length-S arrays, one entry per parameter vector."""
-    W2, W3 = _coeffs(problem, ctx, params).derivs(z, 0)
+    W2, W3 = _OdeCoeffs(problem, ctx, params).derivs(z, 0)
     return W2[:, 0], W3[:, 0]
 
 
@@ -382,11 +371,11 @@ def _identity(P, S):
 
 def transport(problem, ctx, params, path):
     """Fundamental transports (S, 3, 3) along path, the vertex list of a
-    polyline or one _arc, one per parameter vector (see _coeffs), in
-    lockstep; columns carry initial data.  The one-path case of _walk, at
-    the default tolerance.
+    polyline or one _arc, one per parameter vector, in lockstep; columns
+    carry initial data.  The one-path case of _walk, at the default
+    tolerance.
     """
-    coeffs = _coeffs(problem, ctx, params)
+    coeffs = _OdeCoeffs(problem, ctx, params)
     return _walk(coeffs, [path], _singular_translates(problem, ctx), TRANSPORT_RTOL)[0]
 
 
@@ -464,7 +453,7 @@ def monodromy_pair(problem, ctx, params, rtol=TRANSPORT_RTOL):
     report per parameter vector, all roots transported in lockstep along
     both period paths and the three arcs of every local loop in one _walk.
     """
-    coeffs = _coeffs(problem, ctx, params)
+    coeffs = _OdeCoeffs(problem, ctx, params)
     tau = ctx.tau
     q0, clearance, r_loc, sing = _geometry(problem, ctx)
 
@@ -559,9 +548,8 @@ def unitarize(report):
     if lam[0] * lam[-1] <= 0 or min(abs(lam)) <= 1e-8 * max(abs(lam)):
         report.unitarizable = False
         return UnitarizeResult(ok=False, reason="invariant form is not definite")
-    if lam[0] < 0:
-        H = -H
-        lam = -lam[::-1]
+    # _invariant_form makes H's largest diagonal entry positive, so a
+    # definite H is positive definite
     Lc = np.linalg.cholesky(H)
     P = Lc.conj().T
     Pinv = np.linalg.inv(P)
@@ -702,18 +690,20 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     stacks new to a group come from one _frames call, and a point's frame
     is its hop's transport times the frame where the hop starts.  Each
     group's stencil runs right after its walk, and only the points that
-    later hops start from keep their frames and stacks.  Returns one entry
-    per root: the pair
-    (pde_residual, even_residual), also written to its report, or the
-    EvaluationError of a frame that degenerated for that root alone.
+    later hops start from keep their frames and stacks.  Every root stays
+    in the walk to the last group; one mask collects each group's stencil
+    verdict.  Returns one entry per root: the pair (pde_residual,
+    even_residual), also written to its report, or, for a root whose frame
+    degenerated at some grid point, an EvaluationError, its report left
+    untouched.
     even_residual compares each root's u0 at z and at its reflection 2c - z,
     with c the puncture reduced to the cell around 0 when there is one
     puncture (its solutions are even about it) and c = 0 otherwise; the grid
     is laid around c.  It is None when the kept grid is not symmetric under
     that reflection.
     """
-    coeffs = _coeffs(problem, ctx, params)
-    results = [None] * coeffs.size
+    coeffs = _OdeCoeffs(problem, ctx, params)
+    S = coeffs.size
     Lc = np.linalg.cholesky(np.array([rep.H for rep in reports]))
     P = Lc.conj().transpose(0, 2, 1)
     detP = np.prod(np.diagonal(Lc, axis1=1, axis2=2), axis=1)
@@ -738,72 +728,63 @@ def reconstruct_and_check(problem, ctx, params, reports, rtol=TRANSPORT_RTOL):
     hops = _hop_tree(kept, grid, q0)
     at = {None: q0, **grid}
 
-    live = np.arange(coeffs.size)
-    U = np.zeros((coeffs.size, _GRID_N, _GRID_N))  # u0 of each root at each point
-    pde_res = np.zeros(coeffs.size)
+    U = np.zeros((S, _GRID_N, _GRID_N))  # u0 of each root at each point
+    pde_res = np.zeros(S)
+    ok = np.ones(S, bool)  # no frame of the root has degenerated
     # at the points reached that later hops start from: each root's frame Y,
     # and the Taylor stacks G of the identity frames there.  The frame's
     # stack is G @ Y, and G serves the first step of a hop from there
-    Y, G = {None: _identity(1, coeffs.size)[0]}, {}
+    Y, G = {None: _identity(1, S)[0]}, {}
     for g in range(0, len(hops), _GRID_N):
-        if not len(live):
-            break
         group = hops[g:g + _GRID_N]
         starts, ends = zip(*group)
         new = [key for key in dict.fromkeys(starts + ends) if key not in G]
-        G.update(zip(new, _frames(coeffs, [at[key] for key in new],
-                                  _identity(len(new), coeffs.size))))
+        G.update(zip(new, _frames(coeffs, [at[key] for key in new], _identity(len(new), S))))
         T = _walk(coeffs, [plan_path(at[a], at[b], sing, clearance) for a, b in group],
                   sing, rtol, [G[a] for a in starts], [G[b] for b in ends])
         for (a, b), Tb in zip(group, T):
             Y[b] = Tb @ Y[a]
         n = len(group)
-        u0, res, ok = (v.reshape(n, -1) for v in _stencil(
+        u0, res, good = (v.reshape(n, -1) for v in _stencil(
             np.array([G[b] @ Y[b] for b in ends]).reshape(-1, _ORDER + 3, 3),
             np.tile(P, (n, 1, 1)), np.tile(scale, (n, 1))))
         for (i, j), u in zip(ends, u0):
-            U[live, i, j] = u
-        pde_res[live] = np.fmax(pde_res[live], res.max(axis=0))
+            U[:, i, j] = u
+        pde_res = np.fmax(pde_res, res.max(axis=0))
+        ok &= good.all(axis=0)
         later = {a for a, _ in hops[g + _GRID_N:]}
         G = {a: G[a] for a in G if a in later}
         Y = {a: Y[a] for a in Y if a in later}
-        ok = ok.all(axis=0)
-        if not ok.all():
-            for r in live[~ok]:
-                results[r] = EvaluationError("degenerate frame during reconstruction")
-            live = live[ok]
-            coeffs = coeffs.take(np.flatnonzero(ok))
-            G = {a: stack[ok] for a, stack in G.items()}
-            Y = {a: frame[ok] for a, frame in Y.items()}
-            P, scale = P[ok], scale[ok]
 
-    even_res = [None] * len(results)
+    even_res = [None] * S
     if np.array_equal(kept, kept[::-1, ::-1]):
         even_res = np.abs(U - U[:, ::-1, ::-1])[:, kept].max(axis=1).tolist()
-    for r in live.tolist():
-        reports[r].pde_residual = float(pde_res[r])
-        reports[r].even_residual = even_res[r]
-        results[r] = (reports[r].pde_residual, even_res[r])
+    results = []
+    for rep, good, pde, even in zip(reports, ok.tolist(), pde_res.tolist(), even_res):
+        if good:
+            rep.pde_residual, rep.even_residual = pde, even
+            results.append((pde, even))
+        else:
+            results.append(EvaluationError("degenerate frame during reconstruction"))
     return results
 
 
-def _verify_batch(problem, ctx, coeffs, rtol):
+def _verify_batch(problem, ctx, params, rtol):
     """verify_roots on one batch; a give-up of a transport shared by more
     than one root propagates."""
-    reports = monodromy_pair(problem, ctx, coeffs, rtol=rtol)
-    notes = [list(rep.notes) for rep in reports]
-    for rep, nt in zip(reports, notes):
+    reports = monodromy_pair(problem, ctx, params, rtol=rtol)
+    for rep in reports:
         try:
             reason = unitarize(rep).reason
         except StructuralError as e:
             rep.unitarizable = False
             reason = str(e)
         if reason:
-            nt.append(reason)
+            rep.notes += (reason,)
     ok = [r for r, rep in enumerate(reports) if rep.unitarizable]
     if ok:
         try:
-            results = reconstruct_and_check(problem, ctx, coeffs.take(ok),
+            results = reconstruct_and_check(problem, ctx, [params[r] for r in ok],
                                             [reports[r] for r in ok], rtol=rtol)
         except StructuralError as e:
             results = [e] * len(ok)
@@ -813,9 +794,7 @@ def _verify_batch(problem, ctx, coeffs, rtol):
             results = [e]
         for r, res in zip(ok, results):
             if isinstance(res, Exception):
-                notes[r].append("reconstruction failed: " + str(res))
-    for rep, nt in zip(reports, notes):
-        rep.notes = tuple(nt)
+                reports[r].notes += ("reconstruction failed: " + str(res),)
     return reports
 
 
@@ -832,14 +811,12 @@ def verify_roots(problem, ctx, params, rtol=TRANSPORT_RTOL):
     params = list(params)
     if not params:
         return []
-    coeffs = _OdeCoeffs(problem, ctx, params)
     try:
-        return _verify_batch(problem, ctx, coeffs, rtol)
+        return _verify_batch(problem, ctx, params, rtol)
     except (EvaluationError, PathClearanceError):
-        if coeffs.size == 1:
+        if len(params) == 1:
             raise
-    return [_verify_batch(problem, ctx, coeffs.take([r]), rtol)[0]
-            for r in range(coeffs.size)]
+    return [_verify_batch(problem, ctx, [p], rtol)[0] for p in params]
 
 
 def verify_root(problem, ctx, params):

@@ -223,8 +223,8 @@ def test_ode_coefficient_jets_match_the_puncture_loop():
         want2, want3, size = _derivs_loop(prob, ctx, pvs, z, n)
         assert np.all(np.abs(W2 - want2) <= 1e-14 * size[0])
         assert np.all(np.abs(W3 - want3) <= 1e-14 * size[1])
-        # a sub-batch slices the coefficient matrix, not the jets
-        sub2, sub3 = coeffs.take([2, 0]).derivs(z, n)
+        # a batch's rows do not depend on the other roots in it
+        sub2, sub3 = monodromy._OdeCoeffs(prob, ctx, [pvs[2], pvs[0]]).derivs(z, n)
         assert np.array_equal(sub2, W2[[2, 0]]) and np.array_equal(sub3, W3[[2, 0]])
 
 
@@ -297,11 +297,12 @@ def test_unitarize_01_normal_forms():
     assert res.ok and rep.unitarizable
     assert res.unitary_residual <= 1e-9
     assert res.normal_residual <= 1e-9
-    # invariant Hermitian form: positive (or negative) definite
+    # invariant Hermitian form: positive definite as _invariant_form
+    # returns it, with no sign flip
     H = res.H
     assert np.max(np.abs(H - H.conj().T)) <= 1e-9
     eigs = np.linalg.eigvalsh(H)
-    assert eigs[0] * eigs[-1] > 0
+    assert eigs[0] > 0
     eps = prob.epsilon
     # N1 diagonalized to exactly (1, eps, eps^2)
     want1 = np.diag([1.0, eps, eps ** 2])
@@ -314,6 +315,19 @@ def test_unitarize_01_normal_forms():
     assert abs(np.linalg.det(res.N2_normal) - 1.0) <= 1e-8
     for M in (res.N1_normal, res.N2_normal):
         assert np.max(np.abs(M.conj().T @ M - np.eye(3))) <= 1e-8
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 2), (0, 4), (2, 4)])
+def test_census_invariant_forms_are_positive_definite(n1, n2):
+    # _invariant_form makes the largest diagonal entry of H positive, and a
+    # definite Hermitian H has diagonal entries of one sign: so every root's
+    # form is positive definite as it comes (the smallest eigenvalue ratio
+    # over these censuses is 3.1e-7, on (2,4)), and unitarize flips no sign
+    prob, ctx, pvs = _census_params(n1, n2)
+    for rep in monodromy_pair(prob, ctx, pvs):
+        _, H = monodromy._invariant_form(rep.N1, rep.N2)
+        assert np.linalg.eigvalsh(H)[0] > 0
+        assert unitarize(rep).ok and np.array_equal(rep.H, H)
 
 
 def _herm_basis():
@@ -593,6 +607,52 @@ def test_degenerate_frame_fails_only_its_root(monkeypatch):
     assert first == alone
     assert isinstance(second, EvaluationError)
     assert twin.pde_residual is None
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 2), (0, 4)])
+@pytest.mark.parametrize("first", [1, 2, 4])
+def test_a_degenerate_root_changes_no_other_roots_bits(monkeypatch, n1, n2, first):
+    # the last root reads not-ok from the first-th stencil call on.  It
+    # stays in the walk to the end, so the steps of every other root, and
+    # so their residuals, are those of the run where nothing degenerates
+    prob, ctx, pvs = _census_params(n1, n2)
+    want = reconstruct_and_check(prob, ctx, pvs, _unitarized(prob, ctx, pvs))
+    reports = _unitarized(prob, ctx, pvs)
+    orig, calls, last = monodromy._stencil, [0], []
+
+    def fragile(stacks, P, scale):
+        u0, res, ok = orig(stacks, P, scale)
+        calls[0] += 1
+        if not last:  # the first call holds every root, the last one last
+            last.append(scale[len(pvs) - 1])
+        if calls[0] >= first:
+            # the last root's rows, told apart by its det P
+            ok &= np.any(scale != last[0], axis=1)
+        return u0, res, ok
+
+    monkeypatch.setattr(monodromy, "_stencil", fragile)
+    got = reconstruct_and_check(prob, ctx, pvs, reports)
+    assert calls[0] >= 4
+    assert got[:-1] == want[:-1]
+    assert [(rep.pde_residual, rep.even_residual) for rep in reports[:-1]] == want[:-1]
+    assert isinstance(got[-1], EvaluationError) and reports[-1].pde_residual is None
+
+
+@pytest.mark.parametrize("p1, radius", [(0.3 + 0.2j, 0.0901), (0.05 + 0.02j, 0.0135)])
+def test_two_punctures_set_the_loop_radius_by_their_separation(p1, radius):
+    # _geometry's pairwise separation of the punctures, on a made-up vector
+    # that solves nothing: its loops are not scalar and its period
+    # monodromies miss the commutator identity
+    prob = derive_problem(TAU, [(0.0, 0, 1), (p1, 0, 1)])
+    ctx = compute_invariants(prob.lattice)
+    pv = ParamVec(A=(0.3 + 0.1j, -0.3 - 0.1j), Bk=(0.2j, -0.2j), B=1.1 - 0.4j,
+                  Dk=(0.5, -0.25j), D=0.7 + 0.2j)
+    (rep,) = verify_roots(prob, ctx, [pv])
+    assert rep.loop_radius == pytest.approx(0.25 * min(1.0, ctx.lam_min, abs(p1)), rel=1e-12)
+    assert round(rep.loop_radius, 4) == radius
+    assert rep.unitarizable is False and rep.pde_residual is None
+    assert any("commutator residual too large" in note for note in rep.notes)
+    assert min(rep.local_scalar_residuals) > 1e-2
 
 
 # the per-root stencil that _stencil replaced, kept as its reference
