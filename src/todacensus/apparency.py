@@ -132,18 +132,21 @@ def derive_problem(lattice, punctures):
     """Exact exponent data for a set of punctures on a lattice.
 
     punctures is a list of (p, n1, n2) triples, the multiplicities
-    non-negative integers.  Punctures that coincide modulo the lattice are a
-    structural error.  Critical totals (N1 == N2 mod 3) are not an error
-    here: the census operations downstream refuse them, through
-    ProblemSpec.require_noncritical.
+    non-negative integers and the positions finite.  Punctures that
+    coincide modulo the lattice are a structural error.  Critical totals
+    (N1 == N2 mod 3) are not an error here: the census operations
+    downstream refuse them, through ProblemSpec.require_noncritical.
     """
     if not isinstance(lattice, LatticeTau):
         lattice = LatticeTau(complex(lattice))
     data = []
     for p, n1, n2 in punctures:
         n1, n2 = _multiplicities(n1, n2)
+        p = complex(p)
+        if not cmath.isfinite(p):
+            raise StructuralError("puncture %d has a non-finite position" % len(data))
         g1, g2, alpha, beta, rho = _local_data(n1, n2)
-        data.append(PunctureData(p=complex(p), n1=n1, n2=n2, gamma1=g1, gamma2=g2,
+        data.append(PunctureData(p=p, n1=n1, n2=n2, gamma1=g1, gamma2=g2,
                                  alpha=alpha, beta=beta, rho=rho))
     if not data:
         raise StructuralError("need at least one puncture")
@@ -215,11 +218,13 @@ class ParamVec:
 
 def _param_vec(problem, params):
     """params, a ParamVec or a flat vector in its order, as a ParamVec with
-    one A_k, B_k and D_k per puncture of problem."""
+    one A_k, B_k and D_k per puncture of problem and every entry finite."""
     if not isinstance(params, ParamVec):
         params = ParamVec.from_vector(params)
     if not (len(params.A) == len(params.Bk) == len(params.Dk) == len(problem.punctures)):
         raise StructuralError("parameter arity does not match puncture count")
+    if not np.isfinite(params.to_vector()).all():
+        raise StructuralError("parameters must be finite")
     return params
 
 
@@ -592,10 +597,9 @@ def residual_general(problem, ctx, params, with_jacobian=False):
     mp1 = len(problem.punctures)
     n = 3 * mp1 + 2
 
+    # the recursion of a puncture reads b_j for j <= its n1 + n2 + 2
     bmax = max(pk.n1 + pk.n2 + 2 for pk in problem.punctures)
-    bnum = np.asarray(ctx._bn_ext)
-    if len(bnum) < bmax + 3:
-        raise StructuralError("elliptic context Laurent table is too short")
+    bnum = ctx.laurent(bmax)
 
     # jets with S = 1: row 0 the value, row 1 + i the partial in x_i
     X = np.zeros((n, n + 1, 1), complex)

@@ -82,6 +82,17 @@ def parse_tol(text):
     return tol
 
 
+def parse_bound(text):
+    """A finite scan grid bound."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("scan grid bounds must be numbers")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError("scan grid bounds must be finite")
+    return x
+
+
 def _load_punctures(path):
     """(p, n1, n2) triples (and optional parameter vector) from a JSON file.
 
@@ -257,7 +268,7 @@ def build_parser():
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for scan)")
     for key in ("re0", "re1", "im0", "im1"):
-        parser.add_argument("--" + key, type=float, default=None,
+        parser.add_argument("--" + key, type=parse_bound, default=None,
                             help="scan grid bound")
     for key in ("nre", "nim"):
         parser.add_argument("--" + key, type=int, default=None,

@@ -30,6 +30,7 @@ converge raises EvaluationError.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import cmath
 import math
 
@@ -88,6 +89,8 @@ class LatticeTau:
 
     def __post_init__(self):
         t = complex(self.tau)
+        if not cmath.isfinite(t):
+            raise StructuralError("lattice parameter must be finite")
         if not (t.imag > 0):
             raise StructuralError("lattice parameter must have positive imaginary part")
         object.__setattr__(self, "tau", t)
@@ -95,9 +98,10 @@ class LatticeTau:
 
 @dataclass
 class EllipticContext:
-    """Precomputed data for one lattice: invariants, the numeric Laurent
-    table, and Laurent and q-series workspace; the half-period values e on
-    demand."""
+    """Data for one lattice: the invariants, precomputed; the half-period
+    values e on demand; on first read the shortest lattice vector lam_min
+    and the numeric Laurent table, built to the order its readers ask for
+    (laurent); Laurent and q-series workspace."""
 
     tau: complex
     g2: complex
@@ -106,8 +110,7 @@ class EllipticContext:
     eta2: complex
     tol: float
     order: int
-    lam_min: float = field(repr=False, default=1.0)
-    _bn_ext: np.ndarray = field(repr=False, default=None)
+    _bn: np.ndarray = field(repr=False, default=None)
     _marr: np.ndarray = field(repr=False, default=None)
     _qw: np.ndarray = field(repr=False, default=None)
     _mterms: dict = field(repr=False, default_factory=dict)
@@ -122,6 +125,35 @@ class EllipticContext:
     def e(self):
         """The half-period values (P(1/2), P(tau/2), P((1 + tau)/2))."""
         return self.wp(0.5), self.wp(self.tau / 2.0), self.wp((1.0 + self.tau) / 2.0)
+
+    @cached_property
+    def lam_min(self):
+        """Length of the shortest of the vectors m + n tau, |m|, |n| <= 6."""
+        # np.hypot, not np.abs, which rounds some complex moduli differently
+        # from abs()
+        k = np.arange(-6.0, 7.0)
+        vec = (k[:, None] + k[None, :] * self.tau).ravel()
+        vec = vec[vec != 0]
+        return float(np.hypot(vec.real, vec.imag).min())
+
+    def laurent(self, order):
+        """The numeric Laurent table (b_0, ..., b_order) of P, see
+        weierstrass_laurent.  Built on the first read and rebuilt when a
+        reader asks for a higher order; the recurrence gives each entry from
+        the lower ones alone, so every reader gets the same bits whatever
+        the order read before.  The census kernels read b_j for
+        j <= n1 + n2 + 2, evaluation reads _LAURENT_ORDER."""
+        if self._bn is None or len(self._bn) <= order:
+            # g2, g3 as the doubles compute_invariants got them
+            self._bn = np.array(weierstrass_laurent(np.complex128(self.g2),
+                                                    np.complex128(self.g3), order, 0j, 1.0),
+                                dtype=complex)
+        return self._bn[: order + 1]
+
+    @property
+    def _bn_ext(self):
+        """The Laurent table to _LAURENT_ORDER, the one evaluation reads."""
+        return self.laurent(_LAURENT_ORDER)
 
     # -- lattice reduction -------------------------------------------------
 
@@ -307,9 +339,10 @@ def _g_invariants(E2, E4, E6, pi):
 def compute_invariants(lattice):
     """Build the elliptic context for a lattice (a LatticeTau or tau).
 
-    The context records its accuracy target _CTX_TOL as tol and the
-    highest index _B_ORDER of its exported Laurent table as order; the
-    numeric table used for evaluation runs to _LAURENT_ORDER.
+    Computes the invariants only: the context builds its numeric Laurent
+    table, to the order each reader asks for, and lam_min when they are
+    first read.  It records its accuracy target _CTX_TOL as tol and the
+    highest index _B_ORDER of its exported Laurent table as order.
     """
     if not isinstance(lattice, LatticeTau):
         lattice = LatticeTau(complex(lattice))
@@ -318,17 +351,6 @@ def compute_invariants(lattice):
     g2, g3, _, _ = _g_invariants(E2, E4, E6, math.pi)
     eta1 = (math.pi ** 2 / 3.0) * E2
     eta2 = eta1 * tau - _TWO_PI_I
-
-    # the shortest of the vectors m + n tau, |m|, |n| <= 6; np.hypot, not
-    # np.abs, which rounds some complex moduli differently from abs()
-    k = np.arange(-6.0, 7.0)
-    vec = (k[:, None] + k[None, :] * tau).ravel()
-    vec = vec[vec != 0]
-    lam_min = np.hypot(vec.real, vec.imag).min()
-
-    bn_ext = np.array(
-        weierstrass_laurent(g2, g3, _LAURENT_ORDER, 0j, 1.0), dtype=complex
-    )
     return EllipticContext(
         tau=tau,
         g2=complex(g2),
@@ -337,8 +359,6 @@ def compute_invariants(lattice):
         eta2=complex(eta2),
         tol=_CTX_TOL,
         order=_B_ORDER,
-        lam_min=float(lam_min),
-        _bn_ext=bn_ext,
     )
 
 

@@ -44,13 +44,17 @@ can be compared independently by callers and tests.
 scan_tau runs the census over a tau grid: each cell first runs Newton from
 the roots of its neighbour, and stops there if they reach the
 weighted-Bezout bound, which no census can exceed; only a cell left short
-runs the full multi-start search.  A cell's neighbour lies on the
+runs the full multi-start search.  A cell whose warm starts land bound
+distinct points skips the store and the clustering: its report is built
+from those points directly.  A cell's neighbour lies on the
 anti-diagonal before its own, so the cells are solved in waves, one
 anti-diagonal at a time, and the warm starts of a whole wave are one Newton
 batch: the kernels take a Laurent table per point, and Newton a metric
 scale per point, so each start is solved as in a batch of its own lattice
 and the rows are those of the cell-by-cell chain.  The census keeps
-Newton's Jacobian at every accepted point, for sigma_min.
+Newton's Jacobian at every accepted point, for sigma_min.  Every census
+hands the kernels its lattice's Laurent table to b_{n1+n2+2}, the last
+entry they read (EllipticContext.laurent), so a cell builds no more of it.
 
 Scaling convention: under z -> lam * z the parameters transform with weights
 B: lam^-2, D0: lam^-1, D: lam^-3, so step caps and the cluster metric live in
@@ -624,6 +628,28 @@ _POINT = np.dtype([("x", complex, 3), ("res", float), ("tails", float, 2),
                    ("J", complex, (3, 3)), ("endpoint", bool)])
 
 
+def _accepted(batch, sample_scales, accept_tol):
+    """The records of the points that a census accepts from a Newton batch
+    (what _newton_m0_batch returned): finite, near the sample box
+    (_in_sample_box) and with relative residual <= accept_tol."""
+    X, res, rel, J, tail_prev, tail_last = batch
+    keep = np.isfinite(res) & _in_sample_box(X, sample_scales) & (rel <= accept_tol)
+    rows = np.zeros(np.count_nonzero(keep), _POINT)
+    rows["x"], rows["res"], rows["J"] = X[keep], rel[keep], J[keep]
+    rows["tails"] = np.stack([tail_prev[keep], tail_last[keep]], axis=1)
+    rows["endpoint"] = True
+    return rows
+
+
+def _distinct(pts, scales):
+    """Whether every two of the points pts (S, 3) lie farther apart than
+    _MERGE_TOL in the cluster metric of scales, by the arithmetic of
+    _cluster_points, which then opens one cluster per point."""
+    scaled = pts * (1.0 / np.array(scales))
+    d = np.abs(scaled[:, None] - scaled).max(axis=-1)
+    return bool((d[~np.eye(len(pts), dtype=bool)] > _MERGE_TOL).all())
+
+
 def _add(store, rows, clusters):
     """The store with rows appended, after merging them into clusters."""
     _cluster_points(rows["x"], rows["res"], clusters)
@@ -666,7 +692,11 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     The first box runs two stages of its own first.  warm is what
     _newton_m0_batch returned for a batch of warm starts, solved in the
     metric of the first box: its points are taken before any other start,
-    and if they reach the bound the census is complete.  Then the structured
+    and if they reach the bound the census is complete.  Where exactly
+    bound of them are accepted, every two farther apart than _MERGE_TOL
+    (_distinct), the census ends before the store: the greedy clustering
+    would open one cluster per point, in residual order, add no mirror and
+    run no chunk, so report builds the result from the points themselves.  Then the structured
     seeds run as a batch of their own when bound - found <= 2 * len(seeds),
     since each endpoint adds at most its own cluster and its mirror's;
     otherwise they join the first Halton chunk.
@@ -698,20 +728,64 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     offset = 101 + 7919 * (cfg.seed % 1000003)
     signs = _mirror_signs(n1, n2)[:, None] * _SIGMA
     store = np.empty(0, _POINT)
-    starts_used = 0
+    starts_used = 0 if warm is None else len(warm[0])
     notes = []
+
+    def report(top, is_even, hits, box, doublings):
+        """The report of the cluster representatives top (records of
+        _POINT), their evenness and hits.  A root is degenerate where J is
+        near singular or the polish steps stopped shrinking."""
+        with np.errstate(all="ignore"):
+            sig = np.linalg.svd(top["J"], compute_uv=False)
+        prev, last = top["tails"].T
+        degenerate = (sig[:, -1] <= 1e-8 * (1.0 + sig[:, 0])) | (
+            np.isfinite(prev) & np.isfinite(last) & (last > 1e-9) & (last > 0.2 * prev))
+        out = [RootCluster(B=complex(x[0]), D0=complex(x[1]), D=complex(x[2]),
+                           residual=float(res), is_even=bool(even), degenerate=bool(degen),
+                           hits=int(h), sigma_min=float(smin))
+               for x, res, even, degen, h, smin
+               in zip(top["x"], top["res"], is_even, degenerate, hits, sig[:, -1])]
+        out.sort(
+            key=lambda cl: (
+                round(cl.B.real, 9), round(cl.B.imag, 9),
+                round(cl.D0.real, 9), round(cl.D0.imag, 9),
+                round(cl.D.real, 9), round(cl.D.imag, 9),
+            )
+        )
+        return CensusReport(
+            tau=tau,
+            n1=n1,
+            n2=n2,
+            g2=g2,
+            g3=g3,
+            bound=bound,
+            total=len(out),
+            even_total=sum(1 for c in out if c.is_even),
+            clusters=tuple(out),
+            starts_used=starts_used,
+            box_radius=box,
+            doublings=doublings,
+            config={
+                **vars(cfg), "box_radius": first_box, "starts": starts,
+                "max_iter": _MAX_ITER, "polish_iter": _POLISH_ITER, "even_tol": _EVEN_TOL,
+                "merge_tol": _MERGE_TOL, "chunk": chunk, "max_chunk": _MAX_CHUNK,
+                "max_doublings": _MAX_DOUBLINGS,
+            },
+            notes=tuple(notes),
+        )
+
+    if warm is not None:
+        # the warm points alone may be the census (see above)
+        rows = _accepted(warm, _sample_scales(first_box), cfg.accept_tol)
+        if len(rows) == bound and _distinct(rows["x"], _metric_scales(first_box)):
+            top = rows[np.argsort(rows["res"], kind="stable")]
+            return report(top, _even_points(top["x"]), np.ones(bound, int), first_box, 0)
 
     def accept(store, batch):
         """The store with a Newton batch's accepted points and, while the
         census is short of the bound, the mirrors they bring."""
-        X, res, rel, J, tail_prev, tail_last = batch
-        keep = np.isfinite(res) & _in_sample_box(X, sample_scales) & (rel <= cfg.accept_tol)
-        rows = np.zeros(np.count_nonzero(keep), _POINT)
-        rows["x"], rows["res"], rows["J"] = X[keep], rel[keep], J[keep]
-        rows["tails"] = np.stack([tail_prev[keep], tail_last[keep]], axis=1)
-        rows["endpoint"] = True
         first = len(clusters)
-        store = _add(store, rows, clusters)
+        store = _add(store, _accepted(batch, sample_scales, cfg.accept_tol), clusters)
         if len(clusters) < bound:
             rows = _mirror_rows(store, clusters.rep[first:], signs)
             if len(rows):
@@ -733,7 +807,6 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
         seeds = np.empty((0, 3), complex)  # the seeds that join the first chunk
         if not doublings:
             if warm is not None:
-                starts_used += len(warm[0])
                 store = accept(store, warm)
             if len(clusters) < bound:
                 seeds = _structured_starts(n1, n2, g2, g3)
@@ -766,50 +839,11 @@ def _census(n1, n2, tau, bnum, g2, g3, config, warm=None):
     if len(clusters) > bound:
         notes.append("cluster count exceeds the bound; spurious splits likely")
 
-    # final diagnostics on the representatives: a root is degenerate where
-    # J is near singular or the polish steps stopped shrinking
     top = store[np.array(clusters.rep)]
     hits = np.bincount(clusters.label[store["endpoint"]], minlength=len(top))
     is_even = np.zeros(len(top), bool)
     np.logical_or.at(is_even, clusters.label, _even_points(store["x"]))
-    with np.errstate(all="ignore"):
-        sig = np.linalg.svd(top["J"], compute_uv=False)
-    prev, last = top["tails"].T
-    degenerate = (sig[:, -1] <= 1e-8 * (1.0 + sig[:, 0])) | (
-        np.isfinite(prev) & np.isfinite(last) & (last > 1e-9) & (last > 0.2 * prev))
-    out = [RootCluster(B=complex(x[0]), D0=complex(x[1]), D=complex(x[2]), residual=float(res),
-                       is_even=bool(even), degenerate=bool(degen), hits=int(h),
-                       sigma_min=float(smin))
-           for x, res, even, degen, h, smin
-           in zip(top["x"], top["res"], is_even, degenerate, hits, sig[:, -1])]
-    out.sort(
-        key=lambda cl: (
-            round(cl.B.real, 9), round(cl.B.imag, 9),
-            round(cl.D0.real, 9), round(cl.D0.imag, 9),
-            round(cl.D.real, 9), round(cl.D.imag, 9),
-        )
-    )
-    return CensusReport(
-        tau=tau,
-        n1=n1,
-        n2=n2,
-        g2=g2,
-        g3=g3,
-        bound=bound,
-        total=len(out),
-        even_total=sum(1 for c in out if c.is_even),
-        clusters=tuple(out),
-        starts_used=starts_used,
-        box_radius=box,
-        doublings=doublings,
-        config={
-            **vars(cfg), "box_radius": first_box, "starts": starts,
-            "max_iter": _MAX_ITER, "polish_iter": _POLISH_ITER, "even_tol": _EVEN_TOL,
-            "merge_tol": _MERGE_TOL, "chunk": chunk, "max_chunk": _MAX_CHUNK,
-            "max_doublings": _MAX_DOUBLINGS,
-        },
-        notes=tuple(notes),
-    )
+    return report(top, is_even, hits, box, doublings)
 
 
 def _m0_pair(problem):
@@ -825,7 +859,7 @@ def solve_m0(problem, ctx=None, config=None):
     n1, n2 = _m0_pair(problem)
     if ctx is None:
         ctx = compute_invariants(problem.lattice)
-    return _census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, config)
+    return _census(n1, n2, ctx.tau, ctx.laurent(n1 + n2 + 2), ctx.g2, ctx.g3, config)
 
 
 def solve_m0_degenerate(n1, n2, config=None):
@@ -835,7 +869,7 @@ def solve_m0_degenerate(n1, n2, config=None):
     candidate; this probe demonstrates how multiplicity collapses there and
     exercises the degenerate-root diagnostics."""
     n1, n2 = m0_pair(n1, n2)
-    bnum = np.zeros(max(48, n1 + n2 + 5), complex)
+    bnum = np.zeros(n1 + n2 + 3, complex)
     return _census(n1, n2, None, bnum, 0j, 0j, config)
 
 
@@ -892,7 +926,8 @@ def _warm_wave(n1, n2, cells, cfg):
     cells holds (ctx, warm starts); returns each cell's share of the
     _newton_m0_batch output."""
     sizes = [len(w) for _, w in cells]
-    tables = np.repeat(np.stack([ctx._bn_ext for ctx, _ in cells], axis=1), sizes, axis=1)
+    tables = np.repeat(np.stack([ctx.laurent(n1 + n2 + 2) for ctx, _ in cells], axis=1),
+                       sizes, axis=1)
     scales = np.repeat([_metric_scales(_first_box(ctx.g2, ctx.g3)) for ctx, _ in cells],
                        sizes, axis=0)
     X0 = np.concatenate([w for _, w in cells])
@@ -956,8 +991,8 @@ def scan_tau(n1, n2, grid, config=None):
         solved = iter(_warm_wave(n1, n2, warm_cells, cfg) if warm_cells else ())
         for cell, tau, ctx, warm in wave:
             try:
-                rep = _census(n1, n2, ctx.tau, ctx._bn_ext, ctx.g2, ctx.g3, config,
-                              None if warm is None else next(solved))
+                rep = _census(n1, n2, ctx.tau, ctx.laurent(n1 + n2 + 2), ctx.g2, ctx.g3,
+                              config, None if warm is None else next(solved))
             except (InconclusiveError, EvaluationError) as e:
                 rows[cell], roots[cell] = _scan_row(tau, error=str(e)), None
                 continue

@@ -21,7 +21,7 @@ from todacensus.apparency import (
     residual_general,
 )
 from todacensus.apparency import _local_data, _m0_scalars, _m0_terms
-from todacensus.elliptic import compute_invariants
+from todacensus.elliptic import _LAURENT_ORDER, compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
     EvenNonexistenceError,
@@ -248,6 +248,44 @@ def test_kernels_take_a_laurent_column_per_point(n1, n2, S):
             assert vals[sel].tobytes() == Vk.tobytes()
 
 
+@pytest.mark.parametrize("n1,n2", [(0, 2), (0, 4), (1, 5), (2, 7), (3, 5)])
+def test_kernels_read_the_table_to_n1_n2_2(n1, n2):
+    # the census hands the kernels a table cut after b_{n1+n2+2}: F, J and
+    # values are those of the full table, bit for bit, for one table and
+    # for a table per point
+    tables = _laurent_tables()
+    cut = n1 + n2 + 3
+    rng = np.random.default_rng(n1 + 10 * n2)
+    scale = np.array([[30.0], [5.0], [60.0]])
+    S = 11
+    X = scale * (rng.normal(size=(3, S)) + 1j * rng.normal(size=(3, S)))
+    columns = np.stack([tables[k % len(tables)] for k in range(S)], axis=1)
+    for full in tables + [columns]:
+        F, J = m0_residual_batch(n1, n2, full, *X)
+        Fc, Jc = m0_residual_batch(n1, n2, full[:cut], *X)
+        assert F.tobytes() == Fc.tobytes() and J.tobytes() == Jc.tobytes()
+        vals = m0_value_batch(n1, n2, full[:cut], *X)
+        assert vals.tobytes() == m0_value_batch(n1, n2, full, *X).tobytes()
+
+
+@pytest.mark.parametrize("punctures", [[(0.0, 0, 4)], [(0.0, 1, 2), (0.31 + 0.42j, 0, 1)]],
+                         ids=["m0", "two"])
+def test_residual_general_reads_the_table_it_needs(punctures):
+    # residual_general asks the context for b_j, j <= max(n1 + n2 + 2), and
+    # gets the bits of the full table
+    tau = 0.17 + 1.21j
+    prob = derive_problem(tau, punctures)
+    x = np.random.default_rng(3).normal(size=3 * len(punctures) + 2) + 0.5j
+    ctx = compute_invariants(tau)
+    F, J = residual_general(prob, ctx, x, with_jacobian=True)
+    if len(punctures) == 1:
+        assert len(ctx._bn) == 7
+    full = compute_invariants(tau)
+    full.laurent(_LAURENT_ORDER)
+    Ff, Jf = residual_general(prob, full, x, with_jacobian=True)
+    assert F.tobytes() == Ff.tobytes() and J.tobytes() == Jf.tobytes()
+
+
 def _two_pass_frobenius(n1, n2, rhs, zero, one):
     """The recursion as two sweeps over j, the second from the injected
     free coefficient: the reference for the one-sweep kernels."""
@@ -427,6 +465,9 @@ def test_derive_problem_validation():
     crit = derive_problem(tau, [(0.0, 1, 1)])
     with pytest.raises(CriticalParametersError):
         crit.require_noncritical()
+    for p in (complex(np.nan, 0), complex(0, np.inf), np.inf):
+        with pytest.raises(StructuralError, match="puncture 1 has a non-finite position"):
+            derive_problem(tau, [(0.0, 0, 1), (p, 0, 1)])
 
 
 def test_epsilon_value():
@@ -505,6 +546,20 @@ def test_param_vectors_refused_alike():
             ode_coefficients(prob, ctx, [bad], 0.4 + 0.4j)
     with pytest.raises(StructuralError, match="context and problem use different lattices"):
         residual_general(prob, compute_invariants(0.2 + 1.1j), ParamVec.m0(0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), -np.inf], ids=str)
+def test_non_finite_parameters_refused(bad):
+    tau = 0.17 + 1.21j
+    ctx = compute_invariants(tau)
+    prob = problem_m0(tau, 0, 1)
+    for i in range(5):
+        x = np.zeros(5, complex)
+        x[i] = bad
+        with pytest.raises(StructuralError, match="parameters must be finite"):
+            residual_general(prob, ctx, x)
+        with pytest.raises(StructuralError, match="parameters must be finite"):
+            ode_coefficients(prob, ctx, [ParamVec.from_vector(x)], 0.4 + 0.4j)
 
 
 def test_problem_json_round_trippable_fields():

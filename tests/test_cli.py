@@ -1,6 +1,7 @@
 """End-to-end checks of the toda-census command line."""
 
 import json
+import math
 import subprocess
 import warnings
 
@@ -274,6 +275,41 @@ def test_scan_missing_grid_is_usage_error(capsys):
                            "--re0", "0.0", "--re1", "0.1", "--nre", "2")
     assert code == 2
     assert "--im0" in err
+
+
+@pytest.mark.parametrize("key,value", [("--re0", "nan"), ("--im1", "inf"), ("--re1", "-inf"),
+                                       ("--im0", "x")])
+def test_non_finite_scan_bound_is_usage_error(capsys, key, value):
+    # as a non-finite --tau is: refused before any lattice is built
+    args = list(GRID)
+    i = args.index(key)
+    args[i:i + 2] = ["%s=%s" % (key, value)]  # '=': "-inf" does not read as an option
+    code, out, err = run_cli(capsys, "scan", "--n1", "0", "--n2", "2", *args)
+    assert code == 2 and out == ""
+    problem = "numbers" if value == "x" else "finite"
+    assert err.splitlines()[-1] == (
+        "toda-census: error: argument %s: scan grid bounds must be %s" % (key, problem))
+
+
+@pytest.mark.parametrize("command", ["solve", "monodromy", "even"])
+@pytest.mark.parametrize("p", [complex(math.nan, 0.0), complex(0.0, math.inf)], ids=str)
+def test_non_finite_puncture_position_is_usage_error(tmp_path, capsys, command, p):
+    path = _punctures_file(tmp_path, [(0j, 0, 1), (p, 0, 1)])
+    code, out, err = run_cli(capsys, command, "--tau", "0.2,1.3", "--punctures", path)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "toda-census: error: --punctures %s: puncture 1 has a non-finite position" % path)
+
+
+def test_non_finite_parameter_is_usage_error(tmp_path, capsys):
+    # refused where the parameter vector is read, not transported until
+    # the step size underflows
+    path = tmp_path / "punctures.json"
+    path.write_text('{"punctures": [{"p": [0, 0], "n1": 0, "n2": 4}], "params": {"A": [[0, 0]],'
+                    ' "Bk": [[0, 0]], "B": [NaN, 0], "Dk": [[0.5, 0]], "D": [0.7, 0.2]}}')
+    code, out, err = run_cli(capsys, "monodromy", "--tau", "0.2,1.3", "--punctures", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "toda-census: error: parameters must be finite"
 
 
 def test_scan_grid_below_the_real_axis_is_usage_error(capsys):

@@ -16,6 +16,7 @@ from todacensus.elliptic import (
     FORM_NAMES,
     EllipticContext,
     LatticeTau,
+    _LAURENT_ORDER,
     _eisenstein,
     _g_invariants,
     compute_invariants,
@@ -104,6 +105,35 @@ def test_laurent_table_heads():
         assert abs(ctx._bn_ext[4] - ctx.g2 / 20.0) <= 1e-12 * (1 + abs(ctx.g2))
         assert abs(ctx._bn_ext[6] - ctx.g3 / 28.0) <= 1e-12 * (1 + abs(ctx.g3))
         assert all(abs(ctx._bn_ext[j]) == 0.0 for j in (1, 2, 3, 5, 7))
+
+
+@pytest.mark.parametrize("tau", TAUS + [1j, RHO], ids=str)
+def test_context_builds_table_and_lam_min_on_first_read(tau):
+    # compute_invariants computes the invariants alone; the Laurent table is
+    # built to the order first read, and a higher order rebuilds it with the
+    # same bits below that order (each entry comes from the lower ones)
+    ctx = _ctx(tau)
+    assert ctx._bn is None and "lam_min" not in vars(ctx)
+    low = ctx.laurent(6).copy()
+    assert len(low) == len(ctx._bn) == 7 and "lam_min" not in vars(ctx)
+    full = ctx.laurent(_LAURENT_ORDER)
+    assert len(full) == _LAURENT_ORDER + 1 and full[:7].tobytes() == low.tobytes()
+    assert full.tobytes() == _ctx(tau)._bn_ext.tobytes()
+    assert np.shares_memory(ctx.laurent(6), full)  # a lower order is a view
+    # evaluation after a short read gives the bits of a fresh context
+    z = 0.05 + 0.02j  # in the Laurent regime
+    fresh = _ctx(tau)
+    assert ctx.jet(z, 3)[0].tobytes() == fresh.jet(z, 3)[0].tobytes()
+    assert ctx.lam_min == fresh.lam_min and "lam_min" in vars(ctx)
+
+
+@pytest.mark.parametrize("tau", [complex(math.nan, 1.0), complex(0.1, math.inf),
+                                 complex(math.inf, 1.0), complex(0.1, math.nan)], ids=str)
+def test_non_finite_lattice_is_structural(tau):
+    with pytest.raises(StructuralError, match="lattice parameter must be finite"):
+        LatticeTau(tau)
+    with pytest.raises(StructuralError, match="lattice parameter must be finite"):
+        compute_invariants(tau)
 
 
 def test_half_period_values_sum_to_zero():

@@ -1,5 +1,6 @@
 """Census counts, clustering, even-sector solving, and the scan driver."""
 
+import collections
 import dataclasses
 import math
 
@@ -17,7 +18,7 @@ from todacensus.apparency import (
     m0_value_batch,
     problem_m0,
 )
-from todacensus.elliptic import compute_invariants
+from todacensus.elliptic import EllipticContext, compute_invariants
 from todacensus.errors import (
     CriticalParametersError,
     EvaluationError,
@@ -1226,6 +1227,93 @@ def test_scan_runs_one_warm_batch_per_wave(monkeypatch):
         (re, im) for im in np.linspace(0.95, 1.45, 6) for re in np.linspace(-0.4, 0.35, 6)]
     assert all(r["total"] == r["bound"] == 5 for r in rows)
     assert len(waves) == 6 + 6 - 2
+
+
+@pytest.mark.parametrize("pair,grid", [((0, 4), GENERIC_GRID), ((2, 4), FALLBACK_GRIDS[1])],
+                         ids=["generic", "fallback-3x3"])
+def test_scan_asks_the_context_for_one_order(monkeypatch, pair, grid):
+    # the census kernels read b_j for j <= n1 + n2 + 2, and a scan reads
+    # no other entry: no cell builds its table past that order, a cell that
+    # falls back to the full census included
+    orders = collections.Counter()
+    laurent = EllipticContext.laurent
+
+    def recording(ctx, order):
+        orders[order] += 1
+        return laurent(ctx, order)
+
+    monkeypatch.setattr(EllipticContext, "laurent", recording)
+    scan_tau(*pair, grid)
+    assert set(orders) == {sum(pair) + 2}
+
+
+def _warm_batch(n1, n2, tau, near):
+    """The context at tau and what Newton returns there, in the first box's
+    metric, from the roots of the census at near: a scan cell's warm batch"""
+    ctx = compute_invariants(tau)
+    rep = solve_m0(problem_m0(near, n1, n2))
+    X0 = np.array([[c.B, c.D0, c.D] for c in rep.clusters], complex)
+    scales = solver._metric_scales(solver._first_box(ctx.g2, ctx.g3))
+    return ctx, solver._newton_m0_batch(n1, n2, ctx.laurent(n1 + n2 + 2), X0, scales,
+                                        SolverConfig())
+
+
+def _census_counting_clusters(monkeypatch, n1, n2, ctx):
+    """census(warm) -> (report, _cluster_points calls) at the context ctx"""
+    cluster = solver._cluster_points
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return cluster(*args)
+
+    monkeypatch.setattr(solver, "_cluster_points", counting)
+
+    def census(warm):
+        calls[0] = 0
+        rep = solver._census(n1, n2, ctx.tau, ctx.laurent(n1 + n2 + 2), ctx.g2, ctx.g3, None,
+                             warm)
+        return rep, calls[0]
+
+    return census
+
+
+@pytest.mark.parametrize("pair", [(0, 4), (2, 4)])
+def test_warm_batch_of_bound_distinct_roots_completes_the_census(monkeypatch, pair):
+    # a warm batch of bound accepted, distinct points is the census: its
+    # report is the one the store and the clustering give when an exact
+    # copy of one point forces them, but for that cluster's hits and the
+    # copy's start
+    n1, n2 = pair
+    ctx, warm = _warm_batch(n1, n2, GENERIC_TAU, GENERIC_TAU + 0.01)
+    census = _census_counting_clusters(monkeypatch, n1, n2, ctx)
+    rep, calls = census(warm)
+    assert calls == 0 and rep.total == rep.bound == len(warm[0]) == rep.starts_used
+    k = 3
+    forced, calls = census(tuple(np.concatenate([a, a[k:k + 1]]) for a in warm))
+    assert calls > 0
+    (twice,) = [c for c in forced.clusters if c.hits == 2]
+    assert (twice.B, twice.D0, twice.D) == tuple(warm[0][k])
+    assert rep == dataclasses.replace(
+        forced, starts_used=forced.starts_used - 1,
+        clusters=tuple(dataclasses.replace(c, hits=1) for c in forced.clusters))
+
+
+def test_warm_batch_short_or_merged_takes_the_general_path(monkeypatch):
+    # one root short of the bound, or two points within _MERGE_TOL of each
+    # other in the cluster metric: the census runs as without the exit
+    ctx, warm = _warm_batch(0, 4, GENERIC_TAU, GENERIC_TAU + 0.01)
+    census = _census_counting_clusters(monkeypatch, 0, 4, ctx)
+    short = tuple(a[1:] for a in warm)
+    X = warm[0].copy()
+    X[1] = X[0]
+    X[1, 0] += 0.5 * solver._MERGE_TOL * solver._metric_scales(
+        solver._first_box(ctx.g2, ctx.g3))[0]
+    merged = (X,) + warm[1:]
+    for batch in (short, merged):
+        # (the root that merged lost comes back as a mirror)
+        rep, calls = census(batch)
+        assert calls > 0 and rep.total == rep.bound == 5
 
 
 def test_scan_worker_env(monkeypatch):
