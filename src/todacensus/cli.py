@@ -16,6 +16,7 @@ import sys
 from . import __version__
 from .apparency import (
     ParamVec,
+    _param_vec,
     build_even_poly,
     build_m0_system,
     derive_problem,
@@ -142,6 +143,8 @@ def _problem_from_args(args):
         punctures, params = _load_punctures(args.punctures)
         try:
             problem = derive_problem(tau, punctures)
+            if params is not None:
+                params = _param_vec(problem, params)
         except StructuralError as e:
             raise StructuralError("--punctures %s: %s" % (args.punctures, e))
         return problem, params

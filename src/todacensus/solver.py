@@ -5,10 +5,12 @@ parameters (B, D0, D), polishes every convergent trajectory with pure Newton
 steps, merges results into clusters in weight-scaled coordinates, and reports
 the count next to the weighted-Bezout bound.  Newton holds the points as one
 (S, 3) array with F and J current at each: every move evaluates the new
-points with their Jacobians, which the next step from there reuses.  An
-iterate costs one kernel call, and a line search two more: the half step
-is judged by value, and the step picked, the half step if it passes, else
-the quarter step, is evaluated with its Jacobian.  Newton drops a point as
+points with their Jacobians, which the next step from there reuses.  A
+damped iterate makes one residual call: a point whose full step grew the
+residual goes back to the point before, its half step is judged in one
+value call, and the step picked, the half step if it passes, else the
+quarter step, is evaluated in the next iterate's residual call, with the
+other points' full steps.  Newton drops a point as
 soon as its relative residual (see _relative) is <= 1e-13 in the damped
 loop or <= 1e-15 in the polish, and returns it for every point, so
 acceptance costs no further kernel call; _MAX_ITER and _POLISH_ITER only
@@ -64,6 +66,7 @@ starts are drawn and points accepted, gives only that size the weight:
 radii (r, r, 10 (r / 10)^1.5), with D0 as wide as B (see _sample_scales).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -377,19 +380,26 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
     The points are one (S, 3) array, and F, J and the relative residual (see
     _relative) are known at every point at every moment: each move of a
     point evaluates it with m0_residual_batch, and the next step from there
-    reuses them.  A point whose full step grew its residual is judged at the
-    half step, all such points in one m0_value_batch call, and takes the
-    half step if that does not grow the residual, else the quarter step
-    unjudged, evaluated in the same iterate.
+    reuses them.  A damped iterate makes one m0_residual_batch call, on the
+    full steps of the points due a step and the shorter steps held from the
+    iterate before.  A point whose full step grew its residual goes back to
+    the point before, with its F and J, and is judged at the half step, all
+    such points in one m0_value_batch call; it holds the half step if that
+    does not grow the residual, else the quarter step unjudged, and the next
+    call moves it there.  Holding a step changes when a point is evaluated,
+    never where it goes: each shortened step delays the point by one
+    iterate.
 
     A point leaves each phase as soon as it has converged: when its relative
     residual is <= _DAMPED_STOP in the damped loop or <= _POLISH_STOP in the
     polish.  Its absolute residual bounds the relative one from above and
-    stops it at the same thresholds.  _MAX_ITER and _POLISH_ITER cap the
-    phases.  complete, when given, ends the damped loop early: after each
-    iterate it gets the points (k, 3) that have just reached a relative
-    residual <= min(_DAMPED_STOP, cfg.accept_tol), and once it returns True
-    the remaining starts stop where they are and the polish runs.
+    stops it at the same thresholds.  _MAX_ITER caps the damped steps of a
+    point, and _POLISH_ITER the polish.  complete, when given, ends the
+    damped loop early: after each residual call, before the value call, it
+    gets the points (k, 3) that have just reached a relative residual <=
+    min(_DAMPED_STOP, cfg.accept_tol), and once it returns True the
+    remaining starts stop where they are, a held step is dropped, and the
+    polish runs.
 
     bnum is the Laurent table of the lattice (L,), or one column per start
     (L, S), and scales the metric scales (sB, sD0, sD), or one row per start
@@ -428,38 +438,55 @@ def _newton_m0_batch(n1, n2, bnum, X0, scales, cfg, complete=None):
             rel[idx] = _relative(Fn, Jn, Xn)
 
     move(slice(None), X)
-    for _ in range(_MAX_ITER):
+    # the points sent back to their last point (pend), the shorter steps
+    # (trial) that the next residual call evaluates for them, and the
+    # iterates each point has spent waiting so; a point still stepping took
+    # a step in each of its other iterates, it - held in all
+    pend = np.empty(0, int)
+    held = np.zeros(S, int)
+    for it in itertools.count():
         with np.errstate(all="ignore"):
             mag = _scaled_mag(X, sc)
-        idx = np.flatnonzero(np.isfinite(res) & (res > _DAMPED_STOP) & (mag < 1e8)
-                             & ~(rel <= _DAMPED_STOP))
-        if not len(idx):
+        live = (np.isfinite(res) & (res > _DAMPED_STOP) & (mag < 1e8)
+                & ~(rel <= _DAMPED_STOP))
+        if it >= _MAX_ITER:
+            live &= it - held < _MAX_ITER
+        live[pend] = False
+        idx = np.flatnonzero(live)
+        if not len(idx) and not len(pend):
             break
-        Xa, ra = X[idx], res[idx]
+        Xa, Fa, Ja, ra, rela = X[idx], F[idx], J[idx], res[idx], rel[idx]
         with np.errstate(all="ignore"):
-            step = _solve_steps(J[idx], F[idx])
+            step = _solve_steps(Ja, Fa)
             sn = _scaled_mag(step, scales_at(idx))
         cap = np.where(sn > 2.0, 2.0 / np.maximum(sn, 1e-300), 1.0)
         step = step * cap[:, None]
-        move(idx, Xa + step)
-        # only the points whose step grew the residual take a shorter one:
-        # the half step if one value call finds that it does not grow it,
-        # else the quarter step, unjudged
+        if len(pend):
+            move(np.concatenate([idx, pend]), np.vstack([Xa + step, trial]))
+        else:
+            move(idx, Xa + step)
+        # a point whose full step grew the residual goes back, F and J and
+        # all, and takes a shorter step in the next call: the half step if
+        # one value call finds that it does not grow the residual, else the
+        # quarter step, unjudged
         w = np.flatnonzero(~(res[idx] <= np.maximum(ra, cfg.accept_tol)))
+        pend = idx[w]
         if len(w):
-            half = step[w] * 0.5
-            T = Xa[w] + half
-            with np.errstate(all="ignore"):
-                Ft = m0_value_batch(n1, n2, table(idx[w]), *T.T)
-                rt = np.max(np.abs(Ft), axis=-1)
-            fail = ~(rt <= np.maximum(ra[w], cfg.accept_tol))
-            T[fail] = Xa[w][fail] + half[fail] * 0.5
-            move(idx[w], T)
+            X[pend], F[pend], J[pend], res[pend], rel[pend] = Xa[w], Fa[w], Ja[w], ra[w], rela[w]
+            held[pend] += 1
         if complete is not None:
             new = np.flatnonzero(~handed & (rel <= done))
             handed[new] = True
             if len(new) and complete(X[new]):
                 break
+        if len(w):
+            half = step[w] * 0.5
+            trial = Xa[w] + half
+            with np.errstate(all="ignore"):
+                Ft = m0_value_batch(n1, n2, table(pend), *trial.T)
+                rt = np.max(np.abs(Ft), axis=-1)
+            fail = ~(rt <= np.maximum(ra[w], cfg.accept_tol))
+            trial[fail] = Xa[w][fail] + half[fail] * 0.5
 
     # polish: pure Newton, keep the best visited point
     Xb, rb, relb, Jb = X.copy(), res.copy(), rel.copy(), J.copy()

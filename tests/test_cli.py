@@ -303,13 +303,28 @@ def test_non_finite_puncture_position_is_usage_error(tmp_path, capsys, command, 
 
 def test_non_finite_parameter_is_usage_error(tmp_path, capsys):
     # refused where the parameter vector is read, not transported until
-    # the step size underflows
+    # the step size underflows, and named by its file as a bad position is
     path = tmp_path / "punctures.json"
     path.write_text('{"punctures": [{"p": [0, 0], "n1": 0, "n2": 4}], "params": {"A": [[0, 0]],'
                     ' "Bk": [[0, 0]], "B": [NaN, 0], "Dk": [[0.5, 0]], "D": [0.7, 0.2]}}')
     code, out, err = run_cli(capsys, "monodromy", "--tau", "0.2,1.3", "--punctures", str(path))
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == "toda-census: error: parameters must be finite"
+    assert err.splitlines()[-1] == (
+        "toda-census: error: --punctures %s: parameters must be finite" % path)
+
+
+def test_parameter_arity_is_usage_error(tmp_path, capsys):
+    # one A_k, B_k and D_k per puncture: a vector for one puncture on a
+    # two-puncture file is refused with the file's name
+    path = tmp_path / "punctures.json"
+    path.write_text('{"punctures": [{"p": [0, 0], "n1": 0, "n2": 1}, {"p": [0.3, 0.2], "n1": 0,'
+                    ' "n2": 1}], "params": {"A": [[0, 0]], "Bk": [[0, 0]], "B": [1.1, 0],'
+                    ' "Dk": [[0.5, 0]], "D": [0.7, 0.2]}}')
+    code, out, err = run_cli(capsys, "monodromy", "--tau", "0.2,1.3", "--punctures", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "toda-census: error: --punctures %s: parameter arity does not match puncture count"
+        % path)
 
 
 def test_scan_grid_below_the_real_axis_is_usage_error(capsys):

@@ -312,7 +312,8 @@ CENSUS_STARTS = (((3, 5), 40, 281), ((2, 7), 44, 313))
 def test_newton_stops_at_convergence(monkeypatch):
     # converged starts once iterated to the caps, max_iter + polish_iter =
     # 100 Jacobians: 98.5 and 96.3 per start here, 16.7 and 16.6 with D
-    # drawn within box^1.5, 14.8 and 12.3 in chunks of 512, 14.7 and 13.2 now
+    # drawn within box^1.5, 14.8 and 12.3 in chunks of 512, 14.7 and 13.2
+    # with a residual call per shortened step, 15.5 and 12.6 now
     points = [0]
     kernel = solver.m0_residual_batch
 
@@ -365,7 +366,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     # iterate judged its step by value, then re-evaluated the point with J
     # (17.9 and 17.9 with D drawn within box^1.5, 15.7 and 13.3 with the
     # quarter step judged by value, 15.2 and 12.8 in chunks of 512, 15.2
-    # and 13.7 now)
+    # and 13.7 with a residual call per shortened step, 16.0 and 13.1 now)
     seen = _count_kernels(monkeypatch)
     for (n1, n2), total, starts in CENSUS_STARTS:
         seen["points"] = 0
@@ -374,27 +375,232 @@ def test_newton_evaluates_each_point_once(monkeypatch):
         assert seen["points"] <= 22 * rep.starts_used
 
 
-def test_line_search_makes_one_value_call_per_iterate(monkeypatch):
-    # the half step of every point whose full step grew the residual is
-    # judged in one value call, so a full step's residual call lies between
-    # any two value calls (two in a row were one iterate before); the value
-    # call holds at most the points of that full step, and exactly those of
-    # the residual call that moves them to the step picked (twice as many
-    # when the quarter step was judged with the half)
+def _record_kernels(monkeypatch):
+    """(kernel name, points (k, 3)) of every kernel call the solver makes"""
     calls = []
     for name in ("m0_residual_batch", "m0_value_batch"):
         def recording(n1, n2, bnum, B, D0, D, name=name, kernel=getattr(solver, name)):
-            calls.append((name, len(B)))
+            calls.append((name, np.stack([B, D0, D], axis=1)))
             return kernel(n1, n2, bnum, B, D0, D)
         monkeypatch.setattr(solver, name, recording)
+    return calls
+
+
+def _newton_evaluate_now(n1, n2, bnum, X0, scales, cfg):
+    """_newton_m0_batch without a completion test as it was when a shortened
+    step was evaluated in its own iterate: a second residual call, after the
+    value call, moved the points whose full step grew the residual to the
+    step picked.  Deferring that step to the next iterate's call must give
+    every start the same trajectory, one iterate later per shortened step."""
+    X = np.array(X0, complex)
+    S = len(X)
+    sc = np.asarray(scales, float)
+    F = np.empty((S, 3), complex)
+    J = np.empty((S, 3, 3), complex)
+    res = np.empty(S)
+    rel = np.empty(S)
+
+    def table(idx):
+        return bnum if np.ndim(bnum) == 1 else bnum[:, idx]
+
+    def scales_at(idx):
+        return sc if sc.ndim == 1 else sc[idx]
+
+    def move(idx, Xn):
+        with np.errstate(all="ignore"):
+            Fn, Jn = solver.m0_residual_batch(n1, n2, table(idx), *Xn.T)
+            X[idx], F[idx], J[idx] = Xn, Fn, Jn
+            res[idx] = np.max(np.abs(Fn), axis=-1)
+            rel[idx] = _relative(Fn, Jn, Xn)
+
+    move(slice(None), X)
+    for _ in range(solver._MAX_ITER):
+        with np.errstate(all="ignore"):
+            mag = solver._scaled_mag(X, sc)
+        idx = np.flatnonzero(np.isfinite(res) & (res > solver._DAMPED_STOP) & (mag < 1e8)
+                             & ~(rel <= solver._DAMPED_STOP))
+        if not len(idx):
+            break
+        Xa, ra = X[idx], res[idx]
+        with np.errstate(all="ignore"):
+            step = solver._solve_steps(J[idx], F[idx])
+            sn = solver._scaled_mag(step, scales_at(idx))
+        cap = np.where(sn > 2.0, 2.0 / np.maximum(sn, 1e-300), 1.0)
+        step = step * cap[:, None]
+        move(idx, Xa + step)
+        w = np.flatnonzero(~(res[idx] <= np.maximum(ra, cfg.accept_tol)))
+        if len(w):
+            half = step[w] * 0.5
+            T = Xa[w] + half
+            with np.errstate(all="ignore"):
+                Ft = solver.m0_value_batch(n1, n2, table(idx[w]), *T.T)
+                rt = np.max(np.abs(Ft), axis=-1)
+            fail = ~(rt <= np.maximum(ra[w], cfg.accept_tol))
+            T[fail] = Xa[w][fail] + half[fail] * 0.5
+            move(idx[w], T)
+
+    Xb, rb, relb, Jb = X.copy(), res.copy(), rel.copy(), J.copy()
+    tail_prev = np.full(S, np.inf)
+    tail_last = np.full(S, np.inf)
+    near = np.isfinite(res) & (res <= max(cfg.accept_tol * 1e4, 1e-6))
+    for _ in range(solver._POLISH_ITER):
+        idx = np.flatnonzero(near & np.isfinite(res) & (res > solver._POLISH_STOP)
+                             & ~(rel <= solver._POLISH_STOP))
+        if not len(idx):
+            break
+        with np.errstate(all="ignore"):
+            step = solver._solve_steps(J[idx], F[idx])
+            sn = solver._scaled_mag(step, scales_at(idx))
+        move(idx, X[idx] + step)
+        tail_prev[idx] = tail_last[idx]
+        tail_last[idx] = sn
+        better = np.isfinite(res) & (res < rb)
+        Xb[better], rb[better], relb[better], Jb[better] = (
+            X[better], res[better], rel[better], J[better])
+    return Xb, rb, relb, Jb, tail_prev, tail_last
+
+
+def _rows(X):
+    return {x.tobytes() for x in X}
+
+
+def test_line_search_makes_one_value_call_per_iterate(monkeypatch):
+    # the half step of every point whose full step grew the residual is
+    # judged in one value call, so a full step's residual call lies between
+    # any two value calls (two in a row were one iterate before), and the
+    # value call holds at most the points of that full step.  The step
+    # picked is evaluated in the next residual call, with the next full
+    # steps, where it once took a call of its own: every half step that
+    # passed its judgement is among that call's points, bit for bit.  Which
+    # passed, the evaluate-now loop tells: the points of its value call that
+    # its next residual call holds in place
+    calls = _record_kernels(monkeypatch)
+    newton = solver._newton_m0_batch
+    monkeypatch.setattr(solver, "_newton_m0_batch",
+                        lambda *args: _newton_evaluate_now(*args[:6]))
+    solve_m0(problem_m0(CENSUS_TAU, 3, 5))
+    judged, passed = set(), set()
+    for (name, V), (_, R) in zip(calls, calls[1:]):
+        if name == "m0_value_batch":
+            judged |= _rows(V)
+            passed |= _rows(V[np.all(V == R, axis=1)])
+    assert 0 < len(passed) < len(judged)
+
+    calls.clear()
+    monkeypatch.setattr(solver, "_newton_m0_batch", newton)
     rep = solve_m0(problem_m0(CENSUS_TAU, 3, 5))
     assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 281)
     names = [name for name, _ in calls]
     assert "m0_value_batch" in names
     assert all(a != b for a, b in zip(names, names[1:]) if a == "m0_value_batch")
-    assert all(before >= size == after
-               for (_, before), (name, size), (_, after) in zip(calls, calls[1:], calls[2:])
-               if name == "m0_value_batch")
+    found = 0
+    for (_, before), (name, V), (after, R) in zip(calls, calls[1:], calls[2:]):
+        if name == "m0_value_batch":
+            assert len(before) >= len(V) and after == "m0_residual_batch"
+            # every half step is one that the evaluate-now loop judged
+            assert _rows(V) <= judged
+            assert _rows(V) & passed <= _rows(R)
+            found += len(_rows(V) & passed)
+    assert found > 0
+
+
+@pytest.mark.parametrize("pair", [(3, 5), (2, 7), (0, 4), (1, 8), "two lattices", "capped"])
+def test_deferred_steps_keep_every_trajectory(monkeypatch, pair):
+    # without a completion test each start ends where the evaluate-now loop
+    # ends it, bit for bit, from the same kernel points in fewer residual
+    # calls; also for a batch with a Laurent table and metric scales per
+    # start, as a scan's warm wave runs, and where the cap on a start's
+    # damped steps stops most starts, held steps or not
+    cfg = SolverConfig()
+    taus = (CENSUS_TAU, GENERIC_TAU) if pair == "two lattices" else (CENSUS_TAU,)
+    n1, n2 = pair if isinstance(pair, tuple) else (3, 5)
+    if pair == "capped":
+        monkeypatch.setattr(solver, "_MAX_ITER", 6)
+    parts = []
+    for k, tau in enumerate(taus):
+        ctx = compute_invariants(tau)
+        box = solver._first_box(ctx.g2, ctx.g3)
+        X = np.vstack([solver._structured_starts(n1, n2, ctx.g2, ctx.g3),
+                       solver._starts_from_unit(_halton_block(101 + 300 * k, 300),
+                                                solver._sample_scales(box))])
+        parts.append((ctx._bn_ext, X, solver._metric_scales(box)))
+    sizes = [len(X) for _, X, _ in parts]
+    if len(parts) == 1:
+        bnum, X, scales = parts[0]
+    else:
+        bnum = np.repeat(np.stack([b for b, _, _ in parts], axis=1), sizes, axis=1)
+        X = np.vstack([X for _, X, _ in parts])
+        scales = np.repeat([sc for _, _, sc in parts], sizes, axis=0)
+    seen = _count_kernels(monkeypatch)
+    got = solver._newton_m0_batch(n1, n2, bnum, X, scales, cfg)
+    deferred = dict(seen)
+    seen.update(calls=0, points=0)
+    want = _newton_evaluate_now(n1, n2, bnum, X, scales, cfg)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert deferred["points"] == seen["points"]
+    if pair != "capped":
+        # fewer calls: some steps were shortened
+        assert deferred["calls"] < seen["calls"]
+
+
+def test_completion_is_judged_before_the_value_call(monkeypatch):
+    # complete gets the points that an iterate's residual call brought to
+    # convergence before the value call judges the half steps: once it says
+    # the census is complete, the held steps are dropped and no value call
+    # is made, and every start is returned with the kernel's F, J and rel at
+    # the point it stands on
+    n1, n2 = 3, 5
+    cfg = SolverConfig()
+    ctx = compute_invariants(CENSUS_TAU)
+    box = solver._first_box(ctx.g2, ctx.g3)
+    X0 = np.vstack([solver._structured_starts(n1, n2, ctx.g2, ctx.g3),
+                    solver._starts_from_unit(_halton_block(101, 300),
+                                             solver._sample_scales(box))])
+    args = (n1, n2, ctx._bn_ext, X0, solver._metric_scales(box), cfg)
+    calls = _record_kernels(monkeypatch)
+    fired = []
+
+    def complete(X):
+        fired.append(len(calls))
+        return True
+
+    out = solver._newton_m0_batch(*args, complete)
+    assert len(fired) == 1
+    names = [name for name, _ in calls]
+    assert names[fired[0] - 1] == "m0_residual_batch"
+    assert "m0_value_batch" not in names[fired[0]:]
+    _assert_current(n1, n2, ctx._bn_ext, out)
+    # without the test, a value call follows that residual call
+    calls.clear()
+    solver._newton_m0_batch(*args)
+    assert [name for name, _ in calls][fired[0]] == "m0_value_batch"
+
+
+def test_census_stopped_by_completion_polishes_next(monkeypatch):
+    # the chunk that completes the (3,5) census ends its damped loop at a
+    # residual call, and the next kernel call is the polish's, not a value
+    # call for half steps that nothing would evaluate
+    calls = _record_kernels(monkeypatch)
+    fired = []
+    completion_test = solver._completion_test
+
+    def recorded(*args):
+        complete = completion_test(*args)
+
+        def test(X):
+            done = complete(X)
+            if done:
+                fired.append(len(calls))
+            return done
+        return test
+
+    monkeypatch.setattr(solver, "_completion_test", recorded)
+    rep = solve_m0(problem_m0(CENSUS_TAU, 3, 5))
+    assert (rep.total, rep.bound, rep.starts_used) == (40, 40, 281)
+    assert len(fired) == 1
+    names = [name for name, _ in calls]
+    assert names[fired[0] - 1:fired[0] + 1] == ["m0_residual_batch"] * 2
 
 
 # the bench's census tasks at seed 1: (3,5) and (2,7) at CENSUS_TAU jittered
@@ -411,7 +617,9 @@ def test_bench_census_kernel_calls(monkeypatch):
     # 35,355 and 2,872 points, when the starts drew D within box^1.5; 112
     # and 52 on 28,802 and 2,174 with the weighted radius 10 (box / 10)^1.5,
     # from the same starts; 1,087 value points since the line search judges
-    # the half step alone
+    # the half step alone; 120 and 56 calls on 15,814 and 632 points with
+    # chunks of 7 starts per root, when a shortened step took a residual
+    # call of its own
     calls = {"m0_residual_batch": 0, "m0_value_batch": 0}
     points = dict(calls)
     for name in calls:
@@ -427,10 +635,12 @@ def test_bench_census_kernel_calls(monkeypatch):
         _assert_d_headroom(rep)
         starts.append(rep.starts_used)
     # one chunk each, of 7 starts per root (with the seeds) where it was 512
-    # starts: 120 and 56 calls on 15,814 and 632 points
+    # starts; a shortened step rides the next iterate's residual call, and
+    # a chunk's completion is judged before its value call: 67 and 55 calls
+    # on 15,728 and 553 points
     assert starts == [281, 313, 251, 233]
-    assert calls["m0_residual_batch"] <= 120 and calls["m0_value_batch"] <= 56
-    assert points["m0_residual_batch"] <= 16500 and points["m0_value_batch"] <= 700
+    assert calls["m0_residual_batch"] <= 67 and calls["m0_value_batch"] <= 55
+    assert points["m0_residual_batch"] <= 15750 and points["m0_value_batch"] <= 560
 
 
 def test_completion_test_counts_kept_roots_points_and_mirrors():
@@ -542,9 +752,10 @@ def _assert_current(n1, n2, bnum, out):
 
 
 def test_newton_keeps_f_and_j_current(monkeypatch):
-    # a point that takes a shortened step is evaluated with its Jacobian in
-    # the same iterate, so what Newton returns is the kernel's at the
-    # returned point, also where complete stops the damped loop early
+    # a point whose full step grew the residual goes back with its F and J,
+    # and its shorter step is evaluated with its Jacobian in the next
+    # residual call, so what Newton returns is the kernel's at the returned
+    # point, also where complete stops the damped loop early
     n1, n2 = 3, 5
     values = [0]
     kernel = solver.m0_value_batch
