@@ -193,7 +193,7 @@ def cmd_even(args):
     if problem.m == 0:
         even_count_Ne(problem.punctures[0].n1, problem.punctures[0].n2)
     problem.require_noncritical()
-    return solve_even(problem, config=_solver_config(args))
+    return solve_even(problem)
 
 
 def cmd_solve(args):

@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * math.pi
-_CTX_TOL = 1e-12  # identity-check target of a context; sqrt of it is the near-pole radius
+_CTX_TOL = 1e-12  # identity-check target of a context, written to its JSON
+_NEAR_POLE = math.sqrt(_CTX_TOL)  # jet refuses points this close to a lattice point
 _B_ORDER = 28  # highest index of a context's exported Laurent table
 _LAURENT_ORDER = 46  # highest index of the numeric table evaluation uses
 
@@ -101,25 +102,21 @@ class EllipticContext:
     """Data for one lattice: the invariants, precomputed; the half-period
     values e on demand; on first read the shortest lattice vector lam_min
     and the numeric Laurent table, built to the order its readers ask for
-    (laurent); Laurent and q-series workspace."""
+    (laurent); Laurent and q-series workspace.  Its accuracy target
+    _CTX_TOL and the highest index _B_ORDER of its exported Laurent table
+    are module constants, written to its JSON."""
 
     tau: complex
     g2: complex
     g3: complex
     eta1: complex
     eta2: complex
-    tol: float
-    order: int
     _bn: np.ndarray = field(repr=False, default=None)
     _marr: np.ndarray = field(repr=False, default=None)
     _qw: np.ndarray = field(repr=False, default=None)
     _mterms: dict = field(repr=False, default_factory=dict)
     _laurent_tab: np.ndarray = field(repr=False, default=None)
     _numer: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def near_pole_radius(self):
-        return math.sqrt(self.tol)
 
     @property
     def e(self):
@@ -199,7 +196,7 @@ class EllipticContext:
         eta shift of zeta."""
         zr, m, k = self.reduce_point(z)
         r = abs(zr)
-        if r <= self.near_pole_radius:
+        if r <= _NEAR_POLE:
             raise NearPoleError("argument within %.3g of a lattice point" % r)
         if r <= 0.35 * self.lam_min:
             ps, zt = self._laurent(zr, n)
@@ -292,9 +289,9 @@ class EllipticContext:
             "g3": [self.g3.real, self.g3.imag],
             "e": [[ek.real, ek.imag] for ek in self.e],
             "eta1": [self.eta1.real, self.eta1.imag],
-            "order": self.order,
-            "tol": self.tol,
-            "b": [p.to_json_dict() for p in weierstrass_laurent_symbolic(self.order)],
+            "order": _B_ORDER,
+            "tol": _CTX_TOL,
+            "b": [p.to_json_dict() for p in weierstrass_laurent_symbolic(_B_ORDER)],
         }
 
 
@@ -341,8 +338,7 @@ def compute_invariants(lattice):
 
     Computes the invariants only: the context builds its numeric Laurent
     table, to the order each reader asks for, and lam_min when they are
-    first read.  It records its accuracy target _CTX_TOL as tol and the
-    highest index _B_ORDER of its exported Laurent table as order.
+    first read.
     """
     if not isinstance(lattice, LatticeTau):
         lattice = LatticeTau(complex(lattice))
@@ -357,8 +353,6 @@ def compute_invariants(lattice):
         g3=complex(g3),
         eta1=complex(eta1),
         eta2=complex(eta2),
-        tol=_CTX_TOL,
-        order=_B_ORDER,
     )
 
 

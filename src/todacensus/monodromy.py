@@ -531,10 +531,14 @@ def unitarize(report):
     """Invariant positive Hermitian form for the two period monodromies.
 
     Solves H = Nj^H H Nj for Hermitian H by one SVD (_invariant_form);
-    requires the report to satisfy the commutator identity
-    first.  On success fills report.H / report.unitarizable and returns the
-    transformed normal forms: N1 diagonal (1, eps, eps^2), N2 the cyclic
-    permutation matrix.
+    requires the report to satisfy the commutator identity first.  H is
+    definite when its smallest eigenvalue is above 1e-8 of its largest,
+    which _invariant_form makes positive.  On success fills report.H /
+    report.unitarizable and returns the transformed normal forms: N1
+    diagonal (1, eps, eps^2), N2 the cyclic permutation matrix.  Past the
+    commutator guard U1's spectrum is {l, eps l, eps^2 l} with l^3 = det N1
+    = 1 to transport accuracy, so the eigenvalue nearest each of 1, eps,
+    eps^2 picks each eigenvector once.
     """
     if report.eps_residual > 1e-4:
         raise StructuralError(
@@ -545,11 +549,9 @@ def unitarize(report):
         report.unitarizable = False
         return UnitarizeResult(ok=False, reason="no invariant Hermitian form")
     lam = np.linalg.eigvalsh(H)
-    if lam[0] * lam[-1] <= 0 or min(abs(lam)) <= 1e-8 * max(abs(lam)):
+    if not lam[0] > 1e-8 * lam[-1]:
         report.unitarizable = False
         return UnitarizeResult(ok=False, reason="invariant form is not definite")
-    # _invariant_form makes H's largest diagonal entry positive, so a
-    # definite H is positive definite
     Lc = np.linalg.cholesky(H)
     P = Lc.conj().T
     Pinv = np.linalg.inv(P)
@@ -561,36 +563,19 @@ def unitarize(report):
     )
 
     eps = report.epsilon
-    targets = (1.0 + 0j, eps, eps * eps)
+    targets = np.array([1.0, eps, eps * eps])
     w, V = np.linalg.eig(U1)
-    cols = []
-    used = set()
-    for tgt in targets:
-        best, bi = None, None
-        for i in range(3):
-            if i in used:
-                continue
-            d = abs(w[i] - tgt)
-            if best is None or d < best:
-                best, bi = d, i
-        used.add(bi)
-        cols.append(V[:, bi] / np.linalg.norm(V[:, bi]))
-    Q = np.stack(cols, axis=1)
-    Q, _ = np.linalg.qr(Q)
-    # keep the eigenvalue order: QR only re-phases/orthonormalizes here
+    # the eigenvectors in the order of targets, orthonormalized
+    Q, _ = np.linalg.qr(V[:, np.argmin(np.abs(w - targets[:, None]), axis=1)])
     N1n = Q.conj().T @ U1 @ Q
     N2n = Q.conj().T @ U2 @ Q
-    a, b, c = N2n[1, 0], N2n[2, 1], N2n[0, 2]
-    if min(abs(a), abs(b), abs(c)) > 1e-8:
-        Sdiag = np.diag([1.0, a, a * b])
-        Sinv = np.diag([1.0, 1.0 / a, 1.0 / (a * b)])
-        N2n = Sinv @ N2n @ Sdiag
-        N1n = Sinv @ N1n @ Sdiag
-    cyc = np.zeros((3, 3), complex)
-    cyc[1, 0] = cyc[2, 1] = cyc[0, 2] = 1.0
+    # the diagonal similarity by d = (1, a, ab) that takes N2n's cycle
+    # entries a = N2n[1, 0] and b = N2n[2, 1] to 1
+    d = np.array([1.0, N2n[1, 0], N2n[1, 0] * N2n[2, 1]])
+    N1n, N2n = (N * d / d[:, None] for N in (N1n, N2n))
     normal_res = max(
-        float(np.max(np.abs(N1n - np.diag([1.0, eps, eps * eps])))),
-        float(np.max(np.abs(N2n - cyc))),
+        float(np.max(np.abs(N1n - np.diag(targets)))),
+        float(np.max(np.abs(N2n - np.roll(np.eye(3), 1, axis=0)))),
     )
     report.unitarizable = True
     report.H = H

@@ -119,6 +119,7 @@ _MAX_ITER = 60
 _POLISH_ITER = 40
 _EVEN_TOL = 1e-8
 _MERGE_TOL = 1e-6
+_ROOT_MERGE = math.sqrt(1e-12) + 1e-5  # roots_univariate's merge radius per 1 + |z|
 _MAX_DOUBLINGS = 3
 _HALTON_PER_ROOT = 200
 _MIN_BOX_STARTS = 512
@@ -274,16 +275,16 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
-def roots_univariate(coeffs, tol=1e-12):
+def roots_univariate(coeffs):
     """All complex roots of a polynomial with multiplicities.
 
     coeffs is ascending (coeffs[k] multiplies z**k).  Exactly-zero leading
     entries are stripped.  The roots are the eigenvalues of the companion
     matrix of the monic polynomial (numpy.roots), a backward-stable method
-    at these degrees (Edelman-Murakami, Math. Comp. 64, 1995).  Roots within
-    (sqrt(tol) + 1e-5)*(1+|z|) of each other are merged into one, at their
-    mean, whose multiplicity is the merged count; tol sets only this
-    radius.  A root left alone by the merge takes one Newton step, kept
+    at these degrees (Edelman-Murakami, Math. Comp. 64, 1995).  Chains of
+    roots, each within _ROOT_MERGE (1+|z|) of the next, are merged into
+    one, at their mean, whose multiplicity is the merged count (single
+    linkage).  A root left alone by the merge takes one Newton step, kept
     where it lowers |p|.  Returns a list of (root, multiplicity) pairs,
     sorted by (real, imag).  Non-finite monic coefficients, or a failure of
     the eigenvalue solver, raise InconclusiveError.
@@ -306,17 +307,16 @@ def roots_univariate(coeffs, tol=1e-12):
         raise InconclusiveError("companion matrix eigenvalues failed: %s" % e)
     # merge clusters; a multiplicity-mu root is only located to about
     # eps^(1/mu), so the radius must cover that scatter (single linkage
-    # handles the chain where approximations straddle the true root)
+    # handles the chain where approximations straddle the true root: a
+    # point joins, and so joins up, every group it is near)
     order = np.lexsort((z.imag, z.real))
     z = z[order]
     groups = []
     for zi in z:
-        rad = (math.sqrt(tol) + 1e-5) * (1.0 + abs(zi))
-        near = [g for g in groups if any(abs(zi - m) <= rad for m in g)]
-        if near:
-            near[0].append(zi)
-        else:
-            groups.append([zi])
+        rad = _ROOT_MERGE * (1.0 + abs(zi))
+        near = [any(abs(zi - m) <= rad for m in g) for g in groups]
+        joined = [m for g, n in zip(groups, near) if n for m in g] + [zi]
+        groups = [g for g, n in zip(groups, near) if not n] + [joined]
     centre = np.array([sum(g) / len(g) for g in groups], complex)
     mult = np.array([len(g) for g in groups])
     with np.errstate(all="ignore"):
@@ -614,7 +614,7 @@ def _structured_starts(n1, n2, g2, g3):
     out = [np.zeros(3, complex)]
     try:
         coeffs = build_even_poly(n1, n2).coeffs_at(g2, g3)
-        for r, _ in roots_univariate(coeffs, tol=1e-12):
+        for r, _ in roots_univariate(coeffs):
             out.append(np.array([r, 0.0, 0.0], complex))
     except EvenNonexistenceError:
         pass
@@ -900,18 +900,16 @@ def solve_m0_degenerate(n1, n2, config=None):
     return _census(n1, n2, None, bnum, 0j, 0j, config)
 
 
-def solve_even(problem, ctx=None, config=None):
+def solve_even(problem, ctx=None):
     """Roots (with multiplicity) of the even-sector polynomial."""
     n1, n2 = _m0_pair(problem)
     if ctx is None:
         ctx = compute_invariants(problem.lattice)
-    cfg = config or SolverConfig()
     ep = build_even_poly(n1, n2)
     coeffs = ep.coeffs_at(ctx.g2, ctx.g3)
-    tol = min(1e-12, cfg.accept_tol)
     roots = []
     arr = np.array(coeffs, complex)
-    for r, mult in roots_univariate(coeffs, tol=tol):
+    for r, mult in roots_univariate(coeffs):
         p = abs(_horner_pair(arr, np.array([r]))[0][0])
         size = np.polyval(np.abs(arr[::-1]), abs(r))
         roots.append(EvenRoot(B=complex(r), multiplicity=mult,

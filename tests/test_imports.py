@@ -1,11 +1,12 @@
 """Every name a package module or test file imports is used by that file,
 every private name the package defines is used somewhere in the package,
 every defaulted parameter of the package is set by some call, every
-attribute the package stores is read somewhere, every exception that
-``errors`` exports is raised, caught or warned somewhere in the package,
-every entry point the benchmark's tracer (bench/tracer.py) wraps exists, a
-traced scan counts each Newton start once, and the CLI starts without
-mpmath.
+attribute the package stores is read somewhere, no dataclass field is
+filled from one module-level constant by every construction, every
+exception that ``errors`` exports is raised, caught or warned somewhere in
+the package, every entry point the benchmark's tracer (bench/tracer.py)
+wraps exists, a traced scan counts each Newton start once, and the CLI
+starts without mpmath.
 
 Static scans: each module of the package and each test file (but the
 frozen oracle_series.py) is parsed with ast.  An imported name counts as
@@ -17,8 +18,10 @@ of a package function counts as set when some call of that name (as a name
 or an attribute) in the package, the tests or the benchmark passes it by
 keyword or by position.  An attribute that the package stores, as
 ``x.attr = ...``, counts as read when some file of the package, the tests
-or the benchmark reads an attribute of that name.  An exported exception
-counts as used when a package module names it in a ``raise``, an
+or the benchmark reads an attribute of that name.  A dataclass field is a
+constant in disguise when every call of its class in the package passes
+it, by keyword or by position, the same module-level name.  An exported
+exception counts as used when a package module names it in a ``raise``, an
 ``except`` clause or as the category of a ``warn`` call.
 """
 
@@ -234,6 +237,71 @@ def test_no_unread_attributes():
     readers = [path.read_text() for folder in ("src", "tests", "bench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
     assert _unread_attributes(package, readers, PRINTED) == []
+
+
+def _constant_fields(package):
+    """(module, line, class, field) of the dataclass fields in package (a
+    dict module name -> source text) that every construction of their class
+    in the package fills from one and the same module-level name of the
+    constructing module, by keyword or by position.  A call of the class's
+    name, or of ``cls`` in its own body, is a construction; one with a * or
+    ** argument fills no field from a constant."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    fields = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if _is_dataclass(node):
+                fields[node.name] = (module, [(item.lineno, item.target.id) for item in node.body
+                                              if isinstance(item, ast.AnnAssign)
+                                              and isinstance(item.target, ast.Name)])
+    values = {}  # (class, field) -> the (module, constant) of each construction
+    counts = {}  # class -> its constructions
+    for module, tree in trees.items():
+        top = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(t, ast.Name)}
+        calls = [(node.func.id if isinstance(node.func, ast.Name) else node.func.attr, node)
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) in fields]
+        calls += [(cls.name, node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name in fields
+                  for node in ast.walk(cls) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "cls"]
+        for name, call in calls:
+            counts[name] = counts.get(name, 0) + 1
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                continue
+            given = dict(zip([f for _, f in fields[name][1]], call.args))
+            given.update((k.arg, k.value) for k in call.keywords)
+            for field, value in given.items():
+                if isinstance(value, ast.Name) and value.id in top:
+                    values.setdefault((name, field), []).append((module, value.id))
+    return sorted((module, line, name, field)
+                  for name, (module, entries) in fields.items() for line, field in entries
+                  if 0 < counts.get(name, 0) == len(values.get((name, field), ()))
+                  and len(set(values[(name, field)])) == 1)
+
+
+def test_scan_finds_a_constant_field():
+    a = ("_TOL = 1e-12\n_ORDER = 28\n_OTHER = 3\n"
+         "@dataclass\nclass C:\n    x: complex\n    tol: float\n    order: int\n"
+         "    def twin(self):\n        return C(self.x, _TOL, order=_ORDER)\n"
+         "def make(x):\n    return C(x=x, tol=_TOL, order=_ORDER)\n"
+         "def more(x):\n    return C(x, tol=_TOL, order=_OTHER)\n"
+         "@dataclass\nclass D:\n    n: int\n"
+         "    @classmethod\n    def of(cls, n):\n        return cls(n)\n"
+         "def d():\n    return D(_ORDER)\n")
+    assert _constant_fields({"a": a}) == [("a", 7, "C", "tol")]
+    b = "from .a import C\nC(**{'x': 1, 'tol': 2, 'order': 3})\n"
+    assert _constant_fields({"a": a, "b": b}) == []
+
+
+def test_no_field_filled_from_one_constant():
+    # a field that every construction fills from one constant holds that
+    # constant, not a setting: read the constant where the field is read
+    package = {path.stem: path.read_text() for path in MODULES}
+    assert _constant_fields(package) == []
 
 
 def _unused_exceptions(names, sources):

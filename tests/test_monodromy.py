@@ -390,6 +390,32 @@ def test_a_rejection_without_error_leaves_its_reason_in_the_notes(monkeypatch):
     assert rep.notes == ("no invariant Hermitian form",)
 
 
+@pytest.mark.parametrize("smallest, ok", [(-1.0, False), (1e-9, False), (1e-7, True)])
+def test_definite_means_smallest_eigenvalue_above_1e_8_of_largest(monkeypatch, smallest, ok):
+    # the (0,1) root's null space with H = diag(1, 1, smallest) as its form
+    prob, ctx = _setup(0, 1)
+    (rep,) = monodromy_pair(prob, ctx, [ParamVec.m0(0, 0, 0)])
+    form = monodromy._invariant_form
+    monkeypatch.setattr(monodromy, "_invariant_form",
+                        lambda N1, N2: (form(N1, N2)[0], np.diag([1.0, 1.0, smallest]) + 0j))
+    res = unitarize(rep)
+    assert res.ok is ok and rep.unitarizable is ok
+    assert res.reason == ("" if ok else "invariant form is not definite")
+
+
+@pytest.mark.parametrize("n1, n2, tau, unitarizable", [
+    (2, 4, TAU, 20),
+    (3, 5, -0.373 + 0.992j, 38),
+])
+def test_normal_forms_of_census_roots_to_high_accuracy(n1, n2, tau, unitarizable):
+    # the eigenvalue nearest each of 1, eps, eps^2 gives the eigenvector
+    # order, and QR and one diagonal similarity the normal forms
+    prob, ctx, pvs = _census_params(n1, n2, tau)
+    results = [unitarize(rep) for rep in monodromy_pair(prob, ctx, pvs)]
+    assert sum(res.ok for res in results) == unitarizable
+    assert max(res.normal_residual for res in results if res.ok) <= 1e-8
+
+
 def test_perturbed_params_fail_loudly():
     prob, ctx = _setup(0, 2)
     B_true = cmath.sqrt(ctx.g2 / 3.0)
@@ -981,3 +1007,44 @@ def test_shared_transport_give_up_reruns_each_root_alone(monkeypatch):
     assert [to_jsonable(r) for r in got] == want
     with pytest.raises(EvaluationError):
         monodromy_pair(prob, ctx, [true, nudged])
+
+
+def _failing_reconstruction(monkeypatch, error, when=lambda params: True):
+    """reconstruct_and_check raising error on the calls where when(params)
+    holds, and running as it is on the others."""
+    orig = monodromy.reconstruct_and_check
+
+    def failing(problem, ctx, params, *args, **kwargs):
+        if when(params):
+            raise error
+        return orig(problem, ctx, params, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "reconstruct_and_check", failing)
+
+
+def test_a_lone_roots_failed_reconstruction_is_noted(monkeypatch):
+    prob, ctx = _setup(0, 1)
+    _failing_reconstruction(monkeypatch, EvaluationError("transport step size underflow"))
+    (rep,) = verify_roots(prob, ctx, [ParamVec.m0(0, 0, 0)])
+    assert rep.unitarizable is True and rep.pde_residual is None
+    assert rep.notes == ("reconstruction failed: transport step size underflow",)
+
+
+def test_a_shared_failed_reconstruction_reruns_each_root_alone(monkeypatch):
+    prob, ctx, pvs = _census_params(0, 2)
+    want = [to_jsonable(verify_root(prob, ctx, pv)) for pv in pvs]
+    _failing_reconstruction(monkeypatch, EvaluationError("transport step size underflow"),
+                            when=lambda params: len(params) > 1)
+    with pytest.raises(EvaluationError):
+        monodromy._verify_batch(prob, ctx, pvs, monodromy.TRANSPORT_RTOL)
+    assert [to_jsonable(rep) for rep in verify_roots(prob, ctx, pvs)] == want
+
+
+def test_a_structural_reconstruction_failure_is_noted_on_every_root(monkeypatch):
+    prob, ctx, pvs = _census_params(0, 2)
+    _failing_reconstruction(monkeypatch, StructuralError("reconstruction grid is empty"))
+    reports = verify_roots(prob, ctx, pvs)
+    assert len(reports) == len(pvs) > 1
+    for rep in reports:
+        assert rep.unitarizable is True and rep.pde_residual is None
+        assert rep.notes == ("reconstruction failed: reconstruction grid is empty",)

@@ -65,6 +65,20 @@ def test_roots_univariate_triple_root():
     assert abs(z - 1.0) <= 1e-5
 
 
+def test_roots_univariate_merges_a_chain_into_one_root(monkeypatch):
+    # three approximations of a triple root at r: the second is beyond the
+    # merge radius (1.5e-5 here) of the first, the third within it of both,
+    # so single linkage joins all three
+    r = 0.3 + 0.2j
+    chain = np.array([r, r + 0.5e-5 + 1.5e-5j, r + 0.6e-5 + 0.75e-5j])
+    rad = solver._ROOT_MERGE * (1 + abs(chain[2]))
+    assert abs(chain[1] - chain[0]) > rad >= max(abs(chain[2] - chain[:2]))
+    monkeypatch.setattr(np, "roots", lambda coeffs: chain.copy())
+    ((z, m),) = roots_univariate(np.poly([r, r, r])[::-1])
+    assert m == 3
+    assert abs(z - chain.mean()) <= 1e-15
+
+
 def test_roots_univariate_close_pair_stays_split():
     a, b = 1.0, 1.0 + 1e-4
     coeffs = [a * b, -(a + b), 1.0]
